@@ -1,23 +1,27 @@
 """Finite-time entropic functionals e_t and their exact positivity domains.
 
-e_t(alpha) is finite exactly where the pencil I + alpha*K_t stays positive
-definite, K_t = D^{1/2} T_t D^{1/2}; outside it the value is IEEE +inf.
-Domain membership is decided by attempting a Cholesky factorization of the
-pencil, with an eigenvalue fallback for alpha within 1e-10 of an endpoint.
+e_t(alpha) = alpha*l_t - 0.5*sum_i log1p(alpha*lambda_i), with l_t =
+0.5*logdet(I + D T_t) and lambda_i the eigenvalues of K_t = D^{1/2} T_t D^{1/2};
+e_{t+} is the same with alpha -> -alpha and K+_t = D+^{1/2} T_t D+^{1/2}.  Each
+spectrum is computed once per flow point and reference state, and the domain
+(the open interval where every 1 + alpha*lambda_i > 0) and the value at every
+alpha are read from it.  Outside that interval the value is IEEE +inf.
 """
 
+import hashlib
 import math
+import threading
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._linalg import AccuracyError, spd_sqrt, symmetrize, try_chol_logdet
+from ._linalg import AccuracyError, spd_sqrt, symmetrize
 from .flow import flow_point
 
 LOGDET_G4_TOL = 1e-8        # |0.5 logdet(I + D T_t)| cap under time reversal
-BOUNDARY_WIDTH = 1e-10      # alpha this close to an endpoint: eigenvalue test
 SYMMETRY_RTOL = 1e-6        # relative agreement of delta_t from both spectrum ends
 ZERO_PENCIL_FLOOR = 1e-12   # pencils this small are roundoff of T_t = 0
 
@@ -53,23 +57,83 @@ class EntropicFunctional:
         return self.evaluator(alpha)
 
 
-def _pencil_interval(eigs):
-    """Positivity interval {a : I + a*K > 0} from the spectrum of K."""
-    lam_max = float(eigs[-1])
-    lam_min = float(eigs[0])
-    upper = -1.0 / lam_min if lam_min < 0.0 else math.inf
-    lower = -1.0 / lam_max if lam_max > 0.0 else -math.inf
-    return lower, upper
+@dataclass(frozen=True)
+class _Spectrum:
+    """sign*alpha*l - 0.5*sum log1p(sign*alpha*lam), finite on (lower, upper).
+
+    lam holds the ascending eigenvalues of K; it is empty (and l is 0) when
+    K is roundoff of zero, so that the functional vanishes on the whole line.
+    """
+
+    l: float
+    lam: np.ndarray
+    sign: float
+    lower: float
+    upper: float
+
+    def value(self, alpha):
+        if not self.lower < alpha < self.upper:
+            return math.inf
+        # inside, even one float from an endpoint, every rounded a*lam_i > -1
+        a = self.sign * alpha
+        return a * self.l - 0.5 * float(np.sum(np.log1p(a * self.lam)))
 
 
-def _whitened_eigs(model, t):
-    fp = flow_point(model, t)
-    per = getattr(fp, "_eigs_cache", None)
-    if per is None:
-        eigs = np.linalg.eigvalsh(fp.whitened_T)
-        object.__setattr__(fp, "_eigs_cache", eigs)
-        return eigs
-    return per
+def _spectrum(l, k, sign):
+    if float(np.abs(k).max()) <= ZERO_PENCIL_FLOOR:
+        # flow-invariant measure: omega_t = omega, the functional vanishes
+        return _Spectrum(0.0, np.empty(0), sign, -math.inf, math.inf)
+    lam = np.linalg.eigvalsh(k)  # {a : I + a*K > 0} for a = sign*alpha is (lo, hi)
+    lo = -1.0 / lam[-1] if lam[-1] > 0.0 else -math.inf
+    hi = -1.0 / lam[0] if lam[0] < 0.0 else math.inf
+    lower, upper = (lo, hi) if sign > 0 else (-hi, -lo)
+    return _Spectrum(l, lam, sign, float(lower), float(upper))
+
+
+# Spectra held weakly per flow point, then per reference state: "reference"
+# (the model's D) or the shape and SHA-256 of D+'s bytes.  An entry holds n
+# eigenvalues, never an n x n matrix; builds run under the lock, so one key
+# is factorized once even by concurrent callers.
+_spectra: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_spectra_lock = threading.Lock()
+_spectra_counts = {"hits": 0, "misses": 0}
+
+
+def _cached_spectrum(fp, key, build):
+    with _spectra_lock:
+        per_point = _spectra.setdefault(fp, {})
+        spec = per_point.get(key)
+        if spec is None:
+            spec = per_point[key] = build()
+            _spectra_counts["misses"] += 1
+        else:
+            _spectra_counts["hits"] += 1
+        return spec
+
+
+def _reference_spectrum(fp):
+    return _cached_spectrum(fp, "reference", lambda: _spectrum(fp.logdet_term, fp.whitened_T, 1.0))
+
+
+def _ness_spectrum(fp, d_plus):
+    d_plus = np.ascontiguousarray(d_plus, dtype=float)
+
+    def build():
+        if np.array_equal(d_plus, np.eye(d_plus.shape[0])):
+            k = fp.relative_T
+        else:
+            dpsq = spd_sqrt(d_plus)
+            k = symmetrize(dpsq @ fp.relative_T @ dpsq)
+        return _spectrum(fp.logdet_term, k, -1.0)
+
+    return _cached_spectrum(fp, (d_plus.shape, hashlib.sha256(d_plus).hexdigest()), build)
+
+
+def spectral_cache_info():
+    """Hits and misses since import, and the live entries and their bytes."""
+    with _spectra_lock:
+        specs = [s for per_point in _spectra.values() for s in per_point.values()]
+        return {**_spectra_counts, "entries": len(specs), "bytes": sum(s.lam.nbytes for s in specs)}
 
 
 def domain_interval(model, t):
@@ -79,10 +143,8 @@ def domain_interval(model, t):
     satisfies 1 + delta_t = -1/lambda_min(K_t), which is cross-checked.
     Without time reversal the asymmetric interval is returned with a warning.
     """
-    if _vanishing_flow(model, t):
-        return DomainInterval(lower=-math.inf, upper=math.inf, kind="reference", delta_t=math.inf)
-    eigs = _whitened_eigs(model, t)
-    lower, upper = _pencil_interval(eigs)
+    spec = _reference_spectrum(flow_point(model, t))
+    lower, upper = spec.lower, spec.upper
     if not math.isfinite(lower) and not math.isfinite(upper):
         return DomainInterval(lower=-math.inf, upper=math.inf, kind="reference", delta_t=math.inf)
     delta_t = -lower
@@ -100,21 +162,10 @@ def domain_interval(model, t):
     return DomainInterval(lower=lower, upper=upper, kind="reference", delta_t=delta_t)
 
 
-def _vanishing_flow(model, t):
-    """True when T_t is pure roundoff (the measure is flow-invariant at t)."""
-    fp = flow_point(model, t)
-    return float(np.abs(fp.whitened_T).max()) <= ZERO_PENCIL_FLOOR
-
-
 def domain_interval_ness(model, t, d_plus):
     """Interval {alpha : I - alpha * D+^{1/2} T_t D+^{1/2} > 0}; not symmetric."""
-    k = _ness_pencil(model, t, d_plus)
-    if float(np.abs(k).max()) <= ZERO_PENCIL_FLOOR:
-        return DomainInterval(lower=-math.inf, upper=math.inf, kind="ness")
-    eigs = np.linalg.eigvalsh(k)
-    # I - alpha*K > 0  <=>  I + alpha*(-K) > 0
-    lower, upper = _pencil_interval(-eigs[::-1])
-    return DomainInterval(lower=lower, upper=upper, kind="ness", delta_t=math.inf)
+    spec = _ness_spectrum(flow_point(model, t), d_plus)
+    return DomainInterval(lower=spec.lower, upper=spec.upper, kind="ness", delta_t=math.inf)
 
 
 def _check_logdet_term(model, fp):
@@ -125,25 +176,6 @@ def _check_logdet_term(model, fp):
         )
 
 
-def _pencil_value(eye_plus, alpha, eigs_signed, lower, upper):
-    """logdet of the pencil, or None when alpha is outside the domain.
-
-    eigs_signed are the pencil eigenvalue slopes k_i such that the pencil is
-    I + alpha*diag(k); used only for the near-boundary classification.
-    """
-    near_boundary = min(
-        abs(alpha - lower) if math.isfinite(lower) else math.inf,
-        abs(alpha - upper) if math.isfinite(upper) else math.inf,
-    ) <= BOUNDARY_WIDTH
-    if near_boundary:
-        if lower < alpha < upper:
-            vals = 1.0 + alpha * eigs_signed
-            return float(np.sum(np.log(vals))) if (vals > 0.0).all() else None
-        return None
-    ok, logdet = try_chol_logdet(eye_plus)
-    return logdet if ok else None
-
-
 def renyi_entropy(model, t, alpha):
     """e_t(alpha) = (alpha/2)*logdet(I + D T_t) - 0.5*logdet(I + alpha K_t).
 
@@ -151,34 +183,9 @@ def renyi_entropy(model, t, alpha):
     error.  The first term is a free accuracy diagnostic: under time
     reversal it must vanish and is checked against LOGDET_G4_TOL.
     """
-    alpha = float(alpha)
     fp = flow_point(model, t)
     _check_logdet_term(model, fp)
-    if _vanishing_flow(model, t):
-        return 0.0  # flow-invariant measure: omega_t = omega, e_t vanishes
-    eigs = _whitened_eigs(model, t)
-    lower, upper = _pencil_interval(eigs)
-    pencil = np.eye(model.dim) + alpha * fp.whitened_T
-    logdet = _pencil_value(pencil, alpha, eigs, lower, upper)
-    if logdet is None:
-        return math.inf
-    return alpha * fp.logdet_term - 0.5 * logdet
-
-
-def _ness_pencil(model, t, d_plus):
-    fp = flow_point(model, t)
-    key = ("ness_pencil", id(d_plus))
-    cached = getattr(fp, "_ness_cache", None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    d_plus = np.asarray(d_plus, dtype=float)
-    if np.array_equal(d_plus, np.eye(model.dim)):
-        k = fp.relative_T
-    else:
-        dpsq = spd_sqrt(d_plus)
-        k = symmetrize(dpsq @ fp.relative_T @ dpsq)
-    object.__setattr__(fp, "_ness_cache", (key, k))
-    return k
+    return _reference_spectrum(fp).value(float(alpha))
 
 
 def renyi_entropy_ness(model, t, alpha, d_plus):
@@ -188,19 +195,9 @@ def renyi_entropy_ness(model, t, alpha, d_plus):
     K+_t = D+^{1/2} T_t D+^{1/2}.  The first term uses the reference
     covariance and vanishes under time reversal.
     """
-    alpha = float(alpha)
     fp = flow_point(model, t)
     _check_logdet_term(model, fp)
-    k = _ness_pencil(model, t, d_plus)
-    if float(np.abs(k).max()) <= ZERO_PENCIL_FLOOR:
-        return 0.0
-    eigs = np.linalg.eigvalsh(k)
-    lower, upper = _pencil_interval(-eigs[::-1])
-    pencil = np.eye(model.dim) - alpha * k
-    logdet = _pencil_value(pencil, alpha, -eigs[::-1], lower, upper)
-    if logdet is None:
-        return math.inf
-    return -alpha * fp.logdet_term - 0.5 * logdet
+    return _ness_spectrum(fp, d_plus).value(float(alpha))
 
 
 def reference_functional(model, t):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gaussfluct as gf
+from gaussfluct import renyi
 from gaussfluct.renyi import reference_functional
 
 
@@ -191,3 +192,157 @@ def test_alpha_scan_csv(tmp_path, toy_model):
     assert len(lines) == 15
     finite_flags = [int(line.split(",")[2]) for line in lines[1:]]
     assert 0 in finite_flags and 1 in finite_flags
+
+
+# ---------------------------------------------------------------------------
+# spectral cache: one factorization per (flow point, reference state)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Count eigen- and Cholesky factorizations made after the fixture starts."""
+    import scipy.linalg
+
+    counts = {"eigvalsh": 0, "eigh": 0, "cholesky": 0}
+
+    def counting(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(np.linalg, "eigvalsh", "eigvalsh")
+    counting(np.linalg, "eigh", "eigh")
+    counting(np.linalg, "cholesky", "cholesky")
+    counting(scipy.linalg, "cholesky", "cholesky")
+    return counts
+
+
+def fresh_toy(n=32, lam=1.0):
+    # a model of its own, so that its flow points and spectra start cold
+    return gf.build_toy(gf.ToySpec(n=n, lam=lam))
+
+
+class TestSpectralCache:
+    def test_in_place_mutation_of_d_plus_changes_the_value(self):
+        model, _ = fresh_toy()
+        d = np.eye(model.dim)
+        before = gf.renyi_entropy_ness(model, 2.0, 0.3, d)
+        d *= 2.0
+        after = gf.renyi_entropy_ness(model, 2.0, 0.3, d)
+        assert before == pytest.approx(0.00957, abs=1e-5)
+        assert after == pytest.approx(0.0394, abs=1e-4)
+        assert after == gf.renyi_entropy_ness(model, 2.0, 0.3, d.copy())
+
+    def test_equal_arrays_share_one_entry(self):
+        model, _ = fresh_toy()
+        gf.renyi_entropy_ness(model, 2.0, 0.3, np.eye(model.dim))
+        info = renyi.spectral_cache_info()
+        value = gf.renyi_entropy_ness(model, 2.0, 0.3, np.eye(model.dim))
+        again = renyi.spectral_cache_info()
+        assert again["misses"] == info["misses"] and again["entries"] == info["entries"]
+        assert again["hits"] == info["hits"] + 1
+        # an array that is not C-contiguous is keyed by its values too
+        assert value == gf.renyi_entropy_ness(model, 2.0, 0.3, np.asfortranarray(np.eye(model.dim)))
+
+    def test_one_factorization_per_key(self, factorizations):
+        model, oracle = fresh_toy(n=64)
+        times = (1.0, 5.0, 2.0, 3.0)
+        for t in times:
+            gf.flow_point(model, t)  # the flow layer is not counted here
+        factorizations.update(eigvalsh=0, eigh=0, cholesky=0)
+        alphas = np.linspace(-0.5, 1.5, 21)
+        for a in alphas:
+            gf.renyi_entropy(model, 1.0, a)
+        assert factorizations == {"eigvalsh": 1, "eigh": 0, "cholesky": 0}
+        for a in alphas:
+            gf.renyi_entropy_ness(model, 5.0, a, oracle.d_plus())
+        assert factorizations == {"eigvalsh": 2, "eigh": 0, "cholesky": 0}
+        renyi.alpha_scan(reference_functional(model, 2.0), alphas)
+        renyi.alpha_scan(renyi.ness_functional(model, 3.0, oracle.d_plus()), alphas)
+        assert factorizations == {"eigvalsh": 4, "eigh": 0, "cholesky": 0}
+
+    def test_general_d_plus_adds_one_square_root_per_key(self, factorizations):
+        model, _ = gf.build_chain(gf.ChainSpec(n_left=8, n_right=8, temps=(2.0, 1.0, 1.0)))
+        d_plus = gf.estimate_limit_covariance(model, horizon=10.0, grid_points=64).d_plus
+        gf.flow_point(model, 4.0)
+        factorizations.update(eigvalsh=0, eigh=0, cholesky=0)
+        for a in np.linspace(-0.2, 0.2, 21):
+            gf.renyi_entropy_ness(model, 4.0, a, d_plus)
+        assert factorizations == {"eigvalsh": 1, "eigh": 1, "cholesky": 0}
+
+    def test_cache_info_counts_and_releases(self):
+        import gc
+
+        model, oracle = fresh_toy()
+        start = renyi.spectral_cache_info()
+        assert set(start) == {"hits", "misses", "entries", "bytes"}
+        gf.renyi_entropy(model, 2.0, 0.5)
+        gf.renyi_entropy(model, 2.0, 0.25)
+        gf.domain_interval_ness(model, 2.0, oracle.d_plus())
+        info = renyi.spectral_cache_info()
+        assert info["misses"] - start["misses"] == 2
+        assert info["hits"] - start["hits"] == 1
+        assert info["entries"] - start["entries"] == 2
+        assert info["bytes"] - start["bytes"] == 2 * 8 * model.dim
+        del model, oracle
+        gc.collect()
+        end = renyi.spectral_cache_info()
+        assert end["entries"] == start["entries"] and end["bytes"] == start["bytes"]
+
+    def test_concurrent_cold_calls_factorize_once(self, factorizations):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        def evaluate(model, oracle, pool):
+            d_plus = oracle.d_plus()
+            jobs = [(gf.renyi_entropy, (model, 3.0, a)) for a in np.linspace(-0.5, 1.5, 24)]
+            jobs += [(gf.renyi_entropy_ness, (model, 3.0, a, d_plus))
+                     for a in np.linspace(-1.0, 1.0, 24)]
+            if pool is None:
+                return [fn(*args) for fn, args in jobs]
+            futures = [pool.submit(fn, *args) for fn, args in jobs]
+            return [f.result(timeout=120) for f in futures]
+
+        serial_model, serial_oracle = fresh_toy(n=128)
+        gf.flow_point(serial_model, 3.0)
+        serial = evaluate(serial_model, serial_oracle, None)
+        model, oracle = fresh_toy(n=128)
+        gf.flow_point(model, 3.0)
+        factorizations.update(eigvalsh=0, eigh=0, cholesky=0)
+        start = renyi.spectral_cache_info()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = evaluate(model, oracle, pool)
+        finally:
+            sys.setswitchinterval(interval)
+        info = renyi.spectral_cache_info()
+        assert factorizations == {"eigvalsh": 2, "eigh": 0, "cholesky": 0}
+        assert info["misses"] - start["misses"] == 2
+        assert info["hits"] - start["hits"] == len(threaded) - 2
+        assert [np.float64(v).tobytes() for v in threaded] == [np.float64(v).tobytes() for v in serial]
+
+
+@pytest.mark.parametrize("case", ["chain", "toy"])
+def test_single_domain_rule_at_endpoints(case, chain_model, toy_model, toy_oracle):
+    # finite <=> lower < alpha < upper, at each endpoint and one float either side
+    if case == "chain":
+        model = chain_model
+        d_plus = gf.estimate_limit_covariance(model, horizon=14.0, grid_points=64).d_plus
+    else:
+        model, d_plus = toy_model, toy_oracle.d_plus()
+    t = 5.0
+    pairs = [
+        (gf.domain_interval(model, t), lambda a: gf.renyi_entropy(model, t, a)),
+        (gf.domain_interval_ness(model, t, d_plus),
+         lambda a: gf.renyi_entropy_ness(model, t, a, d_plus)),
+    ]
+    for dom, value in pairs:
+        assert math.isfinite(dom.lower) and math.isfinite(dom.upper)
+        for end in (dom.lower, dom.upper):
+            for a in (np.nextafter(end, -math.inf), end, np.nextafter(end, math.inf)):
+                assert math.isfinite(value(a)) == (dom.lower < a < dom.upper), (dom, a)
