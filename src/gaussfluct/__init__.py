@@ -43,7 +43,6 @@ from .asymptotics import (
     LimitCovariances,
     PlateauError,
     QOperator,
-    e_limit,
     estimate_limit_covariance,
     limit_functional,
     q_operator,

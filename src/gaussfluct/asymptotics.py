@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import AccuracyError, propagator, spd_inverse, spd_sqrt, symmetrize
-from .renyi import DomainInterval, EntropicFunctional
+from .renyi import EntropicFunctional
 
 
 class PlateauError(RuntimeError):
@@ -190,56 +190,17 @@ def _mode_weights(q, sigma):
     return np.einsum("ij,ij->j", q.eigenvectors, w @ q.eigenvectors)
 
 
-def _g(z):
-    """g(z) = log(1-z)/z with the removable singularity g(0) = -1."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-6
-    zs = z[small]
-    out[small] = -(1.0 + zs / 2.0 + zs * zs / 3.0)
-    out[~small] = np.log1p(-z[~small]) / z[~small]
-    return out
-
-
-def e_limit(q, sigma, alpha):
-    """Limiting functional e(alpha) = -alpha tr(g(alpha Q) D-^{1/2} sigma D-^{1/2}).
-
-    Returns +inf as soon as any alpha*q_k reaches 1.
-    """
-    alpha = float(alpha)
-    if alpha == 0.0:
-        return 0.0
-    if (alpha * q.spectrum >= 1.0).any():
-        return math.inf
-    m = _mode_weights(q, sigma)
-    return float(-(alpha * _g(alpha * q.spectrum) * m).sum())
-
-
-def limit_domain(q):
-    """Finiteness interval of e from the spectrum of Q."""
-    q_max = float(q.spectrum[-1])
-    q_min = float(q.spectrum[0])
-    upper = 1.0 / q_max if q_max > 0.0 else math.inf
-    lower = 1.0 / q_min if q_min < 0.0 else -math.inf
-    return DomainInterval(lower=lower, upper=upper, kind="reference",
-                          delta_t=-lower if math.isfinite(lower) else math.inf)
-
-
 def limit_functional(q, sigma):
-    """e(alpha) packaged as an EntropicFunctional with meta 'asymptotic'."""
-    dom = limit_domain(q)
-    spectrum = q.spectrum.copy()
+    """e(alpha) = -alpha tr(g(alpha Q) D-^{1/2} sigma D-^{1/2}), g(z) = log(1-z)/z.
+
+    In the eigenbasis of Q this is the log-potential with atoms q_k = spec(Q)
+    and masses w_k = m_k/q_k, m the mode weights; modes with q_k == 0
+    contribute alpha*m_k and are folded into c.  Meta 'asymptotic'.
+    """
     m = _mode_weights(q, sigma)
-
-    def evaluate(alpha):
-        alpha = float(alpha)
-        if alpha == 0.0:
-            return 0.0
-        if (alpha * spectrum >= 1.0).any():
-            return math.inf
-        return float(-(alpha * _g(alpha * spectrum) * m).sum())
-
-    return EntropicFunctional(domain=dom, evaluator=evaluate, meta="asymptotic")
+    zero = q.spectrum == 0.0
+    atoms = q.spectrum[~zero]
+    return EntropicFunctional(c=float(m[zero].sum()), q=atoms, w=m[~zero] / atoms, meta="asymptotic")
 
 
 def e_limit_identity_defect(q, sigma, d_ref, d_minus, alpha):
@@ -253,38 +214,38 @@ def e_limit_identity_defect(q, sigma, d_ref, d_minus, alpha):
     if w[0] <= 0.0:
         return math.inf
     rhs = alpha * float(np.trace(spd_inverse(blend) @ sigma.matrix))
-    return abs(e_limit(q, sigma, alpha) - rhs)
+    return abs(limit_functional(q, sigma)(alpha) - rhs)
 
 
 def spectral_measure_nu(q, sigma, q_floor=1e-8, cluster_tol=1e-6):
     """Signed atom measure representing e(alpha) = -sum w_k log(1 - alpha/r_k).
 
-    Eigenvalues q_k with |q_k| >= q_floor produce atoms at r_k = 1/q_k with
-    weight m_k/q_k; eigenvalues under the floor contribute |m_k| to the
-    dropped mass (their atoms sit at r ~ +-inf and contribute
-    O(alpha * mass * q_floor) to the potential).  Eigenvalue clusters within
-    cluster_tol are merged with summed weights.
+    The atoms of limit_functional with |q_k| >= q_floor are kept at
+    r_k = 1/q_k with weight w_k; the others contribute |m_k| = |w_k q_k|
+    (and the folded q_k == 0 term |c|) to the dropped mass: their atoms sit at
+    r ~ +-inf and contribute O(alpha * mass * q_floor) to the potential.
+    Runs of kept q_k of one sign within cluster_tol are merged with summed
+    weights, so every atom has |r| <= 1/q_floor.
     """
     if q_floor <= 0.0:
         raise ValueError("q_floor must be positive")
-    spectrum = q.spectrum
-    m = _mode_weights(q, sigma)
-    keep = np.abs(spectrum) >= q_floor
-    dropped = float(np.abs(m[~keep]).sum())
+    efn = limit_functional(q, sigma)
+    m = efn.w * efn.q
+    keep = np.abs(efn.q) >= q_floor
+    dropped = float(np.abs(m[~keep]).sum()) + abs(efn.c)
 
     atoms = []
-    qs = spectrum[keep]
+    qs = efn.q[keep]
     ms = m[keep]
+    ws = efn.w[keep]
     if qs.size:
         start = 0
         for k in range(1, qs.size + 1):
-            if k == qs.size or qs[k] - qs[k - 1] > cluster_tol:
+            if k == qs.size or qs[k] - qs[k - 1] > cluster_tol or (qs[k] > 0.0) != (qs[k - 1] > 0.0):
                 q_cluster = qs[start:k]
-                m_cluster = ms[start:k]
-                abs_m = np.abs(m_cluster)
+                abs_m = np.abs(ms[start:k])
                 q_bar = float((q_cluster * abs_m).sum() / abs_m.sum()) if abs_m.sum() > 0 else float(q_cluster.mean())
-                weight = float((m_cluster / q_cluster).sum())
-                atoms.append((1.0 / q_bar, weight))
+                atoms.append((1.0 / q_bar, float(ws[start:k].sum())))
                 start = k
     atoms.sort(key=lambda rw: rw[0])
 
@@ -296,17 +257,6 @@ def spectral_measure_nu(q, sigma, q_floor=1e-8, cluster_tol=1e-6):
             f"dropped mass {dropped:.3e} exceeds 1e-6 * trace-norm(sigma) = {1e-6 * trace_norm:.3e}"
         )
     return AtomMeasure(atoms=atoms, dropped_mass=dropped, notes=notes)
-
-
-def reconstruct_from_atoms(measure, alpha):
-    """Evaluate -sum w_k log(1 - alpha/r_k) over the atom list."""
-    total = 0.0
-    for r, w in measure.atoms:
-        arg = 1.0 - alpha / r
-        if arg <= 0.0:
-            return math.inf
-        total -= w * math.log(arg)
-    return total
 
 
 def delta_series(model, times):

@@ -5,6 +5,7 @@ reports.  Structured results go to JSON (floats as %.17g), grids to CSV.
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -192,12 +193,7 @@ def _ness_limit_functional(model, lims, efn):
     dom_plus = renyi.domain_interval_ness(model, lims.window[1], lims.d_plus)
     lo = max(dom_plus.lower, efn.domain.lower)
     hi = min(dom_plus.upper, efn.domain.upper)
-    dom = renyi.DomainInterval(lower=lo, upper=hi, kind="ness")
-    return renyi.EntropicFunctional(
-        domain=dom,
-        evaluator=lambda a: efn(a) if lo < a < hi else math.inf,
-        meta="asymptotic",
-    )
+    return dataclasses.replace(efn, domain=renyi.DomainInterval(lower=lo, upper=hi, kind="ness"))
 
 
 def cmd_mc(args):
@@ -275,7 +271,7 @@ def cmd_oracle_compare(args):
                                                      grid_points=args.grid_points)
         omega_plus = asymptotics.steady_entropy_production(sig, model.covariance, lims.d_plus)
         q = asymptotics.q_operator(lims)
-        e_mid = asymptotics.e_limit(q, sig, 0.5)
+        e_mid = asymptotics.limit_functional(q, sig)(0.5)
         doc = {
             "builder": "chain",
             "omega_plus": {"estimate": omega_plus, "oracle": oracle.omega_plus_sigma,

@@ -1,9 +1,11 @@
 """Covariance flow, Radon-Nikodym log-density and Gaussian relative entropy.
 
 The central objects are the flow points (t, e^{tL}, D_t, T_t) with
-T_t = D_t^-1 - D^-1.  All log-determinants go through Cholesky
-factorizations of symmetric positive definite pencils; a failed Cholesky is
-the domain-membership signal used downstream.
+T_t = D_t^-1 - D^-1.  Log-determinants go through Cholesky factorizations
+of symmetric positive definite pencils, and a failed Cholesky raises: for a
+flow point, whose pencil I + K_t is positive by construction, it means an
+inaccurate matrix exponential.  No domain is decided here; renyi reads the
+finite-time domains from the spectrum of whitened_T.
 """
 
 import weakref

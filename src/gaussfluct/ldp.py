@@ -1,12 +1,15 @@
 """Legendre-Fenchel conjugation: rate functions, symmetry checks, CLT variance.
 
-The conjugate I(s) = sup_beta (beta*s - etilde(beta)), etilde(beta) = e(-beta),
-is computed by bisection on the monotone derivative inside the achievable
-slope range and continued linearly outside with the domain-endpoint slopes,
-which is the exact structure of the conjugate of a convex function that is
-finite on an open interval.
+The conjugate I(s) = sup_alpha (-alpha*s - e(alpha)) of a log-potential e is
+read from its closed-form slope and curvature: inside the range of -e' the
+supremum sits at the root of e'(alpha) = -s, found by Newton steps kept
+inside a bracket; outside it I continues linearly from a domain endpoint
+where e' stays finite (a stated endpoint with no atom on it), which is the
+exact structure of the conjugate of a convex function that is finite on an
+open interval.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -16,9 +19,9 @@ import numpy as np
 from .model import DomainError
 from ._linalg import AccuracyError
 
-CONVEXITY_TOL = -1e-9       # allowed dip of second divided differences
-DEGENERATE_SUP = 1e-12      # |e| below this on the whole grid: flat functional
-ENDPOINT_SHIFT = 1e-6       # relative offset used for one-sided endpoint slopes
+CONVEXITY_TOL = -1e-9       # allowed dip of e'' relative to max(1, sum_k |w_k| q_k^2/(1 - alpha q_k)^2)
+DEGENERATE_SUP = 1e-12      # |c| + sum |w q| below this: flat functional
+NEWTON_STEPS = 100          # cap on bracketed Newton steps for one I(s)
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,8 @@ class RateFunction:
     evaluator is total on the real line: inside inner_interval the value
     comes from an interior critical point, outside it continues linearly
     with slopes tail_slopes (the negated domain endpoints of the input
-    functional) and intercepts tail_intercepts.
+    functional) and intercepts tail_intercepts.  An endpoint where an atom
+    sits has no linear piece: its side of inner_interval is infinite.
     """
 
     inner_interval: tuple
@@ -42,117 +46,98 @@ class RateFunction:
         return self.evaluator(s)
 
 
-def _sample_grid(lo, hi, count, margin):
-    pad = margin * (hi - lo)
-    return np.linspace(lo + pad, hi - pad, count)
+def _endpoint(efn, a, side):
+    """One-sided limits (e(a), e'(a)) at the domain endpoint a.
+
+    e' is finite only where no atom sits at a, that is strictly inside the
+    atoms nearest 0; at an atom e' tends to side*inf (side = -1 at the lower
+    end) and e to +inf.  An infinite a only reaches here for e == 0.
+    """
+    if not math.isfinite(a):
+        return 0.0, 0.0
+    atoms = dataclasses.replace(efn, domain=None)
+    if not atoms.domain.lower < a < atoms.domain.upper:
+        return math.inf, side * math.inf
+    return atoms(a), atoms.slope(a)
+
+
+def _check_convex(efn):
+    """Reject a functional whose e'' is negative beyond the roundoff of its sum.
+
+    The grid is uniform inside the domain and graded geometrically toward
+    each end, where an atom of negative mass drives e'' to -inf.
+    """
+    lo, hi = efn.domain.lower, efn.domain.upper
+    gaps = (hi - lo) * np.logspace(-12.0, -2.0, 21)
+    grid = np.concatenate([np.linspace(lo, hi, 103)[1:-1], lo + gaps, hi - gaps])
+    magnitude = dataclasses.replace(efn, w=np.abs(efn.w))
+    for a in grid:
+        curv = efn.curvature(a)
+        if curv < CONVEXITY_TOL * max(1.0, magnitude.curvature(a)):
+            raise DomainError(f"input functional is not convex near alpha = {a:.6g} (e'' = {curv:.3e})")
+
+
+def _slope_root(efn, target):
+    """alpha with e'(alpha) = target, by Newton steps kept inside a shrinking bracket."""
+    lo, hi = efn.domain.lower, efn.domain.upper
+    a = 0.0
+    for _ in range(NEWTON_STEPS):
+        f = efn.slope(a) - target
+        if f == 0.0:
+            return a
+        if f > 0.0:
+            hi = a
+        else:
+            lo = a
+        curv = efn.curvature(a)
+        step = a - f / curv if curv > 0.0 else math.nan
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        # converged, or the bracket has shrunk to adjacent floats
+        if abs(step - a) <= 4.0 * math.ulp(a) or not lo < step < hi:
+            return a
+        a = step
+    return a
 
 
 def rate_function(efn, kind):
-    """Conjugate of alpha -> efn(alpha) through etilde(beta) = efn(-beta).
+    """Conjugate I(s) = sup_alpha (-alpha*s - efn(alpha)) of a log-potential.
 
-    Requires a convex functional on a bounded open interval (the degenerate
-    flat case e == 0 is special-cased into its two linear pieces).  Rejects
-    non-convex samples, naming the violating triple.
+    Requires alpha = 0 inside the domain (so e(0) = 0 and I >= 0) and a
+    convex functional on a bounded open interval; over an unbounded domain
+    only the flat functional e == 0 is conjugated.  Rejects a functional
+    whose curvature is negative, naming where.
     """
     if kind not in ("reference", "ness"):
         raise ValueError("kind must be 'reference' or 'ness'")
-    dom = efn.domain
-    b_lo, b_hi = -dom.upper, -dom.lower
+    lo, hi = efn.domain.lower, efn.domain.upper
+    if not lo < 0.0 < hi:
+        raise DomainError(f"the domain ({lo}, {hi}) does not contain alpha = 0")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        if abs(efn.c) + float(np.sum(np.abs(efn.w * efn.q))) >= DEGENERATE_SUP:
+            raise DomainError("conjugation over an unbounded domain is only supported for e == 0")
+        efn = dataclasses.replace(efn, c=0.0, q=np.empty(0), w=0.0)
+    else:
+        _check_convex(efn)
 
-    if not (math.isfinite(b_lo) and math.isfinite(b_hi)):
-        return _degenerate_unbounded(efn, kind, b_lo, b_hi)
-
-    length = b_hi - b_lo
-    etilde = lambda b: efn(-b)
-    grid = _sample_grid(b_lo, b_hi, 101, ENDPOINT_SHIFT)
-    vals = np.array([etilde(b) for b in grid])
-    if not np.isfinite(vals).all():
-        raise DomainError("functional is not finite on the interior of its stated domain")
-    second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
-    worst = int(np.argmin(second))
-    if second[worst] < CONVEXITY_TOL * max(1.0, np.abs(vals).max()):
-        raise DomainError(
-            "input functional is not convex near alpha = "
-            f"({-grid[worst]:.6g}, {-grid[worst + 1]:.6g}, {-grid[worst + 2]:.6g})"
-        )
-
-    if np.abs(vals).max() < DEGENERATE_SUP:
-        return _degenerate_flat(b_lo, b_hi, kind)
-
-    eps = ENDPOINT_SHIFT * length
-    h = eps
-    dtilde = lambda b: (etilde(b + h) - etilde(b - h)) / (2.0 * h)
-    b_lo_eff, b_hi_eff = b_lo + 2.0 * eps, b_hi - 2.0 * eps
-    slope_lo = (etilde(b_lo_eff + eps) - etilde(b_lo_eff)) / eps
-    slope_hi = (etilde(b_hi_eff) - etilde(b_hi_eff - eps)) / eps
-    e_lo_lim = etilde(b_lo_eff)
-    e_hi_lim = etilde(b_hi_eff)
-    minimizer = dtilde(0.0) if b_lo < 0.0 < b_hi else dtilde(0.5 * (b_lo_eff + b_hi_eff))
+    e_lo, d_lo = _endpoint(efn, lo, -1.0)
+    e_hi, d_hi = _endpoint(efn, hi, 1.0)
 
     def conjugate(s):
         s = float(s)
-        if s <= slope_lo:
-            return max(b_lo * s - e_lo_lim, 0.0)
-        if s >= slope_hi:
-            return max(b_hi * s - e_hi_lim, 0.0)
-        lo, hi = b_lo_eff, b_hi_eff
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if dtilde(mid) < s:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-16 * length:
-                break
-        b = 0.5 * (lo + hi)
-        val = b * s - etilde(b)
-        return 0.0 if -1e-12 < val < 0.0 else val
+        if s > -d_lo:  # the supremum is approached at alpha -> lower
+            return -lo * s - e_lo
+        if s < -d_hi:  # ... and at alpha -> upper
+            return -hi * s - e_hi
+        a = _slope_root(efn, -s)
+        # alpha = 0 is in the domain and e(0) = 0, so I(s) >= 0
+        return max(-a * s - efn(a), 0.0)
 
     return RateFunction(
-        inner_interval=(slope_lo, slope_hi),
-        tail_slopes=(b_lo, b_hi),
-        tail_intercepts=(-e_lo_lim, -e_hi_lim),
-        minimizer=minimizer,
-        evaluator=conjugate,
-        kind=kind,
-    )
-
-
-def _degenerate_flat(b_lo, b_hi, kind):
-    """Conjugate of e == 0 on a bounded interval: two linear pieces at the origin."""
-
-    def conjugate(s):
-        return b_hi * s if s >= 0.0 else b_lo * s
-
-    return RateFunction(
-        inner_interval=(0.0, 0.0),
-        tail_slopes=(b_lo, b_hi),
-        tail_intercepts=(0.0, 0.0),
-        minimizer=0.0,
-        evaluator=conjugate,
-        kind=kind,
-    )
-
-
-def _degenerate_unbounded(efn, kind, b_lo, b_hi):
-    """Unbounded domain: only the flat functional is supported (sigma = 0)."""
-    probe = np.linspace(-10.0, 10.0, 41)
-    vals = np.array([efn(-b) for b in probe])
-    if np.max(np.abs(vals[np.isfinite(vals)]), initial=0.0) >= DEGENERATE_SUP:
-        raise DomainError("conjugation over an unbounded domain is only supported for e == 0")
-
-    def conjugate(s):
-        if s == 0.0:
-            return 0.0
-        if s > 0.0:
-            return b_hi * s if math.isfinite(b_hi) else math.inf
-        return b_lo * s if math.isfinite(b_lo) else math.inf
-
-    return RateFunction(
-        inner_interval=(0.0, 0.0),
-        tail_slopes=(b_lo, b_hi),
-        tail_intercepts=(0.0, 0.0),
-        minimizer=0.0,
+        inner_interval=(-d_hi, -d_lo),
+        tail_slopes=(-hi, -lo),
+        tail_intercepts=(-e_hi, -e_lo),
+        minimizer=-efn.slope(0.0),
         evaluator=conjugate,
         kind=kind,
     )
@@ -164,22 +149,8 @@ def es_symmetry_defect(rate, grid):
 
 
 def clt_variance(efn, at):
-    """Second derivative of the functional at `at` by Richardson extrapolation.
-
-    Central differences at steps h and h/2 combined as (4*d2(h/2) - d2(h))/3
-    with h = 1e-4 times the domain length; `at` needs a margin of 2h inside
-    the domain.
-    """
-    dom = efn.domain
-    length = dom.upper - dom.lower
-    h = 1e-4 * (length if math.isfinite(length) else max(1.0, abs(at)))
-    if at - dom.lower < 2.0 * h or dom.upper - at < 2.0 * h:
-        raise DomainError(f"point {at} has less than 2h = {2 * h:.3g} margin inside the domain")
-
-    def d2(step):
-        return (efn(at + step) - 2.0 * efn(at) + efn(at - step)) / step**2
-
-    value = (4.0 * d2(h / 2.0) - d2(h)) / 3.0
+    """e''(at), the CLT variance of the functional; DomainError outside its open domain."""
+    value = efn.curvature(at)
     if value < -1e-8:
         raise AccuracyError(f"second derivative {value:.3e} is negative beyond tolerance")
     return value

@@ -135,21 +135,13 @@ class ToyOracle:
         """Limiting reference functional: 0 on (-delta, 1+delta), +inf outside."""
         d = self.delta
         dom = DomainInterval(lower=-d, upper=1.0 + d, kind="reference", delta_t=d)
-        return EntropicFunctional(
-            domain=dom,
-            evaluator=lambda a: 0.0 if dom.lower < a < dom.upper else math.inf,
-            meta="asymptotic",
-        )
+        return EntropicFunctional(c=0.0, q=np.empty(0), w=0.0, domain=dom, meta="asymptotic")
 
     def limit_functional_ness(self):
         """Limiting stationary functional: 0 on (-delta_plus, delta_plus)."""
         d = self.delta_plus
         dom = DomainInterval(lower=-d, upper=d, kind="ness")
-        return EntropicFunctional(
-            domain=dom,
-            evaluator=lambda a: 0.0 if dom.lower < a < dom.upper else math.inf,
-            meta="asymptotic",
-        )
+        return EntropicFunctional(c=0.0, q=np.empty(0), w=0.0, domain=dom, meta="asymptotic")
 
 
 def build_toy(spec):
@@ -333,15 +325,9 @@ class ChainOracle:
         return self.e_second(1.0)  # kappa * ratio * (2 + ratio)
 
     def limit_functional(self):
-        """Closed-form e(alpha) packaged with its interval (-delta_o, 1+delta_o)."""
-        d = self.delta_o
-        dom = DomainInterval(
-            lower=-d,
-            upper=1.0 + d if math.isfinite(d) else math.inf,
-            kind="reference",
-            delta_t=d,
-        )
-        return EntropicFunctional(domain=dom, evaluator=self.e_of_alpha, meta="asymptotic")
+        """e(alpha) as the log-potential of nu_atoms: mass kappa at -delta_o and 1+delta_o."""
+        q = [1.0 / r for r, _ in self.nu_atoms]
+        return EntropicFunctional(c=0.0, q=q, w=self.kappa, meta="asymptotic")
 
 
 def build_chain(spec):

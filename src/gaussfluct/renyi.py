@@ -3,9 +3,11 @@
 e_t(alpha) = alpha*l_t - 0.5*sum_i log1p(alpha*lambda_i), with l_t =
 0.5*logdet(I + D T_t) and lambda_i the eigenvalues of K_t = D^{1/2} T_t D^{1/2};
 e_{t+} is the same with alpha -> -alpha and K+_t = D+^{1/2} T_t D+^{1/2}.  Each
-spectrum is computed once per flow point and reference state, and the domain
-(the open interval where every 1 + alpha*lambda_i > 0) and the value at every
-alpha are read from it.  Outside that interval the value is IEEE +inf.
+spectrum is computed once per flow point and reference state and kept as an
+EntropicFunctional, the log-potential alpha*c - sum_k w_k log(1 - alpha*q_k)
+with c = +-l_t, atoms q = -+lambda and w = 1/2.  The domain (the open
+interval where every 1 - alpha*q_k > 0), the value, e' and e'' at every alpha
+are read from it.  Outside that interval the value is IEEE +inf.
 """
 
 import hashlib
@@ -14,12 +16,12 @@ import threading
 import warnings
 import weakref
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from ._linalg import AccuracyError, spd_sqrt, symmetrize
 from .flow import flow_point
+from .model import DomainError
 
 LOGDET_G4_TOL = 1e-8        # |0.5 logdet(I + D T_t)| cap under time reversal
 SYMMETRY_RTOL = 1e-6        # relative agreement of delta_t from both spectrum ends
@@ -45,77 +47,101 @@ class DomainInterval:
         return self.lower + pad < alpha < self.upper - pad
 
 
-@dataclass(frozen=True)
+def _atom_domain(q, kind):
+    """Open interval between the atoms r = 1/q nearest 0, +-inf where a side has none."""
+    lower = 1.0 / q.min() if q.size and q.min() < 0.0 else -math.inf
+    upper = 1.0 / q.max() if q.size and q.max() > 0.0 else math.inf
+    delta_t = -float(lower) if kind == "reference" else math.inf
+    return DomainInterval(lower=float(lower), upper=float(upper), kind=kind, delta_t=delta_t)
+
+
+@dataclass(frozen=True, eq=False)
 class EntropicFunctional:
-    """Scalar functional of alpha, finite on an open interval, +inf outside."""
+    """Log-potential e(alpha) = alpha*c - sum_k w_k log(1 - alpha*q_k).
 
-    domain: DomainInterval
-    evaluator: Callable[[float], float]
-    meta: str
-
-    def __call__(self, alpha):
-        return self.evaluator(alpha)
-
-
-@dataclass(frozen=True)
-class _Spectrum:
-    """sign*alpha*l - 0.5*sum log1p(sign*alpha*lam), finite on (lower, upper).
-
-    lam holds the ascending eigenvalues of K; it is empty (and l is 0) when
-    K is roundoff of zero, so that the functional vanishes on the whole line.
+    The atoms sit at r_k = 1/q_k with masses w_k (an array, or one scalar for
+    every atom).  e is finite on the open domain, +inf outside; by default the
+    domain is the interval between the atoms nearest 0, and a caller may pass
+    a narrower one.  slope and curvature are e' and e'' in closed form and
+    raise DomainError outside the open domain.
     """
 
-    l: float
-    lam: np.ndarray
-    sign: float
-    lower: float
-    upper: float
+    c: float
+    q: np.ndarray
+    w: object
+    domain: DomainInterval = None
+    meta: str = ""
 
-    def value(self, alpha):
-        if not self.lower < alpha < self.upper:
+    def __post_init__(self):
+        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
+        if self.domain is None:
+            object.__setattr__(self, "domain", _atom_domain(self.q, "reference"))
+
+    def __call__(self, alpha):
+        alpha = float(alpha)
+        if not self.domain.lower < alpha < self.domain.upper:
             return math.inf
-        # inside, even one float from an endpoint, every rounded a*lam_i > -1
-        a = self.sign * alpha
-        return a * self.l - 0.5 * float(np.sum(np.log1p(a * self.lam)))
+        # inside, even one float from an atom, every rounded alpha*q_k < 1
+        return alpha * self.c - float(np.sum(self.w * np.log1p(-alpha * self.q)))
+
+    def _poles(self, alpha):
+        alpha = float(alpha)
+        if not self.domain.lower < alpha < self.domain.upper:
+            raise DomainError(f"alpha = {alpha} is outside the domain "
+                              f"({self.domain.lower}, {self.domain.upper})")
+        return self.q / (1.0 - alpha * self.q)
+
+    def slope(self, alpha):
+        """e'(alpha) = c + sum_k w_k q_k / (1 - alpha*q_k)."""
+        return self.c + float(np.sum(self.w * self._poles(alpha)))
+
+    def curvature(self, alpha):
+        """e''(alpha) = sum_k w_k q_k^2 / (1 - alpha*q_k)^2."""
+        return float(np.sum(self.w * self._poles(alpha) ** 2))
 
 
-def _spectrum(l, k, sign):
+def _functional(l, k, sign, meta):
+    """sign*alpha*l - 0.5*sum log1p(sign*alpha*lam) with lam the eigenvalues of K.
+
+    The atoms are q = -sign*lam; there are none (and l is 0) when K is
+    roundoff of zero, so that the functional vanishes on the whole line.
+    """
     if float(np.abs(k).max()) <= ZERO_PENCIL_FLOOR:
         # flow-invariant measure: omega_t = omega, the functional vanishes
-        return _Spectrum(0.0, np.empty(0), sign, -math.inf, math.inf)
-    lam = np.linalg.eigvalsh(k)  # {a : I + a*K > 0} for a = sign*alpha is (lo, hi)
-    lo = -1.0 / lam[-1] if lam[-1] > 0.0 else -math.inf
-    hi = -1.0 / lam[0] if lam[0] < 0.0 else math.inf
-    lower, upper = (lo, hi) if sign > 0 else (-hi, -lo)
-    return _Spectrum(l, lam, sign, float(lower), float(upper))
+        l, q = 0.0, np.empty(0)
+    else:
+        q = -sign * np.linalg.eigvalsh(k)
+    kind = "reference" if sign > 0 else "ness"
+    return EntropicFunctional(c=sign * l, q=q, w=0.5, domain=_atom_domain(q, kind), meta=meta)
 
 
-# Spectra held weakly per flow point, then per reference state: "reference"
-# (the model's D) or the shape and SHA-256 of D+'s bytes.  An entry holds n
-# eigenvalues, never an n x n matrix; builds run under the lock, so one key
-# is factorized once even by concurrent callers.
+# Functionals held weakly per flow point, then per reference state:
+# "reference" (the model's D) or the shape and SHA-256 of D+'s bytes.  An
+# entry holds n atoms, never an n x n matrix; builds run under the lock, so
+# one key is factorized once even by concurrent callers.
 _spectra: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _spectra_lock = threading.Lock()
 _spectra_counts = {"hits": 0, "misses": 0}
 
 
-def _cached_spectrum(fp, key, build):
+def _cached_functional(fp, key, build):
     with _spectra_lock:
         per_point = _spectra.setdefault(fp, {})
-        spec = per_point.get(key)
-        if spec is None:
-            spec = per_point[key] = build()
+        efn = per_point.get(key)
+        if efn is None:
+            efn = per_point[key] = build()
             _spectra_counts["misses"] += 1
         else:
             _spectra_counts["hits"] += 1
-        return spec
+        return efn
 
 
-def _reference_spectrum(fp):
-    return _cached_spectrum(fp, "reference", lambda: _spectrum(fp.logdet_term, fp.whitened_T, 1.0))
+def _reference_functional(fp):
+    return _cached_functional(fp, "reference", lambda: _functional(
+        fp.logdet_term, fp.whitened_T, 1.0, "finite-time-reference"))
 
 
-def _ness_spectrum(fp, d_plus):
+def _ness_functional(fp, d_plus):
     d_plus = np.ascontiguousarray(d_plus, dtype=float)
 
     def build():
@@ -124,16 +150,16 @@ def _ness_spectrum(fp, d_plus):
         else:
             dpsq = spd_sqrt(d_plus)
             k = symmetrize(dpsq @ fp.relative_T @ dpsq)
-        return _spectrum(fp.logdet_term, k, -1.0)
+        return _functional(fp.logdet_term, k, -1.0, "finite-time-ness")
 
-    return _cached_spectrum(fp, (d_plus.shape, hashlib.sha256(d_plus).hexdigest()), build)
+    return _cached_functional(fp, (d_plus.shape, hashlib.sha256(d_plus).hexdigest()), build)
 
 
 def spectral_cache_info():
     """Hits and misses since import, and the live entries and their bytes."""
     with _spectra_lock:
-        specs = [s for per_point in _spectra.values() for s in per_point.values()]
-        return {**_spectra_counts, "entries": len(specs), "bytes": sum(s.lam.nbytes for s in specs)}
+        efns = [f for per_point in _spectra.values() for f in per_point.values()]
+        return {**_spectra_counts, "entries": len(efns), "bytes": sum(f.q.nbytes for f in efns)}
 
 
 def domain_interval(model, t):
@@ -143,15 +169,14 @@ def domain_interval(model, t):
     satisfies 1 + delta_t = -1/lambda_min(K_t), which is cross-checked.
     Without time reversal the asymmetric interval is returned with a warning.
     """
-    spec = _reference_spectrum(flow_point(model, t))
-    lower, upper = spec.lower, spec.upper
+    dom = _reference_functional(flow_point(model, t)).domain
+    lower, upper = dom.lower, dom.upper
     if not math.isfinite(lower) and not math.isfinite(upper):
-        return DomainInterval(lower=-math.inf, upper=math.inf, kind="reference", delta_t=math.inf)
-    delta_t = -lower
+        return dom
     symmetric = (
         math.isfinite(lower)
         and math.isfinite(upper)
-        and abs(upper - (1.0 + delta_t)) <= SYMMETRY_RTOL * max(1.0, abs(upper))
+        and abs(upper - (1.0 + dom.delta_t)) <= SYMMETRY_RTOL * max(1.0, abs(upper))
     )
     if not symmetric:
         warnings.warn(
@@ -159,13 +184,12 @@ def domain_interval(model, t):
             "time-reversal symmetry appears to fail",
             stacklevel=2,
         )
-    return DomainInterval(lower=lower, upper=upper, kind="reference", delta_t=delta_t)
+    return dom
 
 
 def domain_interval_ness(model, t, d_plus):
     """Interval {alpha : I - alpha * D+^{1/2} T_t D+^{1/2} > 0}; not symmetric."""
-    spec = _ness_spectrum(flow_point(model, t), d_plus)
-    return DomainInterval(lower=spec.lower, upper=spec.upper, kind="ness", delta_t=math.inf)
+    return _ness_functional(flow_point(model, t), d_plus).domain
 
 
 def _check_logdet_term(model, fp):
@@ -185,7 +209,7 @@ def renyi_entropy(model, t, alpha):
     """
     fp = flow_point(model, t)
     _check_logdet_term(model, fp)
-    return _reference_spectrum(fp).value(float(alpha))
+    return _reference_functional(fp)(alpha)
 
 
 def renyi_entropy_ness(model, t, alpha, d_plus):
@@ -195,30 +219,22 @@ def renyi_entropy_ness(model, t, alpha, d_plus):
     K+_t = D+^{1/2} T_t D+^{1/2}.  The first term uses the reference
     covariance and vanishes under time reversal.
     """
-    fp = flow_point(model, t)
-    _check_logdet_term(model, fp)
-    return _ness_spectrum(fp, d_plus).value(float(alpha))
+    return ness_functional(model, t, d_plus)(alpha)
 
 
 def reference_functional(model, t):
-    """e_t packaged with its domain as an EntropicFunctional."""
-    dom = domain_interval(model, t)
-    return EntropicFunctional(
-        domain=dom,
-        evaluator=lambda a: renyi_entropy(model, t, a),
-        meta="finite-time-reference",
-    )
+    """e_t with its domain J_t: the cached EntropicFunctional of (t, D)."""
+    domain_interval(model, t)  # warns when J_t is not symmetric about 1/2
+    fp = flow_point(model, t)
+    _check_logdet_term(model, fp)
+    return _reference_functional(fp)
 
 
 def ness_functional(model, t, d_plus):
-    """e_{t+} packaged with its domain as an EntropicFunctional."""
-    d_plus = np.asarray(d_plus, dtype=float)
-    dom = domain_interval_ness(model, t, d_plus)
-    return EntropicFunctional(
-        domain=dom,
-        evaluator=lambda a: renyi_entropy_ness(model, t, a, d_plus),
-        meta="finite-time-ness",
-    )
+    """e_{t+} with its domain: the cached EntropicFunctional of (t, D+)."""
+    fp = flow_point(model, t)
+    _check_logdet_term(model, fp)
+    return _ness_functional(fp, d_plus)
 
 
 ALPHA_SCAN_COLUMNS = ("alpha", "e_t", "in_domain")

@@ -120,29 +120,29 @@ class TestELimit:
     def test_endpoints(self, chain_mid, chain_mid_limits):
         model, _ = chain_mid
         sig = gf.sigma_matrix(model)
-        q = gf.q_operator(chain_mid_limits)
-        assert gf.e_limit(q, sig, 0.0) == 0.0
-        assert abs(gf.e_limit(q, sig, 1.0)) <= 1e-8
+        efn = ga.limit_functional(gf.q_operator(chain_mid_limits), sig)
+        assert efn.meta == "asymptotic"
+        assert efn(0.0) == 0.0
+        assert abs(efn(1.0)) <= 1e-8
 
     def test_es_symmetry(self, chain_mid, chain_mid_limits):
         model, _ = chain_mid
         sig = gf.sigma_matrix(model)
-        q = gf.q_operator(chain_mid_limits)
+        efn = ga.limit_functional(gf.q_operator(chain_mid_limits), sig)
         for a in np.linspace(0.1, 0.45, 8):
-            assert abs(gf.e_limit(q, sig, a) - gf.e_limit(q, sig, 1.0 - a)) <= 1e-8
+            assert abs(efn(a) - efn(1.0 - a)) <= 1e-8
 
     def test_chain_value_against_oracle(self, chain_mid, chain_mid_limits):
         model, oracle = chain_mid
         sig = gf.sigma_matrix(model)
-        q = gf.q_operator(chain_mid_limits)
-        assert gf.e_limit(q, sig, 0.5) == pytest.approx(oracle.e_of_alpha(0.5), rel=0.05)
+        efn = ga.limit_functional(gf.q_operator(chain_mid_limits), sig)
+        assert efn(0.5) == pytest.approx(oracle.e_of_alpha(0.5), rel=0.05)
 
     def test_infinite_outside_spectral_domain(self, chain_mid, chain_mid_limits):
         model, _ = chain_mid
         sig = gf.sigma_matrix(model)
-        q = gf.q_operator(chain_mid_limits)
-        dom = ga.limit_domain(q)
-        assert gf.e_limit(q, sig, dom.upper + 0.1) == math.inf
+        efn = ga.limit_functional(gf.q_operator(chain_mid_limits), sig)
+        assert efn(efn.domain.upper + 0.1) == math.inf
 
     def test_identity_exact_for_exact_limits(self, toy_model, equilibrium_chain):
         # e(alpha) = alpha * tr((alpha D^-1 + (1-alpha) D-^-1)^-1 sigma) holds
@@ -166,15 +166,6 @@ class TestELimit:
         defect = ga.e_limit_identity_defect(q, sig, model.covariance, chain_mid_limits.d_minus, 0.5)
         assert defect <= 1e-2
 
-    def test_limit_functional_matches_e_limit(self, chain_mid, chain_mid_limits):
-        model, _ = chain_mid
-        sig = gf.sigma_matrix(model)
-        q = gf.q_operator(chain_mid_limits)
-        efn = ga.limit_functional(q, sig)
-        assert efn.meta == "asymptotic"
-        for a in (-0.3, 0.2, 0.9):
-            assert efn(a) == pytest.approx(gf.e_limit(q, sig, a), abs=1e-14)
-
 
 class TestSpectralMeasure:
     def test_flat_sigma_gives_empty_measure(self, toy_flat):
@@ -191,18 +182,37 @@ class TestSpectralMeasure:
         q = gf.q_operator(chain_mid_limits)
         nu = gf.spectral_measure_nu(q, sig)
         efn = ga.limit_functional(q, sig)
+        from_atoms = gf.EntropicFunctional(c=0.0, q=[1.0 / r for r, _ in nu.atoms],
+                                           w=np.array([w for _, w in nu.atoms]), meta="asymptotic")
         dom = efn.domain
         for a in np.linspace(dom.lower + 0.1, dom.upper - 0.1, 11):
-            assert ga.reconstruct_from_atoms(nu, a) == pytest.approx(efn(a), abs=1e-6)
+            assert from_atoms(a) == pytest.approx(efn(a), abs=1e-6)
 
     def test_atoms_outside_inner_interval(self, chain_mid, chain_mid_limits):
         model, _ = chain_mid
         sig = gf.sigma_matrix(model)
         q = gf.q_operator(chain_mid_limits)
         nu = gf.spectral_measure_nu(q, sig)
-        dom = ga.limit_domain(q)
+        dom = ga.limit_functional(q, sig).domain
         for r, _ in nu.atoms:
             assert r <= dom.lower + 1e-9 or r >= dom.upper - 1e-9
+
+    def test_clusters_keep_one_sign(self, chain_mid, chain_mid_limits):
+        # a cluster that reached across the dropped band |q| < q_floor merged
+        # q of both signs into one atom far beyond 1/q_floor
+        model, _ = chain_mid
+        sig = gf.sigma_matrix(model)
+        q = gf.q_operator(chain_mid_limits)
+        q_floor = 1e-8
+        nu = gf.spectral_measure_nu(q, sig, q_floor=q_floor)
+        assert all(abs(r) <= 1.0 / q_floor for r, _ in nu.atoms)
+        efn = ga.limit_functional(q, sig)
+        kept = np.abs(efn.q) >= q_floor
+        scale = np.abs(efn.w[kept]).sum()
+        for side in (1.0, -1.0):
+            members = efn.w[kept & (side * efn.q > 0.0)].sum()
+            atoms = sum(w for r, w in nu.atoms if side * r > 0.0)
+            assert atoms == pytest.approx(members, abs=1e-12 * scale)
 
     def test_q_floor_validation(self, chain_mid, chain_mid_limits):
         model, _ = chain_mid

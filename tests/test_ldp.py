@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -95,16 +96,22 @@ class TestChainRate:
         efn, oracle = chain_efn
         # a stand-in stationary-state domain strictly inside the reference one
         ness_dom = DomainInterval(lower=-0.8, upper=1.2, kind="ness")
-        efn_ness = EntropicFunctional(
-            domain=ness_dom,
-            evaluator=lambda a: efn(a) if ness_dom.lower < a < ness_dom.upper else math.inf,
-            meta="asymptotic",
-        )
+        efn_ness = dataclasses.replace(efn, domain=ness_dom)
         rate_ref = gf.rate_function(efn, kind="reference")
         rate_ness = gf.rate_function(efn_ness, kind="ness")
         w = oracle.omega_plus_sigma
         for s in np.linspace(w - 0.1 * w, w + 0.1 * w, 9):
             assert rate_ness(s) == pytest.approx(rate_ref(s), abs=1e-8)
+
+
+    def test_tails_start_at_a_stated_endpoint(self, chain_efn):
+        # e' is finite at a stated endpoint, so past -e'(end) I is the line
+        # -end*s - e(end) through the endpoint itself
+        efn, _ = chain_efn
+        efn_ness = dataclasses.replace(efn, domain=DomainInterval(lower=-0.8, upper=1.2, kind="ness"))
+        rate = gf.rate_function(efn_ness, kind="ness")
+        for s, end in ((1.0, -0.8), (-1.0, 1.2)):
+            assert rate(s) == pytest.approx(-end * s - efn(end), abs=1e-14)
 
 
 class TestCltVariance:
@@ -123,20 +130,24 @@ class TestCltVariance:
 
     def test_margin_enforced(self, chain_efn):
         efn, _ = chain_efn
-        with pytest.raises(DomainError):
-            gf.clt_variance(efn, efn.domain.upper - 1e-9)
+        for end, outward in ((efn.domain.lower, -math.inf), (efn.domain.upper, math.inf)):
+            for at in (end, np.nextafter(end, outward)):
+                with pytest.raises(DomainError):
+                    gf.clt_variance(efn, at)
+            assert math.isfinite(gf.clt_variance(efn, np.nextafter(end, -outward)))
 
 
 class TestRejection:
     def test_nonconvex_input_rejected(self):
+        # one atom of negative mass at r = 2: e(alpha) = log(1 - alpha/2) is concave
         dom = DomainInterval(lower=-1.0, upper=2.0, kind="reference", delta_t=1.0)
-        concave = EntropicFunctional(domain=dom, evaluator=lambda a: -a * a, meta="asymptotic")
+        concave = EntropicFunctional(c=0.0, q=[0.5], w=-1.0, domain=dom, meta="asymptotic")
         with pytest.raises(DomainError, match="not convex near alpha"):
             gf.rate_function(concave, kind="reference")
 
     def test_unbounded_nonflat_rejected(self):
-        dom = DomainInterval(lower=-math.inf, upper=math.inf, kind="reference")
-        efn = EntropicFunctional(domain=dom, evaluator=lambda a: a * a, meta="asymptotic")
+        efn = EntropicFunctional(c=1.0, q=[], w=0.0, meta="asymptotic")
+        assert (efn.domain.lower, efn.domain.upper) == (-math.inf, math.inf)
         with pytest.raises(DomainError):
             gf.rate_function(efn, kind="reference")
 

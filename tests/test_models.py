@@ -78,11 +78,23 @@ class TestChainBuilder:
         assert chain_oracle.e_of_alpha(2.5) == math.inf
         assert chain_oracle.nu_atoms == [(-1.0, gf.KAPPA), (2.0, gf.KAPPA)]
 
+    def test_limit_functional_is_two_atoms(self, chain_oracle):
+        efn = chain_oracle.limit_functional()
+        d = chain_oracle.delta_o
+        assert (efn.domain.lower, efn.domain.upper) == (-d, 1.0 + d)
+        # 1% in from each end: nearer, e_of_alpha loses digits to the
+        # cancellation in 1 + ratio*alpha*(1 - alpha)
+        for a in np.linspace(efn.domain.lower, efn.domain.upper, 101)[1:-1]:
+            assert abs(efn(a) - chain_oracle.e_of_alpha(a)) <= 1e-15
+        assert efn.curvature(1.0) == chain_oracle.e_second(1.0)
+        assert efn.slope(0.0) == -chain_oracle.omega_plus_sigma
+
     def test_equal_temperature_oracle_degenerates(self):
         _, oracle = gf.build_chain(gf.ChainSpec(n_left=8, n_right=8, temps=(1.0, 1.0, 1.0)))
         assert oracle.delta_o == math.inf
         assert oracle.e_of_alpha(7.0) == 0.0
         assert oracle.nu_atoms == []
+        assert oracle.limit_functional()(7.0) == 0.0
 
     def test_inhomogeneous_passes_validator(self):
         rng = np.random.default_rng(5)

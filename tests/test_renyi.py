@@ -264,6 +264,13 @@ class TestSpectralCache:
         renyi.alpha_scan(renyi.ness_functional(model, 3.0, oracle.d_plus()), alphas)
         assert factorizations == {"eigvalsh": 4, "eigh": 0, "cholesky": 0}
 
+    def test_scan_of_a_built_functional_reads_no_cache(self):
+        model, oracle = fresh_toy()
+        efn = renyi.ness_functional(model, 2.0, oracle.d_plus())
+        start = renyi.spectral_cache_info()
+        renyi.alpha_scan(efn, np.linspace(-1.0, 1.0, 21))
+        assert renyi.spectral_cache_info() == start
+
     def test_general_d_plus_adds_one_square_root_per_key(self, factorizations):
         model, _ = gf.build_chain(gf.ChainSpec(n_left=8, n_right=8, temps=(2.0, 1.0, 1.0)))
         d_plus = gf.estimate_limit_covariance(model, horizon=10.0, grid_points=64).d_plus
