@@ -21,12 +21,14 @@ from .model import (
 from .flow import (
     FlowPoint,
     GaussianPair,
+    SigmaIntegral,
     cocycle_defect,
     entropy_balance_defect,
     flow_point,
     log_density,
     mean_entropy_production,
     relative_entropy,
+    sigma_integral_matrix,
 )
 from .renyi import (
     DomainInterval,
@@ -53,11 +55,9 @@ from .ldp import RateFunction, clt_variance, es_symmetry_defect, rate_function
 from .montecarlo import (
     CltReport,
     SampleBatch,
-    SigmaIntegral,
     clt_sample,
     empirical_mgf,
     sample_gaussian,
-    sigma_integral_matrix,
     slln_trajectory,
 )
 from .models import (

@@ -86,7 +86,7 @@ def cmd_validate(args):
 def cmd_flow(args):
     model = load_model(args.model)
     ts = _grid(args.t_grid, "time")
-    rows = flow.flow_scan(model, ts, quad_steps=args.quad_steps)
+    rows = flow.flow_scan(model, ts)
     if args.out:
         path = _out_path(args, "flow_scan.csv")
         flow.write_flow_csv(path, rows)
@@ -159,14 +159,19 @@ def cmd_asymptotics(args):
 
 def cmd_rate(args):
     model = load_model(args.model)
+    s_grid = _grid(args.s_grid, "s")
     sig = sigma_matrix(model)
     lims = asymptotics.estimate_limit_covariance(model, horizon=args.horizon,
                                                  grid_points=args.grid_points)
     q = asymptotics.q_operator(lims)
     efn = asymptotics.limit_functional(q, sig)
-    rate = ldp.rate_function(efn, kind="reference")
-    rate_plus = ldp.rate_function(_ness_limit_functional(model, lims, efn), kind="ness")
-    s_grid = _grid(args.s_grid, "s")
+    try:
+        rate = ldp.rate_function(efn, kind="reference")
+        rate_plus = ldp.rate_function(_ness_limit_functional(model, lims, efn), kind="ness")
+    except DomainError as exc:
+        # the estimated e or e_+ violates a hypothesis of the conjugation
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
     rows = []
     for s in s_grid:
         i_s = rate(float(s))
@@ -305,7 +310,6 @@ def build_parser():
     p = sub.add_parser("flow", help="CSV scan of flow diagnostics over time")
     common(p)
     p.add_argument("--t-grid", required=True, help="lo:hi:n time grid")
-    p.add_argument("--quad-steps", type=int, default=64)
     p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("scan-renyi", help="CSV scan of e_t over an alpha grid")

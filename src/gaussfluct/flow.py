@@ -1,11 +1,13 @@
 """Covariance flow, Radon-Nikodym log-density and Gaussian relative entropy.
 
 The central objects are the flow points (t, e^{tL}, D_t, T_t) with
-T_t = D_t^-1 - D^-1.  Log-determinants go through Cholesky factorizations
-of symmetric positive definite pencils, and a failed Cholesky raises: for a
-flow point, whose pencil I + K_t is positive by construction, it means an
-inaccurate matrix exponential.  No domain is decided here; renyi reads the
-finite-time domains from the spectrum of whitened_T.
+T_t = D_t^-1 - D^-1, and the time integral B_t = int_0^t e^{sL'} sigma e^{sL} ds
+of the entropy production, in closed form from one eigendecomposition of L.
+Log-determinants go through Cholesky factorizations of symmetric positive
+definite pencils, and a failed Cholesky raises: for a flow point, whose
+pencil I + K_t is positive by construction, it means an inaccurate matrix
+exponential.  No domain is decided here; renyi reads the finite-time
+domains from the spectrum of whitened_T.
 """
 
 import weakref
@@ -15,9 +17,10 @@ import numpy as np
 
 from ._linalg import (
     AccuracyError,
+    finite_gramian,
     propagator,
-    simpson_weights,
     spd_inverse,
+    spd_sqrt,
     symmetrize,
     try_chol_logdet,
 )
@@ -129,7 +132,7 @@ def relative_entropy(pair):
     I + K = D1^{1/2} d2^-1 D1^{1/2} for stability.
     """
     d1 = np.asarray(pair.d1, dtype=float)
-    d1sq = _pair_sqrt(d1)
+    d1sq = spd_sqrt(d1)
     k = symmetrize(d1sq @ pair.rel_T @ d1sq)
     eye = np.eye(d1.shape[0])
     ok, logdet = try_chol_logdet(eye + k)
@@ -139,38 +142,39 @@ def relative_entropy(pair):
     return 0.5 * trace_term - 0.5 * logdet
 
 
-def _pair_sqrt(d1):
-    w, v = np.linalg.eigh(d1)
-    return symmetrize((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
+@dataclass(frozen=True)
+class SigmaIntegral:
+    """B_t = int_0^t e^{sL'} sigma e^{sL} ds and the offset t * tr(D sigma)."""
+
+    time: float
+    matrix: np.ndarray
+    offset: float                 # zero under time reversal
 
 
-def entropy_balance_defect(model, t, quad_steps):
-    """|Ent(D_t | D) + integral_0^t tr(sigma (D_s - D)) ds| with Simpson quadrature.
+def sigma_integral_matrix(model, t):
+    """B_t in closed form; for t < 0 the oriented integral."""
+    t = float(t)
+    sig = sigma_matrix(model)
+    (b,) = finite_gramian(model.generator, sig.matrix, [t])
+    return SigmaIntegral(time=t, matrix=b, offset=t * sig.trace_D_sigma)
 
-    Exact identity of the flow; the defect isolates quadrature error.
+
+def entropy_balance_defect(model, t):
+    """|Ent(D_t | D) + int_0^t tr(sigma (D_s - D)) ds|, an exact identity of the flow.
+
+    The integral is tr(D B_t) - t tr(D sigma), since tr(sigma D_s) equals
+    tr(e^{sL'} sigma e^{sL} D); the defect is roundoff.
     """
-    if quad_steps < 8 or quad_steps % 2 != 0:
-        raise ValueError("quad_steps must be an even integer >= 8")
     fp = flow_point(model, t)
     ent = relative_entropy(GaussianPair(d1=model.covariance, d2=fp.covariance_t))
-    sig = sigma_matrix(model).matrix
-    h = t / quad_steps
-    w = simpson_weights(quad_steps)
-    step = propagator(model.generator, h)
-    d_s = model.covariance.copy()
-    total = 0.0
-    for k in range(quad_steps + 1):
-        total += w[k] * float(np.trace(sig @ (d_s - model.covariance)))
-        if k < quad_steps:
-            d_s = step @ d_s @ step.T
-    integral = h * total
-    return abs(ent + integral)
+    b = sigma_integral_matrix(model, t)
+    return abs(ent + float(np.sum(model.covariance * b.matrix)) - b.offset)
 
 
 FLOW_SCAN_COLUMNS = ("t", "trace_Dt", "lambda_min_Dt", "lambda_max_Dt", "mean_sigma", "ent_balance_defect")
 
 
-def flow_scan(model, times, quad_steps=64):
+def flow_scan(model, times):
     """Rows of flow diagnostics over a list of times (see FLOW_SCAN_COLUMNS)."""
     rows = []
     for t in times:
@@ -183,7 +187,7 @@ def flow_scan(model, times, quad_steps=64):
                 float(w[0]),
                 float(w[-1]),
                 mean_entropy_production(model, float(t)),
-                entropy_balance_defect(model, float(t), quad_steps) if t != 0 else 0.0,
+                entropy_balance_defect(model, float(t)),
             )
         )
     return rows

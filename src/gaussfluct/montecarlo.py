@@ -3,7 +3,7 @@
 Time-integrated entropy production is evaluated as a single quadratic form
 (x, B_t x) per draw against the precomputed operator
 B_t = int_0^t e^{sL'} sigma e^{sL} ds, so a draw costs O(n^2) after one
-O(steps * n^3) quadrature.
+eigendecomposition of the generator per call (flow.sigma_integral_matrix).
 
 Reproducibility contract: draw i is generated from a counter-based stream
 keyed by (seed, i) alone, chunks have a fixed size, and reductions combine
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import propagator, simpson_weights, symmetrize
+from ._linalg import finite_gramian, propagator, symmetrize
 from .model import DomainError, Model, sigma_matrix
-from .flow import flow_point
+from .flow import flow_point, sigma_integral_matrix
 from .renyi import domain_interval
 
 CHUNK = 4096                    # fixed chunk size; part of the determinism contract
@@ -137,50 +137,7 @@ def _kahan_rows(rows):
 # time-integrated entropy production
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SigmaIntegral:
-    """B_t = int_0^t e^{sL'} sigma e^{sL} ds with a Richardson error estimate."""
-
-    time: float
-    matrix: np.ndarray
-    offset: float                 # t * tr(D sigma); zero under time reversal
-    error_estimate: float
-
-
-def sigma_integral_matrix(model, t, steps):
-    """Composite-Simpson quadrature of the operator integrand.
-
-    For t < 0 the oriented integral is returned.  The attached error
-    estimate is |S(steps) - S(steps/2)|_max / 15 (Richardson for a
-    fourth-order rule).
-    """
-    if steps < 16 or steps % 2 != 0:
-        raise ValueError("steps must be an even integer >= 16")
-    t = float(t)
-    sig = sigma_matrix(model).matrix
-    offset = t * sigma_matrix(model).trace_D_sigma
-    if t == 0.0:
-        return SigmaIntegral(time=0.0, matrix=np.zeros_like(sig), offset=0.0, error_estimate=0.0)
-    h = t / steps
-    w_full = simpson_weights(steps)
-    w_half = simpson_weights(steps // 2)
-    e_step = propagator(model.generator, h)
-    node = sig.copy()
-    acc_full = np.zeros_like(sig)
-    acc_half = np.zeros_like(sig)
-    for k in range(steps + 1):
-        acc_full += w_full[k] * node
-        if k % 2 == 0:
-            acc_half += w_half[k // 2] * node
-        if k < steps:
-            node = e_step.T @ node @ e_step
-    b_full = symmetrize(h * acc_full)
-    b_half = symmetrize((2.0 * h) * acc_half)
-    err = float(np.abs(b_full - b_half).max()) / 15.0
-    return SigmaIntegral(time=t, matrix=b_full, offset=offset, error_estimate=err)
-
-
-def empirical_mgf(model, t, alpha, seed, count, workers=1, steps=None, enforce_domain=True):
+def empirical_mgf(model, t, alpha, seed, count, workers=1, enforce_domain=True):
     """Monte Carlo estimate of log E_omega[exp(-alpha * int_0^t sigma_s ds)].
 
     Returns (estimate, std_error); the estimate should match e_t(alpha).
@@ -197,9 +154,7 @@ def empirical_mgf(model, t, alpha, seed, count, workers=1, steps=None, enforce_d
                 f"alpha = {alpha} is not inside J_t = ({dom.lower:.6g}, {dom.upper:.6g}) "
                 f"with a {MGF_DOMAIN_MARGIN:.0%} margin"
             )
-    if steps is None:
-        steps = _default_steps(t)
-    b = sigma_integral_matrix(model, t, steps)
+    b = sigma_integral_matrix(model, t)
     vals = quad_form_samples(model.covariance, [b.matrix], seed, count, workers)[:, 0]
     exponents = -alpha * (vals - b.offset)
     shift = exponents.max()
@@ -210,17 +165,6 @@ def empirical_mgf(model, t, alpha, seed, count, workers=1, steps=None, enforce_d
     return estimate, std_error
 
 
-def _default_steps(t):
-    steps = max(64, int(16 * abs(t)))
-    return steps + (steps % 2)
-
-
-def _trajectory_steps(t):
-    # trajectory statistics are sampling-noise dominated; a coarser rule is fine
-    steps = max(64, int(8 * abs(t)))
-    return steps + (steps % 2)
-
-
 # ---------------------------------------------------------------------------
 # trajectory statistics
 # ---------------------------------------------------------------------------
@@ -228,35 +172,18 @@ def _trajectory_steps(t):
 _slln_kernels: "weakref.WeakKeyDictionary[Model, dict]" = weakref.WeakKeyDictionary()
 
 
-def _slln_kernel(model, horizon, steps, n_points):
-    """Snapshots of the cumulative Simpson integral at log-spaced times."""
+def _slln_kernel(model, horizon, n_points):
+    """(t, B_t) at log-spaced times from min(horizon/16, 1/2) to horizon."""
     per = _slln_kernels.setdefault(model, {})
-    key = (horizon, steps, n_points)
-    if key in per:
-        return per[key]
-    sig = sigma_matrix(model).matrix
-    h = horizon / steps
-    # cumulative Simpson needs even node indices; log-space then snap
-    targets = sorted({int(round(x / h / 2)) * 2 for x in np.geomspace(max(4 * h, h), horizon, n_points)})
-    targets = [k for k in targets if k >= 2]
-    e_step = propagator(model.generator, h)
-    node = sig.copy()
-    acc = np.zeros_like(sig)
-    snapshots = []
-    k = 0
-    for pair in range(steps // 2):
-        mid = e_step.T @ node @ e_step
-        last = e_step.T @ mid @ e_step
-        acc += (h / 3.0) * (node + 4.0 * mid + last)
-        node = last
-        k += 2
-        if k in targets:
-            snapshots.append((k * h, symmetrize(acc)))
-    per[key] = snapshots
-    return snapshots
+    key = (horizon, n_points)
+    if key not in per:
+        times = np.geomspace(min(horizon / 16.0, 0.5), horizon, n_points)
+        mats = finite_gramian(model.generator, sigma_matrix(model).matrix, times)
+        per[key] = list(zip(times.tolist(), mats))
+    return per[key]
 
 
-def slln_trajectory(model, measure, horizon, seed, d_plus=None, n_points=24, steps=None):
+def slln_trajectory(model, measure, horizon, seed, d_plus=None, n_points=24):
     """Time-average entropy production along one draw, on a log-spaced grid.
 
     Returns a list of (t, Sigma_t) with Sigma_t = (x, B_t x)/t - tr(D sigma)
@@ -267,13 +194,11 @@ def slln_trajectory(model, measure, horizon, seed, d_plus=None, n_points=24, ste
         raise ValueError("measure must be 'reference' or 'ness'")
     if measure == "ness" and d_plus is None:
         raise ValueError("measure='ness' needs the stationary covariance d_plus")
-    if steps is None:
-        steps = _trajectory_steps(horizon)
     cov = model.covariance if measure == "reference" else np.asarray(d_plus, float)
     x = (_draw_rows(seed, 0, 1, model.dim) @ np.linalg.cholesky(cov).T)[0]
     tr_term = sigma_matrix(model).trace_D_sigma
     series = []
-    for t_k, b_k in _slln_kernel(model, horizon, steps, n_points):
+    for t_k, b_k in _slln_kernel(model, horizon, n_points):
         series.append((t_k, float(x @ (b_k @ x)) / t_k - tr_term))
     return series
 
@@ -290,7 +215,7 @@ class CltReport:
 
 
 def clt_sample(model, measure, t, seed, count, variance, omega_bar, d_plus=None,
-               workers=1, steps=None, bins=61):
+               workers=1, bins=61):
     """Sample u = t^{-1/2} (int_0^t sigma_s ds - t*omega_bar) and test normality.
 
     variance is the predicted CLT variance (second derivative of the
@@ -311,9 +236,7 @@ def clt_sample(model, measure, t, seed, count, variance, omega_bar, d_plus=None,
         )
     if measure == "ness" and d_plus is None:
         raise ValueError("measure='ness' needs the stationary covariance d_plus")
-    if steps is None:
-        steps = _trajectory_steps(t)
-    b = sigma_integral_matrix(model, t, steps)
+    b = sigma_integral_matrix(model, t)
     cov = model.covariance if measure == "reference" else np.asarray(d_plus, float)
     vals = quad_form_samples(cov, [b.matrix], seed, count, workers)[:, 0]
     u = (vals - b.offset - t * omega_bar) / math.sqrt(t)

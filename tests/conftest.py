@@ -55,6 +55,17 @@ def chain_mid_limits(chain_mid):
 
 
 @pytest.fixture(scope="session")
+def nonnormal_model():
+    """Random non-normal generator (well-conditioned eigenbasis) and covariance, n = 12."""
+    rng = np.random.default_rng(21)
+    n = 12
+    a = rng.standard_normal((n, n))
+    gen = a - a.T - 0.8 * np.eye(n) - 0.2 * (a @ a.T) / n
+    b = rng.standard_normal((n, n))
+    return gf.Model(dim=n, generator=gen, covariance=b @ b.T + n * np.eye(n))
+
+
+@pytest.fixture(scope="session")
 def equilibrium_chain():
     """Uniform-temperature Gibbs chain: L D + D L' = 0 exactly, sigma = 0."""
     from gaussfluct.models import chain_energy_form

@@ -22,7 +22,6 @@ from gaussfluct import montecarlo as mc
 from exact_law import QuadFormLaw
 
 WORKERS = 8
-STEPS_PER_UNIT_TIME = 8         # quadrature of B_t, shared by sampler and exact law
 
 
 def report(name, ok, detail):
@@ -193,7 +192,7 @@ def test_criterion_4_exact_identities(toy_big, chain_big):
             for t in (-20.0, -1.0, 5.0, 20.0):
                 cocycle = max(cocycle, gf.cocycle_defect(model, s, t))
 
-    balance = gf.entropy_balance_defect(chain_model, 10.0, 200)
+    balance = gf.entropy_balance_defect(chain_model, 10.0)
 
     logdet = 0.0
     for t in (1.0, 5.0, 20.0, 100.0):
@@ -273,12 +272,11 @@ def test_criterion_5c_clt(chain_big, chain_big_limits, mc_clock):
     omega_plus = gf.steady_entropy_production(sig, model.covariance, d_plus)
     variance = oracle.clt_variance  # e''(1) of the limiting functional
     t, seed, count = 40.0, 42, 20_000
-    steps = int(STEPS_PER_UNIT_TIME * t)
     rep = gf.clt_sample(model, "ness", t, seed=seed, count=count, variance=variance,
-                        omega_bar=omega_plus, d_plus=d_plus, workers=WORKERS, steps=steps)
+                        omega_bar=omega_plus, d_plus=d_plus, workers=WORKERS)
 
     # the same draws against the exact law of S_t = (x, B_t x) - offset, x ~ N(0, D_+)
-    b = mc.sigma_integral_matrix(model, t, steps)
+    b = mc.sigma_integral_matrix(model, t)
     law = QuadFormLaw.of(d_plus, b.matrix)
     shift = b.offset + t * omega_plus
     vals = mc.quad_form_samples(d_plus, [b.matrix], seed, count, WORKERS)[:, 0]
@@ -287,7 +285,7 @@ def test_criterion_5c_clt(chain_big, chain_big_limits, mc_clock):
     ks_exact = kstest(u, lambda x: law.cdf(shift + math.sqrt(t) * x)).statistic
 
     # the CLT variance as the growth rate of Var S_t
-    b_half = mc.sigma_integral_matrix(model, t / 2, steps // 2)
+    b_half = mc.sigma_integral_matrix(model, t / 2)
     var_rate = (law.variance - QuadFormLaw.of(d_plus, b_half.matrix).variance) / (t / 2)
     var_rel = (var_rate - variance) / variance
     elapsed = time.monotonic() - start
@@ -315,15 +313,14 @@ def test_criterion_5d_slln(chain_big, chain_big_limits, mc_clock):
     sig = gf.sigma_matrix(model)
     omega_plus = gf.steady_entropy_production(sig, model.covariance, chain_big_limits.d_plus)
     horizon = 50.0
-    steps = int(STEPS_PER_UNIT_TIME * horizon)
     seeds = range(50)
-    finals = np.array([gf.slln_trajectory(model, "reference", horizon, seed, steps=steps)[-1][1]
+    finals = np.array([gf.slln_trajectory(model, "reference", horizon, seed)[-1][1]
                        for seed in seeds])
     window = 0.15 * omega_plus
     hits = int(np.sum(np.abs(finals - omega_plus) <= window))
 
     # the exact law of Sigma_50 = ((x, B_50 x) - offset)/50 under the reference measure
-    b = mc.sigma_integral_matrix(model, horizon, steps)
+    b = mc.sigma_integral_matrix(model, horizon)
     law = QuadFormLaw.of(model.covariance, b.matrix)
     exact_mean = (law.mean - b.offset) / horizon
     exact_sd = math.sqrt(law.variance) / horizon
@@ -332,7 +329,7 @@ def test_criterion_5d_slln(chain_big, chain_big_limits, mc_clock):
     lo, hi = law.cdf(b.offset + horizon * (omega_plus + np.array([-window, window])))
 
     # the CLT variance as the growth rate of Var S_t
-    b_half = mc.sigma_integral_matrix(model, horizon / 2, steps // 2)
+    b_half = mc.sigma_integral_matrix(model, horizon / 2)
     law_half = QuadFormLaw.of(model.covariance, b_half.matrix)
     var_rate = (law.variance - law_half.variance) / (horizon / 2)
     var_rel = (var_rate - oracle.clt_variance) / oracle.clt_variance

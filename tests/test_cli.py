@@ -74,11 +74,17 @@ def test_scan_renyi_infinity_matches_oracle_domain(toy_file, tmp_path):
             assert not ok
 
 
-def test_flow_scan_stdout(chain_file, capsys):
-    assert main(["flow", "--model", chain_file, "--t-grid", "0:4:3", "--quad-steps", "32"]) == 0
+def test_flow_scan_stdout(tmp_path, capsys):
+    model, _ = gf.build_chain(gf.ChainSpec(n_left=16, n_right=16, temps=(2.0, 1.0, 1.0)))
+    path = str(tmp_path / "chain16.json")
+    save_model(model, path)
+    assert main(["flow", "--model", path, "--t-grid", "0:10:3"]) == 0
     out = capsys.readouterr().out.strip().split("\n")
-    assert out[0].startswith("t,trace_Dt")
+    assert out[0].startswith("t,trace_Dt") and out[0].endswith(",ent_balance_defect")
     assert len(out) == 4
+    # B_t is closed form, so the entropy balance holds to roundoff
+    assert all(float(row.split(",")[-1]) <= 1e-12 for row in out[1:])
+    assert main(["flow", "--model", path, "--t-grid", "0:4:3", "--quad-steps", "32"]) == 1
 
 
 def test_asymptotics_json(chain_file, tmp_path):
@@ -104,6 +110,17 @@ def test_rate_csv(chain_file, tmp_path):
     lines = (tmp_path / "rate.csv").read_text().strip().split("\n")
     assert lines[0] == "s,I,I_plus,es_defect"
     assert len(lines) == 12
+
+
+def test_rate_nonconvex_estimate_exits_two(chain_file, tmp_path, capsys):
+    # at horizon 24 the estimated e of the 12+1+12 chain has a negative-mass
+    # nearest atom, so it is not convex: a hypothesis failure, not a usage error
+    code = main(["rate", "--model", chain_file, "--horizon", "24",
+                 "--s-grid", "-0.5:0.5:51", "--out", str(tmp_path)])
+    assert code == 2
+    assert "not convex near alpha" in capsys.readouterr().err
+    assert not (tmp_path / "rate.csv").exists()
+    assert main(["rate", "--model", chain_file, "--s-grid", "0.5:-0.5:3"]) == 1
 
 
 def test_mc_subchecks(chain_file, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 import gaussfluct as gf
 from gaussfluct import montecarlo as mc
+from gaussfluct._linalg import AccuracyError, _eigenbasis, _van_loan_gramian, finite_gramian, propagator
 from gaussfluct.model import DomainError
 
 
@@ -41,35 +42,73 @@ class TestSampling:
             gf.sample_gaussian(np.diag([1.0, -1.0]), seed=0, count=10)
 
 
+def _jordan_model():
+    """2x2 Jordan block: eig returns two nearly parallel eigenvectors, kappa(V) ~ 9e15."""
+    return gf.Model(dim=2, generator=np.array([[-1.0, 1.0], [0.0, -1.0]]), covariance=np.eye(2))
+
+
+def _lyapunov_residual(model, t):
+    """|L'B_t + B_t L - (e^{tL'} sigma e^{tL} - sigma)|_max over its largest term."""
+    gen = model.generator
+    sig = gf.sigma_matrix(model).matrix
+    b = gf.sigma_integral_matrix(model, t).matrix
+    e = propagator(gen, t)
+    pushed = e.T @ sig @ e
+    resid = np.abs(gen.T @ b + b @ gen - pushed + sig).max()
+    return resid / max(np.abs(pushed).max(), np.abs(sig).max())
+
+
 class TestSigmaIntegral:
     def test_time_zero(self, chain_model):
-        b = gf.sigma_integral_matrix(chain_model, 0.0, 64)
+        b = gf.sigma_integral_matrix(chain_model, 0.0)
         assert np.abs(b.matrix).max() == 0.0
         assert b.offset == 0.0
 
     def test_derivative_at_zero_is_sigma(self, chain_model):
         h = 1e-4
-        bp = gf.sigma_integral_matrix(chain_model, h, 16)
-        bm = gf.sigma_integral_matrix(chain_model, -h, 16)
+        bp = gf.sigma_integral_matrix(chain_model, h)
+        bm = gf.sigma_integral_matrix(chain_model, -h)
         deriv = (bp.matrix - bm.matrix) / (2 * h)
         assert np.abs(deriv - gf.sigma_matrix(chain_model).matrix).max() < 1e-7
 
-    def test_step_doubling_converged(self, chain_model):
-        # fourth-order rule: the doubling change drops 16x per refinement
-        b1 = gf.sigma_integral_matrix(chain_model, 10.0, 1280)
-        b2 = gf.sigma_integral_matrix(chain_model, 10.0, 2560)
-        assert np.abs(b1.matrix - b2.matrix).max() < 1e-8
-        assert b2.error_estimate < 1e-9
+    @pytest.mark.parametrize("t", [-6.0, 2.0, 10.0])
+    def test_lyapunov_identity(self, chain_model, toy_model, t):
+        # the integral of d/ds e^{sL'} sigma e^{sL} over [0, t]: exact for every t
+        for model in (chain_model, toy_model):
+            assert _lyapunov_residual(model, t) <= 1e-12
 
-    def test_richardson_estimate_bounds_true_error(self, chain_model):
-        b1 = gf.sigma_integral_matrix(chain_model, 10.0, 160)
-        b_ref = gf.sigma_integral_matrix(chain_model, 10.0, 2560)
-        true_err = np.abs(b1.matrix - b_ref.matrix).max()
-        assert true_err <= 20.0 * b1.error_estimate
+    @pytest.mark.parametrize("s,t", [(3.0, 4.0), (-2.0, 5.0)])
+    def test_additivity(self, chain_model, toy_model, s, t):
+        for model in (chain_model, toy_model):
+            e = propagator(model.generator, s)
+            b_s, b_t, b_st = (gf.sigma_integral_matrix(model, x).matrix for x in (s, t, s + t))
+            assert np.abs(b_st - b_s - e.T @ b_t @ e).max() <= 1e-12 * np.abs(b_st).max()
 
-    def test_invalid_steps(self, chain_model):
-        with pytest.raises(ValueError):
-            gf.sigma_integral_matrix(chain_model, 1.0, 15)
+    @pytest.mark.parametrize("t", [-6.0, 2.0, 10.0])
+    def test_modal_matches_van_loan(self, nonnormal_model, t):
+        model = nonnormal_model
+        assert _eigenbasis(model.generator) is not None
+        b = gf.sigma_integral_matrix(model, t).matrix
+        ref = _van_loan_gramian(model.generator, gf.sigma_matrix(model).matrix, t)
+        assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("t", [-6.0, 2.0, 10.0, 40.0])
+    def test_defective_generator_takes_van_loan(self, t):
+        model = _jordan_model()
+        assert _eigenbasis(model.generator) is None
+        assert _lyapunov_residual(model, t) <= 1e-12
+
+    def test_snapshots_are_one_call(self, chain_model):
+        times = [0.5, 2.0, 7.5]
+        mats = finite_gramian(chain_model.generator, gf.sigma_matrix(chain_model).matrix, times)
+        for t, m in zip(times, mats):
+            assert np.array_equal(m, gf.sigma_integral_matrix(chain_model, t).matrix)
+
+    def test_horizon_refusal(self, chain_model):
+        with pytest.raises(AccuracyError):
+            gf.sigma_integral_matrix(chain_model, 1e5)
+        with pytest.raises(AccuracyError):
+            gf.sigma_integral_matrix(_jordan_model(), 1e5)
 
 
 class TestEmpiricalMgf:
