@@ -1,10 +1,18 @@
 """Shared dense linear algebra helpers.
 
 Everything here operates on plain float64 numpy arrays and returns new
-arrays; inputs are never modified.
+arrays; inputs are never modified.  Every question about the linear flow
+(the propagator e^{tL}, the time integral B_t and the window average of
+D_t) is answered from one cached eigenbasis per block of the generator,
+with scaling-and-squaring and Van Loan as the fallbacks for a block whose
+eigenbasis fails the conditioning gate.
 """
 
+import hashlib
 import math
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -24,6 +32,14 @@ def generator_norm_bound(generator):
     return float(np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()))
 
 
+def _check_horizon(generator, t):
+    reach = abs(t) * generator_norm_bound(generator)
+    if reach > EXPM_HORIZON_LIMIT:
+        raise AccuracyError(
+            f"|t|*||L|| = {reach:.3g} exceeds {EXPM_HORIZON_LIMIT:.0e}; use a smaller horizon"
+        )
+
+
 def _connected_components(generator):
     """Index groups of the sparsity graph of generator + generator'."""
     from scipy.sparse import csr_matrix
@@ -36,31 +52,38 @@ def _connected_components(generator):
     return [np.flatnonzero(labels == c) for c in range(count)]
 
 
-def propagator(generator, t):
-    """exp(t * generator) by scaling-and-squaring with diagonal Pade order 13.
+def _blocks(generator):
+    """Index groups handled separately: the connected components from dimension 256 on."""
+    n = generator.shape[0]
+    groups = _connected_components(generator) if n >= 256 else None
+    return [np.arange(n)] if groups is None else groups
 
-    scipy.linalg.expm implements exactly this scheme; accuracy is close to
-    machine precision for the horizons admitted here.  Generators whose
-    sparsity graph splits into several connected components are exponentiated
-    per block (an exact identity that avoids cubing the full dimension).
+
+def propagator(generator, t):
+    """exp(t * generator), one connected component of the sparsity graph at a time.
+
+    A block whose eigenbasis passes the kappa gate is exponentiated as
+    Re(V e^{t Lambda} V^-1) from its cached basis (Moler and Van Loan, SIAM
+    Rev. 45 (2003), method 14); any other block by scipy's scaling and
+    squaring with diagonal Pade order 13.  Components are split from
+    dimension 256 on, an exact identity that avoids cubing the full
+    dimension.  The result is a real C-contiguous array that owns its data.
     """
-    if abs(t) * generator_norm_bound(generator) > EXPM_HORIZON_LIMIT:
-        raise AccuracyError(
-            f"|t|*||L|| = {abs(t) * generator_norm_bound(generator):.3g} exceeds "
-            f"{EXPM_HORIZON_LIMIT:.0e}; use a smaller horizon"
-        )
+    _check_horizon(generator, t)
     if t == 0.0:
         return np.eye(generator.shape[0])
-    groups = _connected_components(generator) if generator.shape[0] >= 256 else None
-    if groups is None:
-        return sla.expm(t * generator)
+    blocks = _blocks(generator)
+    if len(blocks) == 1:
+        return _block_propagator(generator, t)
     out = np.zeros_like(generator)
-    for idx in groups:
-        if idx.size == 1:
-            out[idx[0], idx[0]] = np.exp(t * generator[idx[0], idx[0]])
-        else:
-            out[np.ix_(idx, idx)] = sla.expm(t * generator[np.ix_(idx, idx)])
+    for idx in blocks:
+        out[np.ix_(idx, idx)] = _block_propagator(generator[np.ix_(idx, idx)], t)
     return out
+
+
+def _block_propagator(block, t):
+    basis = _eigenbasis(block)
+    return sla.expm(t * block) if basis is None else basis.propagator(t)
 
 
 def symmetrize(a):
@@ -115,8 +138,235 @@ def try_chol_logdet(mat, pivot_floor_rel=1e-13):
 
 # The modal route carries Q into the eigenbasis and back through V and V^-1,
 # which costs about kappa(V)^2 * eps of relative accuracy: below 1e-9 here.
-# The shipped toys and chains measure 27 to 585 (1-norm product, dim <= 1024).
+# kappa is the 2-norm ||X||_2 ||X^-1||_2 of the real eigenvector matrix X,
+# within sqrt(2) of kappa(V) (see _decompose), estimated from below by power
+# iteration (_norm2_estimate).  Measured estimates (exact values in
+# parentheses): 2.194, 2.209, 2.209 and 2.206 (2.234 to 2.236) on the 16, 48,
+# 128 and 256+1+256 chains, 1.000 on the toys and about 1e16 on the Jordan
+# block [[-1, 1], [0, -1]].  The 1-norm product grows like the dimension for
+# delocalized eigenvectors (77 to 1165 on the same chains), so it is not used.
 MODAL_KAPPA_LIMIT = 1.0e3
+
+
+@dataclass(frozen=True, eq=False)
+class ModalBasis:
+    """Folded eigenbasis of a real block: e^{tA} = Re sum_j c_j v_j e^{lambda_j t} w_j'.
+
+    One member of each conjugate pair is kept (c_j = 2) beside the real
+    eigenvalues (c_j = 1); v_j are columns of V and w_j rows of V^-1,
+    stored as real and imaginary parts so that the propagator runs in real
+    arithmetic.  kappa is the gate's estimate (see MODAL_KAPPA_LIMIT).
+    """
+
+    lam: np.ndarray
+    weight: np.ndarray
+    v_re: np.ndarray
+    v_im: np.ndarray
+    w_re: np.ndarray
+    w_im: np.ndarray
+    kappa: float
+
+    @property
+    def nbytes(self):
+        return sum(a.nbytes for a in (self.lam, self.weight, self.v_re, self.v_im, self.w_re, self.w_im))
+
+    def propagator(self, t):
+        e = self.weight * np.exp(t * self.lam)
+        p_re = self.v_re * e.real - self.v_im * e.imag
+        p_im = self.v_re * e.imag + self.v_im * e.real
+        return p_re @ self.w_re - p_im @ self.w_im
+
+    def unfolded(self):
+        """(Lambda, V, V^-1) over every eigenvalue, the dropped partners rebuilt as conjugates."""
+        pair = self.weight == 2.0
+        v = self.v_re + 1j * self.v_im
+        w = self.w_re + 1j * self.w_im
+        return (
+            np.concatenate([self.lam, self.lam[pair].conj()]),
+            np.concatenate([v, v[:, pair].conj()], axis=1),
+            np.concatenate([w, w[pair].conj()], axis=0),
+        )
+
+
+def _norm2_estimate(a, iterations=20):
+    """||a||_2 of a real matrix from below, by power iteration on a'a from a fixed start vector."""
+    x = np.random.default_rng(0).standard_normal(a.shape[1])
+    x /= np.linalg.norm(x)
+    sigma = 0.0
+    for _ in range(iterations):
+        y = a @ x
+        sigma = float(np.linalg.norm(y))
+        x = y @ a
+        size = np.linalg.norm(x)
+        if size == 0.0:
+            break
+        x /= size
+    return sigma
+
+
+def _decompose(block):
+    """(ModalBasis or None, kappa): None when eig fails or kappa exceeds the gate.
+
+    LAPACK returns a conjugate pair as adjacent eigenvalues, the one with
+    positive imaginary part first, with v_j = x_j + i x_{j+1} for two real
+    columns of a real matrix X.  X is V times a block-diagonal unitary scaled
+    by 1 (real eigenvalues) or 1/sqrt(2) (pairs), so kappa(X) is within
+    sqrt(2) of kappa(V), and equal when the eigenvalues are all pairs or all
+    real.  The gate reads kappa(X), and every solve stays real.
+    """
+    try:
+        lam, v = np.linalg.eig(block)
+        lam = lam.astype(complex)
+        second = lam.imag < 0.0
+        x = np.where(second, -v.imag, v.real)
+        del v
+        x_inv = np.linalg.inv(x)
+    except np.linalg.LinAlgError:
+        return None, math.inf
+    kappa = _norm2_estimate(x) * _norm2_estimate(x_inv)
+    if not kappa <= MODAL_KAPPA_LIMIT:
+        return None, kappa
+    keep = np.flatnonzero(~second)
+    pair = lam[keep].imag > 0.0
+    partner = keep[pair] + 1
+    v_im = np.zeros((x.shape[0], keep.size))
+    v_im[:, pair] = x[:, partner]
+    w_re = x_inv[keep]
+    w_re[pair] *= 0.5
+    w_im = np.zeros((keep.size, x.shape[0]))
+    w_im[pair] = -0.5 * x_inv[partner]
+    basis = ModalBasis(lam=lam[keep], weight=np.where(pair, 2.0, 1.0), v_re=x[:, keep],
+                       v_im=v_im, w_re=w_re, w_im=w_im, kappa=kappa)
+    return basis, kappa
+
+
+# Eigenbases keyed by the shape and SHA-256 of a block's bytes, so routing
+# depends on the block's content only and an array changed in place gets a
+# fresh basis.  At most MODAL_CACHE_ENTRIES entries live (least recently used
+# first out); builds run under the lock, so concurrent callers decompose a
+# block once.
+MODAL_CACHE_ENTRIES = 8
+_bases = OrderedDict()
+_bases_lock = threading.Lock()
+_bases_counts = {"hits": 0, "misses": 0, "fallbacks": 0}
+
+
+def _eigenbasis(block):
+    """The cached ModalBasis of a generator block, or None when it fails the gate."""
+    block = np.ascontiguousarray(block, dtype=float)
+    if block.shape == (1, 1):
+        one = np.ones((1, 1))
+        return ModalBasis(lam=block[0].astype(complex), weight=np.ones(1), v_re=one,
+                          v_im=0.0 * one, w_re=one, w_im=0.0 * one, kappa=1.0)
+    key = (block.shape, hashlib.sha256(block).hexdigest())
+    with _bases_lock:
+        entry = _bases.get(key)
+        if entry is None:
+            entry = _bases[key] = _decompose(block)
+            _bases_counts["misses"] += 1
+            _bases_counts["fallbacks"] += entry[0] is None
+            while len(_bases) > MODAL_CACHE_ENTRIES:
+                _bases.popitem(last=False)
+        else:
+            _bases_counts["hits"] += 1
+            _bases.move_to_end(key)
+        return entry[0]
+
+
+def modal_basis_info():
+    """Hits, misses and gate failures ('fallbacks') since import; live entries, bytes and kappa.
+
+    kappa lists the gate's estimate per live entry, inf where eig or inv failed.
+    """
+    with _bases_lock:
+        entries = list(_bases.values())
+        return {
+            **_bases_counts,
+            "entries": len(entries),
+            "bytes": sum(b.nbytes for b, _ in entries if b is not None),
+            "kappa": [k for _, k in entries],
+        }
+
+
+def _modal_parts(generator):
+    """[(idx, Lambda, V, V^-1)] unfolded per block, or None when any block fails the gate."""
+    parts = []
+    for idx in _blocks(generator):
+        basis = _eigenbasis(generator[np.ix_(idx, idx)])
+        if basis is None:
+            return None
+        parts.append((idx, *basis.unfolded()))
+    return parts
+
+
+def _real_product(a, b):
+    """Re(a @ b) in two real products."""
+    return a.real.copy() @ b.real.copy() - a.imag.copy() @ b.imag.copy()
+
+
+def _modal_congruences(parts, x, kernels, integral=False):
+    """For each kernel f, the matrix whose (a, b) block is Re P_a [(R_a x_ab R_b') o f(z_ab)] P_b'.
+
+    z_ab = lambda_a + lambda_b' over the eigenvalues of blocks a and b.
+    (P, R) = (V, V^-1) carries x along the flow, and (V^-T, V') gives the
+    time integral (integral=True).
+    """
+    if integral:
+        parts = [(idx, lam, w.T, v.T) for idx, lam, v, w in parts]
+    n = x.shape[0]
+    outs = [np.empty((n, n)) for _ in kernels]
+    for ia, lam_a, p_a, r_a in parts:
+        for ib, lam_b, p_b, r_b in parts:
+            core = r_a @ x[np.ix_(ia, ib)] @ r_b.T
+            z = lam_a[:, None] + lam_b[None, :]
+            for out, f in zip(outs, kernels):
+                out[np.ix_(ia, ib)] = _real_product(p_a @ (core * f(z)), p_b.T)
+    return outs
+
+
+def flow_averages(generator, x, t0, step, counts):
+    """A_m = (1/m) sum_{i<m} e^{t_i A} X e^{t_i A'} on t_i = t0 + i*step, for each m in counts.
+
+    Each average is one Hadamard product in the eigenbasis,
+    A_m = V [(V^-1 X V^-T) o S_m] V' with the geometric sum
+    S_m,jk = e^{z t0} expm1(z m step)/expm1(z step)/m, z = lambda_j + lambda_k
+    (S_m,jk = 1 where expm1(z step) == 0).  When a block fails the kappa
+    gate the grid is walked instead, D_{i+1} = E D_i E' with E = e^{step A}.
+    """
+    _check_horizon(generator, t0)
+    counts = [int(m) for m in counts]
+    parts = _modal_parts(generator)
+    if parts is None:
+        return _walked_averages(generator, x, t0, step, counts)
+
+    def geometric(m):
+        def kernel(z):
+            den = np.expm1(z * step)
+            flat = den == 0.0
+            s = np.exp(z * t0) * np.expm1(z * (m * step)) / np.where(flat, 1.0, den)
+            s[flat] = m
+            return s / m
+
+        return kernel
+
+    return _modal_congruences(parts, x, [geometric(m) for m in counts])
+
+
+def _walked_averages(generator, x, t0, step, counts):
+    """flow_averages by walking the grid with two propagators: any generator, defective too."""
+    e_step = propagator(generator, step)
+    e_0 = propagator(generator, t0)
+    d = e_0 @ x @ e_0.T
+    acc = np.zeros_like(x)
+    last = max(counts)
+    sums = {}
+    for i in range(1, last + 1):
+        acc += d
+        if i in counts:
+            sums[i] = acc / i
+        if i < last:
+            d = e_step @ d @ e_step.T
+    return [sums[m] for m in counts]
 
 
 def finite_gramian(generator, q, times):
@@ -124,44 +374,27 @@ def finite_gramian(generator, q, times):
 
     With A = V Lambda V^-1, G(t) = V^-T [(V' Q V) o K_t] V^-1 where
     K_jk = expm1(z_jk t)/z_jk, z_jk = lambda_j + lambda_k (K_jk = t at z = 0):
-    one eigendecomposition serves every time.  A defective or badly
-    conditioned eigenbasis falls back to Van Loan's block exponential
-    (IEEE TAC 23(3), 1978, Thm 1), once per time.
+    the cached eigenbasis serves every time.  A generator with a block that
+    fails the kappa gate takes Van Loan's block exponential (IEEE TAC 23(3),
+    1978, Thm 1), once per time.
     """
     times = [float(t) for t in times]
-    reach = max((abs(t) for t in times), default=0.0) * generator_norm_bound(generator)
-    if reach > EXPM_HORIZON_LIMIT:
-        raise AccuracyError(
-            f"|t|*||L|| = {reach:.3g} exceeds {EXPM_HORIZON_LIMIT:.0e}; use a smaller horizon"
-        )
-    basis = _eigenbasis(generator)
-    if basis is None:
+    _check_horizon(generator, max((abs(t) for t in times), default=0.0))
+    parts = _modal_parts(generator)
+    if parts is None:
         return [_van_loan_gramian(generator, q, t) for t in times]
-    lam, v, v_inv = basis
-    m = v.T @ q @ v
-    z = lam[:, None] + lam[None, :]
-    zero = z == 0.0
-    z_safe = np.where(zero, 1.0, z)
-    out = []
-    for t in times:
-        k = np.expm1(z * t) / z_safe
-        k[zero] = t
-        k *= m
-        out.append(symmetrize((v_inv.T @ k @ v_inv).real))
-    return out
 
+    def integral(t):
+        def kernel(z):
+            zero = z == 0.0
+            k = np.expm1(z * t) / np.where(zero, 1.0, z)
+            k[zero] = t
+            return k
 
-def _eigenbasis(generator):
-    """(Lambda, V, V^-1) of the generator, or None when kappa(V) exceeds the gate."""
-    try:
-        lam, v = np.linalg.eig(generator)
-        v_inv = np.linalg.inv(v)
-    except np.linalg.LinAlgError:
-        return None
-    kappa = np.abs(v).sum(axis=0).max() * np.abs(v_inv).sum(axis=0).max()
-    if not kappa <= MODAL_KAPPA_LIMIT:
-        return None
-    return lam, v, v_inv
+        return kernel
+
+    grams = _modal_congruences(parts, q, [integral(t) for t in times], integral=True)
+    return [symmetrize(g) for g in grams]
 
 
 def _van_loan_gramian(generator, q, t):

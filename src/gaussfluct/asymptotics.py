@@ -2,7 +2,10 @@
 
 Finite truncations never converge strongly, so the stationary covariances
 are estimated by Cesaro averaging of D_t over the second half of a horizon,
-with a plateau residual as the quality diagnostic.  The limiting functional
+with a plateau residual as the quality diagnostic.  The average over the
+uniform grid is closed form: one Hadamard product with a geometric kernel in
+the generator's cached eigenbasis (_linalg.flow_averages), and a walk along
+the grid only for a generator whose eigenbasis fails the conditioning gate.  The limiting functional
 e(alpha) is assembled from the spectral data of
 Q = D-^{1/2} (D-^{-1} - D+^{-1}) D-^{1/2} weighted by the entropy production
 matrix, and is represented as the logarithmic potential of a finite signed
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import AccuracyError, propagator, spd_inverse, spd_sqrt, symmetrize
+from ._linalg import AccuracyError, flow_averages, propagator, spd_inverse, spd_sqrt, symmetrize
 from .renyi import EntropicFunctional
 
 
@@ -62,6 +65,10 @@ class AtomMeasure:
 def estimate_limit_covariance(model, horizon, tol=math.inf, grid_points=64, minus_mode="auto"):
     """Cesaro-average D_t over [horizon/2, horizon] on a uniform grid.
 
+    The grid is the left-Riemann grid of grid_points points from horizon/2;
+    its average is read in closed form from the eigenbasis of the generator
+    (see _window_average).
+
     minus_mode selects how the negative-time limit is produced: 'theta'
     conjugates the positive-time estimate by the time reversal, 'estimate'
     averages over negative times, 'auto' uses theta when available.  The
@@ -79,7 +86,7 @@ def estimate_limit_covariance(model, horizon, tol=math.inf, grid_points=64, minu
     if mode == "theta" and model.time_reversal is None:
         raise ValueError("minus_mode='theta' needs a model with a time reversal")
 
-    d_plus, residual, m_est = _cesaro(model, horizon, grid_points)
+    d_plus, residual, m_est = _window_average(model, horizon, grid_points)
     if residual > tol:
         raise PlateauError(residual, tol)
     d_plus = _floor_spd(d_plus, m_est / 2.0)
@@ -88,7 +95,7 @@ def estimate_limit_covariance(model, horizon, tol=math.inf, grid_points=64, minu
         th = model.time_reversal
         d_minus = symmetrize(th @ d_plus @ th)
     else:
-        d_minus, res_m, m_est_m = _cesaro(model, -horizon, grid_points)
+        d_minus, res_m, m_est_m = _window_average(model, -horizon, grid_points)
         if res_m > tol:
             raise PlateauError(res_m, tol)
         d_minus = _floor_spd(d_minus, m_est_m / 2.0)
@@ -105,33 +112,27 @@ def estimate_limit_covariance(model, horizon, tol=math.inf, grid_points=64, minu
     )
 
 
-def _cesaro(model, horizon, grid_points, checkpoints=8):
-    """Running Cesaro average of D_t on a uniform grid over [h/2, h].
+def _window_average(model, horizon, grid_points, checkpoints=8):
+    """Average of D_t on the left-Riemann grid t_k = h/2 + k*h/(2*grid_points), k < grid_points.
 
-    The plateau residual is the max-abs distance between the final average
-    and the running average sampled at `checkpoints` positions in the last
-    half of the window.
+    Returns (average, plateau residual, m_est).  The plateau residual is the
+    max-abs distance between the final average and the running averages
+    after grid points m at `checkpoints` positions in the last half of the
+    window; m_est is the smallest D_t eigenvalue at t_0 and at the last
+    point of each of those running averages.  Every average is one closed
+    form through flow_averages.
     """
-    step = (horizon / 2.0) / grid_points
-    e_step = propagator(model.generator, step)
-    e_half = propagator(model.generator, horizon / 2.0)
-    d_k = e_half @ model.covariance @ e_half.T
-    acc = np.zeros_like(model.covariance)
-    snap_at = {grid_points // 2 + k * max(1, grid_points // (2 * checkpoints)) for k in range(checkpoints)}
-    snapshots = []
+    t0 = horizon / 2.0
+    step = t0 / grid_points
+    marks = [grid_points // 2 + k * max(1, grid_points // (2 * checkpoints)) for k in range(checkpoints)]
+    *running, final = flow_averages(model.generator, model.covariance, t0, step, marks + [grid_points])
+    residual = max((float(np.abs(s - final).max()) for s in running), default=0.0)
+    # spectral floor estimate sampled sparsely; it only guards the final SPD
+    # projection and need not be tight
     m_est = math.inf
-    for k in range(grid_points):
-        acc += d_k
-        if k == 0 or (k + 1) in snap_at:
-            # spectral floor estimate sampled sparsely; it only guards the
-            # final SPD projection and need not be tight
-            m_est = min(m_est, float(np.linalg.eigvalsh(symmetrize(d_k))[0]))
-        if (k + 1) in snap_at:
-            snapshots.append(acc / (k + 1))
-        if k + 1 < grid_points:
-            d_k = e_step @ d_k @ e_step.T
-    final = acc / grid_points
-    residual = max((float(np.abs(s - final).max()) for s in snapshots), default=0.0)
+    for k in [0] + [m - 1 for m in marks]:
+        e = propagator(model.generator, t0 + k * step)
+        m_est = min(m_est, float(np.linalg.eigvalsh(symmetrize(e @ model.covariance @ e.T))[0]))
     return symmetrize(final), residual, m_est
 
 

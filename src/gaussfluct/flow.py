@@ -153,10 +153,16 @@ class SigmaIntegral:
 
 def sigma_integral_matrix(model, t):
     """B_t in closed form; for t < 0 the oriented integral."""
-    t = float(t)
+    (b,) = sigma_integrals(model, [t])
+    return b
+
+
+def sigma_integrals(model, times):
+    """B_t for every t in times from one finite_gramian call."""
+    times = [float(t) for t in times]
     sig = sigma_matrix(model)
-    (b,) = finite_gramian(model.generator, sig.matrix, [t])
-    return SigmaIntegral(time=t, matrix=b, offset=t * sig.trace_D_sigma)
+    mats = finite_gramian(model.generator, sig.matrix, times)
+    return [SigmaIntegral(time=t, matrix=b, offset=t * sig.trace_D_sigma) for t, b in zip(times, mats)]
 
 
 def entropy_balance_defect(model, t):
@@ -165,9 +171,11 @@ def entropy_balance_defect(model, t):
     The integral is tr(D B_t) - t tr(D sigma), since tr(sigma D_s) equals
     tr(e^{sL'} sigma e^{sL} D); the defect is roundoff.
     """
-    fp = flow_point(model, t)
+    return _balance_defect(model, flow_point(model, t), sigma_integral_matrix(model, t))
+
+
+def _balance_defect(model, fp, b):
     ent = relative_entropy(GaussianPair(d1=model.covariance, d2=fp.covariance_t))
-    b = sigma_integral_matrix(model, t)
     return abs(ent + float(np.sum(model.covariance * b.matrix)) - b.offset)
 
 
@@ -175,19 +183,23 @@ FLOW_SCAN_COLUMNS = ("t", "trace_Dt", "lambda_min_Dt", "lambda_max_Dt", "mean_si
 
 
 def flow_scan(model, times):
-    """Rows of flow diagnostics over a list of times (see FLOW_SCAN_COLUMNS)."""
+    """Rows of flow diagnostics over a list of times (see FLOW_SCAN_COLUMNS).
+
+    Every B_t of the scan comes from one sigma_integrals call.
+    """
+    times = [float(t) for t in times]
     rows = []
-    for t in times:
-        fp = flow_point(model, float(t))
+    for t, b in zip(times, sigma_integrals(model, times)):
+        fp = flow_point(model, t)
         w = np.linalg.eigvalsh(fp.covariance_t)
         rows.append(
             (
-                float(t),
+                t,
                 float(np.trace(fp.covariance_t)),
                 float(w[0]),
                 float(w[-1]),
-                mean_entropy_production(model, float(t)),
-                entropy_balance_defect(model, float(t)),
+                mean_entropy_production(model, t),
+                _balance_defect(model, fp, b),
             )
         )
     return rows

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import gaussfluct as gf
 from gaussfluct import asymptotics as ga
+from gaussfluct._linalg import _eigenbasis, symmetrize
 from gaussfluct.renyi import domain_interval
 
 
@@ -63,6 +65,43 @@ class TestEstimateLimitCovariance:
         with pytest.raises(gf.PlateauError) as err:
             gf.estimate_limit_covariance(chain_model, horizon=10.0, grid_points=64, tol=1e-6)
         assert err.value.residual > 1e-6
+
+
+def _riemann_reference(model, horizon, grid_points=64, checkpoints=8):
+    """The window average point by point: one scipy expm per left-Riemann grid point."""
+    t0 = horizon / 2.0
+    step = t0 / grid_points
+    marks = {grid_points // 2 + k * max(1, grid_points // (2 * checkpoints)) for k in range(checkpoints)}
+    acc = np.zeros_like(model.covariance)
+    running = []
+    m_est = math.inf
+    for k in range(grid_points):
+        e = sla.expm((t0 + k * step) * model.generator)
+        d = e @ model.covariance @ e.T
+        acc += d
+        if k == 0 or k + 1 in marks:
+            m_est = min(m_est, float(np.linalg.eigvalsh(symmetrize(d))[0]))
+        if k + 1 in marks:
+            running.append(acc / (k + 1))
+    final = acc / grid_points
+    return symmetrize(final), max(float(np.abs(s - final).max()) for s in running), m_est
+
+
+def _jordan_model():
+    return gf.Model(dim=2, generator=np.array([[-1.0, 1.0], [0.0, -1.0]]), covariance=np.eye(2))
+
+
+class TestWindowAverage:
+    @pytest.mark.parametrize("horizon", [12.0, -12.0])
+    @pytest.mark.parametrize("name", ["nonnormal_model", "chain_model", "jordan"])
+    def test_matches_riemann_reference(self, request, name, horizon):
+        model = _jordan_model() if name == "jordan" else request.getfixturevalue(name)
+        assert (_eigenbasis(model.generator) is None) == (name == "jordan")
+        d_plus, residual, m_est = ga._window_average(model, horizon, 64)
+        ref_d, ref_residual, ref_m = _riemann_reference(model, horizon)
+        assert np.abs(d_plus - ref_d).max() <= 1e-12 * np.abs(ref_d).max()
+        assert abs(residual - ref_residual) <= 1e-12 * abs(ref_residual)
+        assert abs(m_est - ref_m) <= 1e-12 * abs(ref_m)
 
 
 class TestSteadyEntropyProduction:
