@@ -300,7 +300,7 @@ def _modal_parts(generator):
 
 
 def _real_product(a, b):
-    """Re(a @ b) in two real products."""
+    """Re(a @ b) in two real products; the copies give BLAS contiguous operands."""
     return a.real.copy() @ b.real.copy() - a.imag.copy() @ b.imag.copy()
 
 

@@ -5,8 +5,8 @@ are estimated by Cesaro averaging of D_t over the second half of a horizon,
 with a plateau residual as the quality diagnostic.  The average over the
 uniform grid is closed form: one Hadamard product with a geometric kernel in
 the generator's cached eigenbasis (_linalg.flow_averages), and a walk along
-the grid only for a generator whose eigenbasis fails the conditioning gate.  The limiting functional
-e(alpha) is assembled from the spectral data of
+the grid only for a generator whose eigenbasis fails the conditioning gate.
+The limiting functional e(alpha) is assembled from the spectral data of
 Q = D-^{1/2} (D-^{-1} - D+^{-1}) D-^{1/2} weighted by the entropy production
 matrix, and is represented as the logarithmic potential of a finite signed
 atom measure.

@@ -1,3 +1,5 @@
+import sys
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -121,6 +123,30 @@ class TestBasisCache:
         assert basis is not None
         assert 2.0 <= basis.kappa <= 2.3
         assert _eigenbasis(JORDAN) is None
+
+
+    def test_concurrent_callers_decompose_once(self, fresh_bases, chain_model):
+        results = [None] * 8
+        start = threading.Barrier(len(results))
+
+        def call(k):
+            start.wait()
+            results[k] = propagator(chain_model.generator, 2.0)
+
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert fresh_bases == [(chain_model.dim, chain_model.dim)]
+        assert all(np.array_equal(r, results[0]) for r in results)
+        assert modal_basis_info()["hits"] == len(results) - 1
 
 
 class TestOneDecompositionPerBlock:
