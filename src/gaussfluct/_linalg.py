@@ -307,7 +307,7 @@ def _real_product(a, b):
 def _modal_congruences(parts, x, kernels, integral=False):
     """For each kernel f, the matrix whose (a, b) block is Re P_a [(R_a x_ab R_b') o f(z_ab)] P_b'.
 
-    z_ab = lambda_a + lambda_b' over the eigenvalues of blocks a and b.
+    z_ab[j, k] = lambda_a[j] + lambda_b[k] over the eigenvalues of blocks a and b.
     (P, R) = (V, V^-1) carries x along the flow, and (V^-T, V') gives the
     time integral (integral=True).
     """
