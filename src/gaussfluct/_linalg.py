@@ -90,11 +90,6 @@ def symmetrize(a):
     return 0.5 * (a + a.T)
 
 
-def spd_cholesky(mat):
-    """Lower Cholesky factor; LinAlgError if mat is not positive definite."""
-    return np.linalg.cholesky(mat)
-
-
 def spd_inverse(mat):
     """Inverse of an SPD matrix through its Cholesky factorization."""
     c, low = sla.cho_factor(mat, lower=True, check_finite=False)
@@ -113,27 +108,6 @@ def spd_sqrt(mat):
             f"matrix not positive definite (lambda_min = {w[0]:.3e})"
         )
     return symmetrize((v * np.sqrt(w)) @ v.T)
-
-
-def try_chol_logdet(mat, pivot_floor_rel=1e-13):
-    """Attempt a Cholesky factorization; return (ok, logdet).
-
-    ok is False when the factorization fails or any squared pivot falls below
-    pivot_floor_rel times the max-abs entry of mat.  logdet is None in that
-    case.  The pivot floor keeps barely-positive pencils from being counted
-    as interior points of a positivity domain.
-    """
-    try:
-        c = sla.cholesky(mat, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        return False, None
-    except sla.LinAlgError:
-        return False, None
-    piv = np.diagonal(c)
-    floor = pivot_floor_rel * max(np.abs(mat).max(), 1e-300)
-    if (piv * piv).min() < floor:
-        return False, None
-    return True, 2.0 * float(np.sum(np.log(piv)))
 
 
 # The modal route carries Q into the eigenbasis and back through V and V^-1,

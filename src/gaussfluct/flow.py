@@ -3,11 +3,12 @@
 The central objects are the flow points (t, e^{tL}, D_t, T_t) with
 T_t = D_t^-1 - D^-1, and the time integral B_t = int_0^t e^{sL'} sigma e^{sL} ds
 of the entropy production, in closed form from one eigendecomposition of L.
-Log-determinants go through Cholesky factorizations of symmetric positive
-definite pencils, and a failed Cholesky raises: for a flow point, whose
-pencil I + K_t is positive by construction, it means an inaccurate matrix
-exponential.  No domain is decided here; renyi reads the finite-time
-domains from the spectrum of whitened_T.
+Each flow point keeps the spectrum of K_t = D^{1/2} T_t D^{1/2}, computed
+once; its log-determinant and relative entropy are sums over that spectrum.
+I + K_t = D^{1/2} D_t^-1 D^{1/2} is positive by construction, so an
+eigenvalue at or below -1 raises: it means an inaccurate matrix exponential.
+No domain is decided here; renyi reads the finite-time domains from the
+same spectrum.
 """
 
 import weakref
@@ -22,17 +23,17 @@ from ._linalg import (
     spd_inverse,
     spd_sqrt,
     symmetrize,
-    try_chol_logdet,
 )
 from .model import Model, covariance_inverse, covariance_sqrt, sigma_matrix
 
 
 @dataclass(frozen=True, eq=False)
 class FlowPoint:
-    """Propagator, flowed covariance and relative operator at one time.
+    """Propagator, flowed covariance, relative operator and pencil spectrum at one time.
 
-    whitened_T is D^{1/2} T_t D^{1/2}; its spectrum encodes the finite-time
-    positivity domain.  logdet_term is 0.5*logdet(I + D T_t), which vanishes
+    spectrum holds the ascending eigenvalues lambda_i of K_t = D^{1/2} T_t D^{1/2},
+    which encode the finite-time positivity domain.  logdet_term is
+    0.5*logdet(I + D T_t) = 0.5*sum log1p(lambda_i), which vanishes
     identically for time-reversal invariant models (det D_t = det D).
     """
 
@@ -40,21 +41,22 @@ class FlowPoint:
     propagator: np.ndarray
     covariance_t: np.ndarray
     relative_T: np.ndarray
-    whitened_T: np.ndarray
+    spectrum: np.ndarray
     logdet_term: float
 
 
 @dataclass(frozen=True)
 class GaussianPair:
-    """Two SPD covariances and their relative operator T = d2^-1 - d1^-1."""
+    """Two SPD covariances d1 and d2."""
 
     d1: np.ndarray
     d2: np.ndarray
-    rel_T: np.ndarray = None
 
-    def __post_init__(self):
+    @property
+    def rel_T(self):
+        """The relative operator T = d2^-1 - d1^-1."""
         t = spd_inverse(np.asarray(self.d2, float)) - spd_inverse(np.asarray(self.d1, float))
-        object.__setattr__(self, "rel_T", symmetrize(t))
+        return symmetrize(t)
 
 
 # FlowPoint cache: per model, keyed by exact-bit time.  Values are immutable
@@ -62,37 +64,36 @@ class GaussianPair:
 _flow_cache: "weakref.WeakKeyDictionary[Model, dict]" = weakref.WeakKeyDictionary()
 
 
-def flow_point(model, t, cache=True):
+def flow_point(model, t):
     """Compute (or fetch) the flow point of a model at time t."""
     t = float(t)
     per_model = _flow_cache.get(model)
     if per_model is None:
         per_model = {}
         _flow_cache[model] = per_model
-    if cache and t in per_model:
+    if t in per_model:
         return per_model[t]
 
     e = propagator(model.generator, t)
     cov_t = symmetrize(e @ model.covariance @ e.T)
     rel = symmetrize(spd_inverse(cov_t) - covariance_inverse(model))
     dsq = covariance_sqrt(model)
-    k = symmetrize(dsq @ rel @ dsq)
-    ok, logdet = try_chol_logdet(np.eye(model.dim) + k)
-    if not ok:
+    lam = np.linalg.eigvalsh(symmetrize(dsq @ rel @ dsq))
+    if not lam[0] > -1.0:
         # impossible for a genuine flow pair: I + K_t = D^{1/2} D_t^-1 D^{1/2} > 0
         raise AccuracyError(
-            f"I + D^(1/2) T_t D^(1/2) failed Cholesky at t={t}; matrix exponential inaccurate"
+            f"I + D^(1/2) T_t D^(1/2) is not positive definite at t={t}; "
+            "matrix exponential inaccurate"
         )
     fp = FlowPoint(
         time=t,
         propagator=e,
         covariance_t=cov_t,
         relative_T=rel,
-        whitened_T=k,
-        logdet_term=0.5 * logdet,
+        spectrum=lam,
+        logdet_term=0.5 * float(np.sum(np.log1p(lam))),
     )
-    if cache:
-        per_model[t] = fp
+    per_model[t] = fp
     return fp
 
 
@@ -105,7 +106,7 @@ def cocycle_defect(model, s, t):
     fp_ts = flow_point(model, s + t)
     fp_t = flow_point(model, t)
     fp_s = flow_point(model, s)
-    e_minus_t = flow_point(model, -t).propagator
+    e_minus_t = propagator(model.generator, -t)
     pulled = e_minus_t.T @ fp_s.relative_T @ e_minus_t
     return float(np.abs(fp_ts.relative_T - fp_t.relative_T - pulled).max())
 
@@ -128,18 +129,19 @@ def relative_entropy(pair):
     """Relative entropy of the d2-Gaussian w.r.t. the d1-Gaussian.
 
     Equals 0.5*tr(D1 T (I + D1 T)^-1) - 0.5*logdet(I + D1 T); always <= 0,
-    zero iff d1 = d2.  Evaluated through the symmetric pencil
-    I + K = D1^{1/2} d2^-1 D1^{1/2} for stability.
+    zero iff d1 = d2.  Evaluated from the eigenvalues lambda of the symmetric
+    pencil K = D1^{1/2} T D1^{1/2} as 0.5*sum(lambda/(1 + lambda) - log1p(lambda)).
     """
-    d1 = np.asarray(pair.d1, dtype=float)
-    d1sq = spd_sqrt(d1)
-    k = symmetrize(d1sq @ pair.rel_T @ d1sq)
-    eye = np.eye(d1.shape[0])
-    ok, logdet = try_chol_logdet(eye + k)
-    if not ok:
+    d1sq = spd_sqrt(np.asarray(pair.d1, dtype=float))
+    lam = np.linalg.eigvalsh(symmetrize(d1sq @ pair.rel_T @ d1sq))
+    if not lam[0] > -1.0:
         raise np.linalg.LinAlgError("I + D1^(1/2) T D1^(1/2) is not positive definite")
-    trace_term = float(np.trace(np.linalg.solve(eye + k, k)))
-    return 0.5 * trace_term - 0.5 * logdet
+    return _relative_entropy(lam)
+
+
+def _relative_entropy(lam):
+    """0.5*sum(lambda/(1 + lambda) - log1p(lambda)) over the spectrum of K."""
+    return 0.5 * float(np.sum(lam / (1.0 + lam) - np.log1p(lam)))
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,7 @@ def entropy_balance_defect(model, t):
 
 
 def _balance_defect(model, fp, b):
-    ent = relative_entropy(GaussianPair(d1=model.covariance, d2=fp.covariance_t))
+    ent = _relative_entropy(fp.spectrum)  # Ent(D_t | D) from the spectrum of K_t
     return abs(ent + float(np.sum(model.covariance * b.matrix)) - b.offset)
 
 

@@ -3,11 +3,12 @@
 e_t(alpha) = alpha*l_t - 0.5*sum_i log1p(alpha*lambda_i), with l_t =
 0.5*logdet(I + D T_t) and lambda_i the eigenvalues of K_t = D^{1/2} T_t D^{1/2};
 e_{t+} is the same with alpha -> -alpha and K+_t = D+^{1/2} T_t D+^{1/2}.  Each
-spectrum is computed once per flow point and reference state and kept as an
-EntropicFunctional, the log-potential alpha*c - sum_k w_k log(1 - alpha*q_k)
-with c = +-l_t, atoms q = -+lambda and w = 1/2.  The domain (the open
-interval where every 1 - alpha*q_k > 0), the value, e' and e'' at every alpha
-are read from it.  Outside that interval the value is IEEE +inf.
+is an EntropicFunctional, the log-potential alpha*c - sum_k w_k log(1 - alpha*q_k)
+with c = +-l_t, atoms q = -+lambda and w = 1/2, built from one spectrum: e_t
+from the spectrum of K_t that the flow point keeps, e_{t+} from a spectrum of
+K+_t computed once per flow point and D+.  The domain (the open interval
+where every 1 - alpha*q_k > 0), the value, e' and e'' at every alpha are
+read from it.  Outside that interval the value is IEEE +inf.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ from .model import DomainError
 
 LOGDET_G4_TOL = 1e-8        # |0.5 logdet(I + D T_t)| cap under time reversal
 SYMMETRY_RTOL = 1e-6        # relative agreement of delta_t from both spectrum ends
-ZERO_PENCIL_FLOOR = 1e-12   # pencils this small are roundoff of T_t = 0
+ZERO_PENCIL_FLOOR = 1e-12   # pencil spectra this small are roundoff of T_t = 0
 
 
 @dataclass(frozen=True)
@@ -100,63 +101,57 @@ class EntropicFunctional:
         return float(np.sum(self.w * self._poles(alpha) ** 2))
 
 
-def _functional(l, k, sign, meta):
-    """sign*alpha*l - 0.5*sum log1p(sign*alpha*lam) with lam the eigenvalues of K.
+def _functional(l, lam, sign, meta):
+    """sign*alpha*l - 0.5*sum log1p(sign*alpha*lam) with lam the eigenvalues of a pencil K.
 
-    The atoms are q = -sign*lam; there are none (and l is 0) when K is
-    roundoff of zero, so that the functional vanishes on the whole line.
+    The atoms are q = -sign*lam; there are none (and l is 0) when the
+    spectral norm max|lam| of K is roundoff of zero, so that the functional
+    vanishes on the whole line.
     """
-    if float(np.abs(k).max()) <= ZERO_PENCIL_FLOOR:
+    if float(np.abs(lam).max()) <= ZERO_PENCIL_FLOOR:
         # flow-invariant measure: omega_t = omega, the functional vanishes
         l, q = 0.0, np.empty(0)
     else:
-        q = -sign * np.linalg.eigvalsh(k)
+        q = -sign * lam
     kind = "reference" if sign > 0 else "ness"
     return EntropicFunctional(c=sign * l, q=q, w=0.5, domain=_atom_domain(q, kind), meta=meta)
 
 
-# Functionals held weakly per flow point, then per reference state:
-# "reference" (the model's D) or the shape and SHA-256 of D+'s bytes.  An
-# entry holds n atoms, never an n x n matrix; builds run under the lock, so
-# one key is factorized once even by concurrent callers.
+def _reference_functional(fp):
+    return _functional(fp.logdet_term, fp.spectrum, 1.0, "finite-time-reference")
+
+
+# NESS functionals held weakly per flow point, then per D+, keyed by the
+# shape and SHA-256 of its bytes.  An entry holds n atoms, never an n x n
+# matrix; builds run under the lock, so one key is factorized once even by
+# concurrent callers.
 _spectra: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _spectra_lock = threading.Lock()
 _spectra_counts = {"hits": 0, "misses": 0}
 
 
-def _cached_functional(fp, key, build):
+def _ness_functional(fp, d_plus):
+    d_plus = np.ascontiguousarray(d_plus, dtype=float)
+    key = (d_plus.shape, hashlib.sha256(d_plus).hexdigest())
     with _spectra_lock:
         per_point = _spectra.setdefault(fp, {})
         efn = per_point.get(key)
-        if efn is None:
-            efn = per_point[key] = build()
-            _spectra_counts["misses"] += 1
-        else:
+        if efn is not None:
             _spectra_counts["hits"] += 1
-        return efn
-
-
-def _reference_functional(fp):
-    return _cached_functional(fp, "reference", lambda: _functional(
-        fp.logdet_term, fp.whitened_T, 1.0, "finite-time-reference"))
-
-
-def _ness_functional(fp, d_plus):
-    d_plus = np.ascontiguousarray(d_plus, dtype=float)
-
-    def build():
+            return efn
         if np.array_equal(d_plus, np.eye(d_plus.shape[0])):
             k = fp.relative_T
         else:
             dpsq = spd_sqrt(d_plus)
             k = symmetrize(dpsq @ fp.relative_T @ dpsq)
-        return _functional(fp.logdet_term, k, -1.0, "finite-time-ness")
-
-    return _cached_functional(fp, (d_plus.shape, hashlib.sha256(d_plus).hexdigest()), build)
+        efn = per_point[key] = _functional(fp.logdet_term, np.linalg.eigvalsh(k), -1.0,
+                                           "finite-time-ness")
+        _spectra_counts["misses"] += 1
+        return efn
 
 
 def spectral_cache_info():
-    """Hits and misses since import, and the live entries and their bytes."""
+    """Hits and misses of the NESS spectra since import, and the live entries and their bytes."""
     with _spectra_lock:
         efns = [f for per_point in _spectra.values() for f in per_point.values()]
         return {**_spectra_counts, "entries": len(efns), "bytes": sum(f.q.nbytes for f in efns)}
@@ -223,7 +218,7 @@ def renyi_entropy_ness(model, t, alpha, d_plus):
 
 
 def reference_functional(model, t):
-    """e_t with its domain J_t: the cached EntropicFunctional of (t, D)."""
+    """e_t with its domain J_t, built from the spectrum the flow point keeps."""
     domain_interval(model, t)  # warns when J_t is not symmetric about 1/2
     fp = flow_point(model, t)
     _check_logdet_term(model, fp)

@@ -119,6 +119,12 @@ class TestRelativeEntropy:
         assert val == pytest.approx(oracle, abs=1e-9)
         assert val == pytest.approx(-0.5 + 0.5 * math.log(2.0), abs=1e-12)
 
+    def test_pair_computes_its_relative_operator(self):
+        d1, d2 = np.diag([1.0, 2.0]), np.diag([4.0, 0.5])
+        assert np.allclose(GaussianPair(d1=d1, d2=d2).rel_T, np.diag([-0.75, 1.5]), atol=1e-15)
+        with pytest.raises(TypeError):
+            GaussianPair(d1=d1, d2=d2, rel_T=np.zeros((2, 2)))
+
     def test_nonpositive_for_random_pairs(self):
         rng = np.random.default_rng(7)
         for _ in range(1000):
@@ -158,6 +164,15 @@ def test_logdet_term_derivative_matches_trace(nonnormal_model):
     h = 1e-5
     deriv = (gf.flow_point(model, h).logdet_term - gf.flow_point(model, -h).logdet_term) / (2 * h)
     assert deriv == pytest.approx(-tr_d_sigma, rel=1e-6)
+
+
+def test_logdet_term_is_liouville(nonnormal_model):
+    # det D_t = e^{2t tr L} det D, so 0.5 logdet(I + D T_t) = -t tr L exactly
+    model = nonnormal_model
+    tr_l = float(np.trace(model.generator))
+    for t in (-2.0, 0.5, 3.0):
+        term = gf.flow_point(model, t).logdet_term
+        assert abs(term + t * tr_l) <= 1e-10 * max(1.0, abs(t * tr_l))
 
 
 def test_flow_scan_csv(tmp_path, chain_model):

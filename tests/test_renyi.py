@@ -195,7 +195,7 @@ def test_alpha_scan_csv(tmp_path, toy_model):
 
 
 # ---------------------------------------------------------------------------
-# spectral cache: one factorization per (flow point, reference state)
+# spectra: one factorization per flow point and one per (flow point, D+)
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -249,20 +249,26 @@ class TestSpectralCache:
 
     def test_one_factorization_per_key(self, factorizations):
         model, oracle = fresh_toy(n=64)
-        times = (1.0, 5.0, 2.0, 3.0)
-        for t in times:
-            gf.flow_point(model, t)  # the flow layer is not counted here
+        gf.flow_point(model, 1.0)  # the model's D^{1/2} costs one eigh, once
         factorizations.update(eigvalsh=0, eigh=0, cholesky=0)
+        for t in (5.0, 2.0, 3.0):
+            gf.flow_point(model, t)
+            # a cold flow point: one eigvalsh of K_t and no Cholesky
+            assert factorizations == {"eigvalsh": 1, "eigh": 0, "cholesky": 0}
+            factorizations.update(eigvalsh=0)
         alphas = np.linspace(-0.5, 1.5, 21)
         for a in alphas:
             gf.renyi_entropy(model, 1.0, a)
-        assert factorizations == {"eigvalsh": 1, "eigh": 0, "cholesky": 0}
+        gf.domain_interval(model, 5.0)
+        renyi.alpha_scan(reference_functional(model, 2.0), alphas)
+        gf.entropy_balance_defect(model, 3.0)
+        # the reference functional and the entropy balance read the flow point's spectrum
+        assert factorizations == {"eigvalsh": 0, "eigh": 0, "cholesky": 0}
         for a in alphas:
             gf.renyi_entropy_ness(model, 5.0, a, oracle.d_plus())
-        assert factorizations == {"eigvalsh": 2, "eigh": 0, "cholesky": 0}
-        renyi.alpha_scan(reference_functional(model, 2.0), alphas)
+        assert factorizations == {"eigvalsh": 1, "eigh": 0, "cholesky": 0}
         renyi.alpha_scan(renyi.ness_functional(model, 3.0, oracle.d_plus()), alphas)
-        assert factorizations == {"eigvalsh": 4, "eigh": 0, "cholesky": 0}
+        assert factorizations == {"eigvalsh": 2, "eigh": 0, "cholesky": 0}
 
     def test_scan_of_a_built_functional_reads_no_cache(self):
         model, oracle = fresh_toy()
@@ -287,8 +293,12 @@ class TestSpectralCache:
         start = renyi.spectral_cache_info()
         assert set(start) == {"hits", "misses", "entries", "bytes"}
         gf.renyi_entropy(model, 2.0, 0.5)
-        gf.renyi_entropy(model, 2.0, 0.25)
-        gf.domain_interval_ness(model, 2.0, oracle.d_plus())
+        gf.domain_interval(model, 2.0)
+        # the reference functional is read from the flow point, not the cache
+        assert renyi.spectral_cache_info() == start
+        gf.renyi_entropy_ness(model, 2.0, 0.5, oracle.d_plus())
+        gf.renyi_entropy_ness(model, 2.0, 0.25, oracle.d_plus())
+        gf.domain_interval_ness(model, 2.0, 2.0 * oracle.d_plus())
         info = renyi.spectral_cache_info()
         assert info["misses"] - start["misses"] == 2
         assert info["hits"] - start["hits"] == 1
@@ -304,10 +314,11 @@ class TestSpectralCache:
         from concurrent.futures import ThreadPoolExecutor
 
         def evaluate(model, oracle, pool):
+            # two NESS keys: D+ = I and a general D+, which needs one square root
             d_plus = oracle.d_plus()
             jobs = [(gf.renyi_entropy, (model, 3.0, a)) for a in np.linspace(-0.5, 1.5, 24)]
-            jobs += [(gf.renyi_entropy_ness, (model, 3.0, a, d_plus))
-                     for a in np.linspace(-1.0, 1.0, 24)]
+            jobs += [(gf.renyi_entropy_ness, (model, 3.0, a, d))
+                     for a in np.linspace(-1.0, 1.0, 24) for d in (d_plus, 0.5 * d_plus)]
             if pool is None:
                 return [fn(*args) for fn, args in jobs]
             futures = [pool.submit(fn, *args) for fn, args in jobs]
@@ -328,9 +339,10 @@ class TestSpectralCache:
         finally:
             sys.setswitchinterval(interval)
         info = renyi.spectral_cache_info()
-        assert factorizations == {"eigvalsh": 2, "eigh": 0, "cholesky": 0}
+        assert factorizations == {"eigvalsh": 2, "eigh": 1, "cholesky": 0}
         assert info["misses"] - start["misses"] == 2
-        assert info["hits"] - start["hits"] == len(threaded) - 2
+        # the 24 reference calls read the flow point and leave the cache alone
+        assert info["hits"] - start["hits"] == len(threaded) - 24 - 2
         assert [np.float64(v).tobytes() for v in threaded] == [np.float64(v).tobytes() for v in serial]
 
 
