@@ -9,6 +9,11 @@ Reproducibility contract: draw i is generated from a counter-based stream
 keyed by (seed, i) alone, chunks have a fixed size, and reductions combine
 fixed-order per-chunk partials, so results are bit-identical for any worker
 count.
+
+The stream is Philox (Salmon et al., SC'11): one bit generator per call of
+_draw_rows, keyed by the seed, whose counter is reset to i * 2**64 with an
+empty buffer before row i is drawn. Row i therefore has exactly the bits of
+a fresh Philox(key=seed, counter=i * 2**64) without the cost of building one.
 """
 
 import math
@@ -24,19 +29,36 @@ from .flow import flow_point, sigma_integral_matrix
 from .renyi import domain_interval
 
 CHUNK = 4096                    # fixed chunk size; part of the determinism contract
-_COUNTER_STRIDE = 1 << 64       # Philox counter blocks reserved per draw
 
 MGF_DOMAIN_MARGIN = 0.05        # required relative distance of alpha from the J_t boundary
 
 
 def _draw_rows(seed, start, stop, dim):
     """Standard normal rows for draws [start, stop); row i depends only on (seed, i)."""
-    key = int(seed) & ((1 << 128) - 1)
+    bg = np.random.Philox(key=int(seed) & ((1 << 128) - 1))
+    gen = np.random.Generator(bg)
+    state = bg.state
+    state.update(buffer_pos=4, has_uint32=0)    # empty buffer, no cached uint32
+    counter = state["state"]["counter"]         # 4 uint64 words, least significant first
     out = np.empty((stop - start, dim))
     for i in range(start, stop):
-        bg = np.random.Philox(key=key, counter=i * _COUNTER_STRIDE)
-        out[i - start] = np.random.Generator(bg).standard_normal(dim)
+        counter[1] = i                          # counter = i * 2**64
+        bg.state = state
+        out[i - start] = gen.standard_normal(dim)
     return out
+
+
+def _check_count(count, least):
+    if count < least:
+        raise ValueError(f"count = {count} is below the minimum of {least} draws")
+
+
+def _cov_factor(cov):
+    """Lower Cholesky factor of a sampling covariance; DomainError unless it is SPD."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise DomainError("covariance is not positive definite") from None
 
 
 def _chunks(count):
@@ -63,8 +85,9 @@ def quad_form_samples(cov, mats, seed, count, workers=1):
     Covariance factorization: x = C z with C the lower Cholesky factor, so
     (x, M x) = (z, C'MC z); the conjugated forms are precomputed once.
     """
+    _check_count(count, 1)
     cov = np.asarray(cov, dtype=float)
-    chol = np.linalg.cholesky(cov)
+    chol = _cov_factor(cov)
     dim = cov.shape[0]
     ws = [chol.T @ np.asarray(m, float) @ chol for m in mats]
     out = np.empty((count, len(ws)))
@@ -95,11 +118,9 @@ def sample_gaussian(cov, seed, count, workers=1, keep_draws=True):
     Statistics are combined from fixed-order per-chunk partials with
     compensated summation, so they are bit-identical for any worker count.
     """
+    _check_count(count, 1)
     cov = np.asarray(cov, dtype=float)
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise DomainError("covariance is not positive definite")
+    chol = _cov_factor(cov)
     dim = cov.shape[0]
     draws = np.empty((count, dim)) if keep_draws else None
     nchunks = len(_chunks(count))
@@ -147,6 +168,7 @@ def empirical_mgf(model, t, alpha, seed, count, workers=1, enforce_domain=True):
     diverges with the sample count by design).  Exponents are max-shifted
     before exponentiation.
     """
+    _check_count(count, 2)
     if enforce_domain:
         dom = domain_interval(model, t)
         if not dom.contains(alpha, margin=MGF_DOMAIN_MARGIN):
@@ -195,7 +217,7 @@ def slln_trajectory(model, measure, horizon, seed, d_plus=None, n_points=24):
     if measure == "ness" and d_plus is None:
         raise ValueError("measure='ness' needs the stationary covariance d_plus")
     cov = model.covariance if measure == "reference" else np.asarray(d_plus, float)
-    x = (_draw_rows(seed, 0, 1, model.dim) @ np.linalg.cholesky(cov).T)[0]
+    x = (_draw_rows(seed, 0, 1, model.dim) @ _cov_factor(cov).T)[0]
     tr_term = sigma_matrix(model).trace_D_sigma
     series = []
     for t_k, b_k in _slln_kernel(model, horizon, n_points):
@@ -260,6 +282,7 @@ def write_histogram_csv(path, report):
 
 def trace_identity_report(cov, seed, count, n_mats=10, workers=1):
     """z-scores of mean (x, A x) against tr(cov A) for seeded random symmetric A."""
+    _check_count(count, 2)
     cov = np.asarray(cov, dtype=float)
     dim = cov.shape[0]
     rng = np.random.default_rng(int(seed) ^ 0x5EED)
@@ -277,6 +300,7 @@ def trace_identity_report(cov, seed, count, n_mats=10, workers=1):
 
 def change_of_measure_report(model, t, seed, count, workers=1):
     """Normalization E_omega[exp(ell_t(x))] = 1 as a z-scored estimate."""
+    _check_count(count, 2)
     fp = flow_point(model, t)
     vals = quad_form_samples(model.covariance, [fp.relative_T], seed, count, workers)[:, 0]
     w = np.exp(fp.logdet_term - 0.5 * vals)
@@ -292,8 +316,9 @@ def propagated_sample_cov_defect(model, cov, t, seed, count, workers=1):
     For cov close to the stationary covariance this quantifies empirical
     invariance of the flow.
     """
+    _check_count(count, 1)
     cov = np.asarray(cov, dtype=float)
-    chol = np.linalg.cholesky(cov)
+    chol = _cov_factor(cov)
     e_t = propagator(model.generator, t).T  # rows are propagated by right-multiplication
     dim = cov.shape[0]
     nchunks = len(_chunks(count))

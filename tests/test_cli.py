@@ -134,6 +134,11 @@ def test_mc_subchecks(chain_file, tmp_path):
     assert len(doc["trace_identity"]) == 10
 
 
+def test_mc_single_draw_exits_one(chain_file, capsys):
+    assert main(["mc", "--model", chain_file, "--n", "1"]) == 1
+    assert "count = 1" in capsys.readouterr().err
+
+
 def test_mc_reproducible(chain_file, tmp_path, capsys):
     argv = ["mc", "--model", chain_file, "--checks", "mgf", "--n", "2000",
             "--t", "4", "--alpha", "0.2", "--seed", "7"]

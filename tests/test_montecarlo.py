@@ -10,6 +10,38 @@ from gaussfluct._linalg import AccuracyError, _eigenbasis, _van_loan_gramian, fi
 from gaussfluct.model import DomainError
 
 
+def _reference_rows(seed, start, stop, dim):
+    """The stream by definition: a fresh Philox(key=seed, counter=i * 2**64) for row i."""
+    key = int(seed) & ((1 << 128) - 1)
+    rows = [np.random.Generator(np.random.Philox(key=key, counter=i << 64)).standard_normal(dim)
+            for i in range(start, stop)]
+    return np.array(rows)
+
+
+class TestDrawStream:
+    @pytest.mark.parametrize("seed", [0, 42, -3, 2**127 + 5])
+    @pytest.mark.parametrize("start", [0, 10, mc.CHUNK])
+    @pytest.mark.parametrize("dim", [1, 514])
+    def test_rows_match_per_row_construction(self, seed, start, dim):
+        rows = mc._draw_rows(seed, start, start + 37, dim)
+        assert rows.shape == (37, dim)
+        assert rows.tobytes() == _reference_rows(seed, start, start + 37, dim).tobytes()
+
+    def test_one_philox_per_call(self, monkeypatch):
+        made = []
+        real = np.random.Philox
+
+        def counting(*args, **kwargs):
+            made.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        mc._draw_rows(42, 0, mc.CHUNK, 8)
+        assert len(made) == 1
+        mc._draw_rows(42, mc.CHUNK, mc.CHUNK + 5, 8)
+        assert len(made) == 2
+
+
 class TestSampling:
     def test_identity_covariance_statistics(self):
         batch = gf.sample_gaussian(np.eye(32), seed=42, count=100_000, workers=2)
@@ -33,6 +65,22 @@ class TestSampling:
         b = mc.quad_form_samples(chain_model.covariance, [sig], seed=7, count=500, workers=4)
         assert a.tobytes() == b.tobytes()
 
+    def test_multi_chunk_deterministic_across_workers(self, chain_model, chain_mid, chain_mid_limits):
+        # three chunks, the last one short: every worker count runs them in its own order
+        count = 2 * mc.CHUNK + 17
+        sig = gf.sigma_matrix(chain_model).matrix
+        model, _ = chain_mid
+        results = []
+        for workers in (1, 2, 3):
+            quad = mc.quad_form_samples(chain_model.covariance, [sig], seed=7, count=count,
+                                        workers=workers)
+            batch = gf.sample_gaussian(model.covariance, seed=7, count=count, workers=workers)
+            defect = mc.propagated_sample_cov_defect(model, chain_mid_limits.d_plus, 10.0, seed=7,
+                                                     count=count, workers=workers)
+            results.append((quad.tobytes(), batch.draws.tobytes(), batch.mean.tobytes(),
+                            batch.variance.tobytes(), defect))
+        assert results[0] == results[1] == results[2]
+
     def test_trace_identity(self, chain_model):
         rows = mc.trace_identity_report(chain_model.covariance, seed=11, count=20_000, n_mats=10)
         assert all(abs(r["z_score"]) <= 4.0 for r in rows)
@@ -40,6 +88,46 @@ class TestSampling:
     def test_non_spd_rejected(self):
         with pytest.raises(DomainError):
             gf.sample_gaussian(np.diag([1.0, -1.0]), seed=0, count=10)
+
+    @pytest.mark.parametrize("entry", ["quad_form_samples", "clt_sample", "slln_trajectory",
+                                       "propagated_sample_cov_defect"])
+    def test_non_spd_rejected_by_every_sampler(self, entry):
+        bad = np.diag([1.0, -1.0])
+        model = _jordan_model()
+        calls = {
+            "quad_form_samples": lambda: mc.quad_form_samples(bad, [np.eye(2)], seed=0, count=10),
+            "clt_sample": lambda: gf.clt_sample(model, "ness", 1.0, seed=0, count=10, variance=1.0,
+                                                omega_bar=0.0, d_plus=bad),
+            "slln_trajectory": lambda: gf.slln_trajectory(model, "ness", horizon=2.0, seed=0,
+                                                          d_plus=bad),
+            "propagated_sample_cov_defect": lambda: mc.propagated_sample_cov_defect(
+                model, bad, 1.0, seed=0, count=10),
+        }
+        with pytest.raises(DomainError, match="not positive definite"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_empty_sample_rejected(self, count):
+        samplers = [
+            lambda: gf.sample_gaussian(np.eye(2), seed=0, count=count),
+            lambda: mc.quad_form_samples(np.eye(2), [np.eye(2)], seed=0, count=count),
+            lambda: mc.propagated_sample_cov_defect(_jordan_model(), np.eye(2), 1.0, seed=0,
+                                                    count=count),
+        ]
+        for sampler in samplers:
+            with pytest.raises(ValueError, match=f"count = {count} "):
+                sampler()
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_standard_error_needs_two_draws(self, chain_model, count):
+        estimators = [
+            lambda: mc.trace_identity_report(chain_model.covariance, seed=0, count=count),
+            lambda: mc.change_of_measure_report(chain_model, 1.0, seed=0, count=count),
+            lambda: gf.empirical_mgf(chain_model, 3.0, 0.1, seed=0, count=count),
+        ]
+        for estimator in estimators:
+            with pytest.raises(ValueError, match=f"count = {count} "):
+                estimator()
 
 
 def _jordan_model():
