@@ -53,10 +53,28 @@ def _connected_components(generator):
 
 
 def _blocks(generator):
-    """Index groups handled separately: the connected components from dimension 256 on."""
-    n = generator.shape[0]
-    groups = _connected_components(generator) if n >= 256 else None
-    return [np.arange(n)] if groups is None else groups
+    """[(idx, key)]: the index groups handled separately and the content key of each block.
+
+    The groups are the connected components from dimension 256 on.  The
+    partition is computed once per generator content and cached beside the
+    eigenbases, under the same bound and lock.
+    """
+    key = _content_key(generator)
+    with _bases_lock:
+        blocks = _partitions.get(key)
+        if blocks is None:
+            n = generator.shape[0]
+            groups = _connected_components(generator) if n >= 256 else None
+            if groups is None:
+                blocks = [(np.arange(n), key)]
+            else:
+                blocks = [(idx, _content_key(generator[np.ix_(idx, idx)])) for idx in groups]
+            _partitions[key] = blocks
+            while len(_partitions) > MODAL_CACHE_ENTRIES:
+                _partitions.popitem(last=False)
+        else:
+            _partitions.move_to_end(key)
+        return blocks
 
 
 def propagator(generator, t):
@@ -74,15 +92,15 @@ def propagator(generator, t):
         return np.eye(generator.shape[0])
     blocks = _blocks(generator)
     if len(blocks) == 1:
-        return _block_propagator(generator, t)
+        return _block_propagator(generator, blocks[0][1], t)
     out = np.zeros_like(generator)
-    for idx in blocks:
-        out[np.ix_(idx, idx)] = _block_propagator(generator[np.ix_(idx, idx)], t)
+    for idx, key in blocks:
+        out[np.ix_(idx, idx)] = _block_propagator(generator[np.ix_(idx, idx)], key, t)
     return out
 
 
-def _block_propagator(block, t):
-    basis = _eigenbasis(block)
+def _block_propagator(block, key, t):
+    basis = _eigenbasis(block, key)
     return sla.expm(t * block) if basis is None else basis.propagator(t)
 
 
@@ -214,25 +232,35 @@ def _decompose(block):
     return basis, kappa
 
 
-# Eigenbases keyed by the shape and SHA-256 of a block's bytes, so routing
-# depends on the block's content only and an array changed in place gets a
-# fresh basis.  At most MODAL_CACHE_ENTRIES entries live (least recently used
-# first out); builds run under the lock, so concurrent callers decompose a
-# block once.
+# Eigenbases and generator partitions keyed by the shape and SHA-256 of an
+# array's bytes, so routing depends on content only and an array changed in
+# place gets a fresh entry.  At most MODAL_CACHE_ENTRIES entries of each kind
+# live (least recently used first out); builds run under the lock, so
+# concurrent callers decompose a block or partition a generator once.
 MODAL_CACHE_ENTRIES = 8
 _bases = OrderedDict()
+_partitions = OrderedDict()
 _bases_lock = threading.Lock()
 _bases_counts = {"hits": 0, "misses": 0, "fallbacks": 0}
 
 
-def _eigenbasis(block):
-    """The cached ModalBasis of a generator block, or None when it fails the gate."""
+def _content_key(a):
+    a = np.ascontiguousarray(a, dtype=float)
+    return (a.shape, hashlib.sha256(a).hexdigest())
+
+
+def _eigenbasis(block, key=None):
+    """The cached ModalBasis of a generator block, or None when it fails the gate.
+
+    key is the block's _content_key, when the caller already has it.
+    """
     block = np.ascontiguousarray(block, dtype=float)
     if block.shape == (1, 1):
         one = np.ones((1, 1))
         return ModalBasis(lam=block[0].astype(complex), weight=np.ones(1), v_re=one,
                           v_im=0.0 * one, w_re=one, w_im=0.0 * one, kappa=1.0)
-    key = (block.shape, hashlib.sha256(block).hexdigest())
+    if key is None:
+        key = _content_key(block)
     with _bases_lock:
         entry = _bases.get(key)
         if entry is None:
@@ -265,8 +293,8 @@ def modal_basis_info():
 def _modal_parts(generator):
     """[(idx, Lambda, V, V^-1)] unfolded per block, or None when any block fails the gate."""
     parts = []
-    for idx in _blocks(generator):
-        basis = _eigenbasis(generator[np.ix_(idx, idx)])
+    for idx, key in _blocks(generator):
+        basis = _eigenbasis(generator[np.ix_(idx, idx)], key)
         if basis is None:
             return None
         parts.append((idx, *basis.unfolded()))

@@ -201,15 +201,26 @@ def _ness_limit_functional(model, lims, efn):
     return dataclasses.replace(efn, domain=renyi.DomainInterval(lower=lo, upper=hi, kind="ness"))
 
 
+# The least --n each check accepts: its sampler's minimum (slln draws no --n).
+MC_MIN_DRAWS = {"trace": 2, "com": 2, "mgf": 2, "slln": 0, "clt": 1}
+
+
 def cmd_mc(args):
-    model = load_model(args.model)
-    sig = sigma_matrix(model)
     if args.check:
         checks = [args.check]
     elif args.checks:
         checks = args.checks.split(",")
     else:
-        checks = ["trace", "com", "mgf", "slln", "clt"]
+        checks = list(MC_MIN_DRAWS)
+    unknown = [c for c in checks if c not in MC_MIN_DRAWS]
+    if unknown:
+        raise CliError(f"unknown check(s) {','.join(unknown)}; choose among {','.join(MC_MIN_DRAWS)}")
+    least = max(MC_MIN_DRAWS[c] for c in checks)
+    if args.n < least:
+        raise CliError(f"count = {args.n} (--n) is below the minimum of {least} draws "
+                       f"for check(s) {','.join(checks)}")
+    model = load_model(args.model)
+    sig = sigma_matrix(model)
     doc = {"seed": args.seed, "n": args.n, "workers": args.workers}
     lims = None
     if {"slln", "clt"} & set(checks):
@@ -341,8 +352,7 @@ def build_parser():
 
     p = sub.add_parser("mc", help="Monte Carlo cross-checks (trace, com, mgf, slln, clt)")
     common(p)
-    p.add_argument("check", nargs="?", default=None,
-                   choices=["trace", "com", "mgf", "slln", "clt"],
+    p.add_argument("check", nargs="?", default=None, choices=list(MC_MIN_DRAWS),
                    help="run a single check (default: all, or use --checks)")
     p.add_argument("--t", type=float, default=10.0, help="time for the MGF check")
     p.add_argument("--alpha", type=float, default=0.25)

@@ -1,18 +1,25 @@
 """Covariance flow, Radon-Nikodym log-density and Gaussian relative entropy.
 
 The central objects are the flow points (t, e^{tL}, D_t, T_t) with
-T_t = D_t^-1 - D^-1, and the time integral B_t = int_0^t e^{sL'} sigma e^{sL} ds
-of the entropy production, in closed form from one eigendecomposition of L.
-Each flow point keeps the spectrum of K_t = D^{1/2} T_t D^{1/2}, computed
-once; its log-determinant and relative entropy are sums over that spectrum.
-I + K_t = D^{1/2} D_t^-1 D^{1/2} is positive by construction, so an
-eigenvalue at or below -1 raises: it means an inaccurate matrix exponential.
-No domain is decided here; renyi reads the finite-time domains from the
-same spectrum.
+D_t = e^{tL} D e^{tL'} and T_t = D_t^-1 - D^-1, and the time integral
+B_t = int_0^t e^{sL'} sigma e^{sL} ds of the entropy production, in closed
+form from one eigendecomposition of L.
+
+A flow point is built from the propagator alone.  With the whitened
+propagator M = D^{-1/2} e^{tL} D^{1/2}, S_t = M M' = D^{-1/2} D_t D^{-1/2} is
+the inverse of I + K_t = D^{1/2} D_t^-1 D^{1/2}, K_t = D^{1/2} T_t D^{1/2}.  So
+one eigvalsh of S_t gives mu, the spectrum of K_t is lambda = 1/mu - 1
+(1 + lambda = 1/mu) and 0.5*logdet(I + K_t) = -0.5*sum log(mu); no inverse
+of D_t is formed.  The propagator, that spectrum and the log-determinant are
+eager; D_t and T_t are computed on first access and then kept.  S_t is
+positive by construction, so a nonpositive mu raises: it means an inaccurate
+matrix exponential.  No domain is decided here; renyi reads the finite-time
+domains from the same spectrum.
 """
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,25 +31,44 @@ from ._linalg import (
     spd_sqrt,
     symmetrize,
 )
-from .model import Model, covariance_inverse, covariance_sqrt, sigma_matrix
+from .model import Model, covariance_roots, sigma_matrix
 
 
 @dataclass(frozen=True, eq=False)
 class FlowPoint:
-    """Propagator, flowed covariance, relative operator and pencil spectrum at one time.
+    """Propagator, pencil spectrum and log-determinant at one time; D_t and T_t on demand.
 
     spectrum holds the ascending eigenvalues lambda_i of K_t = D^{1/2} T_t D^{1/2},
-    which encode the finite-time positivity domain.  logdet_term is
-    0.5*logdet(I + D T_t) = 0.5*sum log1p(lambda_i), which vanishes
-    identically for time-reversal invariant models (det D_t = det D).
+    which encode the finite-time positivity domain, read as 1/mu_i - 1 from the
+    spectrum mu of S_t = D^{-1/2} D_t D^{-1/2}.  logdet_term is
+    0.5*logdet(I + D T_t) = -0.5*sum log(mu_i), which vanishes identically for
+    time-reversal invariant models (det D_t = det D).  covariance_t (D_t) and
+    relative_T (T_t) are built on first access and kept.  They read the
+    model's arrays reference (D) and whitener (D^{-1/2}), never the model, so
+    a flow point does not keep its model alive in the weak caches.
     """
 
     time: float
     propagator: np.ndarray
-    covariance_t: np.ndarray
-    relative_T: np.ndarray
     spectrum: np.ndarray
     logdet_term: float
+    reference: np.ndarray = field(repr=False)
+    whitener: np.ndarray = field(repr=False)
+
+    @cached_property
+    def covariance_t(self):
+        """D_t = e^{tL} D e^{tL'}."""
+        return _flowed(self.propagator, self.reference)
+
+    @cached_property
+    def relative_T(self):
+        """T_t = D_t^-1 - D^-1, with D^-1 = D^{-1/2} D^{-1/2}; the D_t it inverts is not kept."""
+        cov_t = _flowed(self.propagator, self.reference)
+        return symmetrize(spd_inverse(cov_t) - self.whitener @ self.whitener)
+
+
+def _flowed(e, d):
+    return symmetrize(e @ d @ e.T)
 
 
 @dataclass(frozen=True)
@@ -75,23 +101,22 @@ def flow_point(model, t):
         return per_model[t]
 
     e = propagator(model.generator, t)
-    cov_t = symmetrize(e @ model.covariance @ e.T)
-    rel = symmetrize(spd_inverse(cov_t) - covariance_inverse(model))
-    dsq = covariance_sqrt(model)
-    lam = np.linalg.eigvalsh(symmetrize(dsq @ rel @ dsq))
-    if not lam[0] > -1.0:
-        # impossible for a genuine flow pair: I + K_t = D^{1/2} D_t^-1 D^{1/2} > 0
+    dsq, whitener = covariance_roots(model)
+    m = whitener @ e @ dsq
+    mu = np.linalg.eigvalsh(m @ m.T)
+    if not mu[0] > 0.0:
+        # impossible for a genuine flow pair: S_t = D^{-1/2} D_t D^{-1/2} > 0
         raise AccuracyError(
-            f"I + D^(1/2) T_t D^(1/2) is not positive definite at t={t}; "
+            f"D^(-1/2) D_t D^(-1/2) is not positive definite at t={t}; "
             "matrix exponential inaccurate"
         )
     fp = FlowPoint(
         time=t,
         propagator=e,
-        covariance_t=cov_t,
-        relative_T=rel,
-        spectrum=lam,
-        logdet_term=0.5 * float(np.sum(np.log1p(lam))),
+        spectrum=1.0 / mu[::-1] - 1.0,
+        logdet_term=-0.5 * float(np.sum(np.log(mu))),
+        reference=model.covariance,
+        whitener=whitener,
     )
     per_model[t] = fp
     return fp

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import propagator, spd_inverse, spd_sqrt, symmetrize
+from ._linalg import propagator, spd_inverse, symmetrize
 
 SYMMETRY_RTOL = 1e-12       # relative max-abs symmetry defect allowed for D
 THETA_ATOL = 1e-10          # max-abs tolerance on the time-reversal relations
@@ -99,11 +99,16 @@ def covariance_inverse(model):
     return d["Dinv"]
 
 
-def covariance_sqrt(model):
+def covariance_roots(model):
+    """(D^{1/2}, D^{-1/2}), both from one eigendecomposition of D."""
     d = _cache(model)
-    if "Dsqrt" not in d:
-        d["Dsqrt"] = spd_sqrt(model.covariance)
-    return d["Dsqrt"]
+    if "roots" not in d:
+        w, v = np.linalg.eigh(model.covariance)
+        if w[0] <= 0.0:
+            raise SingularCovarianceError(f"covariance has lambda_min = {w[0]:.3e}")
+        root = np.sqrt(w)
+        d["roots"] = (symmetrize((v * root) @ v.T), symmetrize((v / root) @ v.T))
+    return d["roots"]
 
 
 def theta_defects(model):

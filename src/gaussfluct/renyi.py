@@ -11,11 +11,12 @@ where every 1 - alpha*q_k > 0), the value, e' and e'' at every alpha are
 read from it.  Outside that interval the value is IEEE +inf.
 """
 
-import hashlib
+import itertools
 import math
 import threading
 import warnings
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,19 +122,41 @@ def _reference_functional(fp):
     return _functional(fp.logdet_term, fp.spectrum, 1.0, "finite-time-reference")
 
 
-# NESS functionals held weakly per flow point, then per D+, keyed by the
-# shape and SHA-256 of its bytes.  An entry holds n atoms, never an n x n
-# matrix; builds run under the lock, so one key is factorized once even by
-# concurrent callers.
+# NESS functionals held weakly per flow point, then per D+.  A D+ is told
+# apart by exact comparison (np.array_equal) with private read-only copies of
+# the distinct D+ seen, at most D_PLUS_ENTRIES of them (least recently used
+# out, with their functionals); one copy serves every flow point.  An entry
+# holds n atoms, never an n x n matrix; builds run under the lock, so one key
+# is factorized once even by concurrent callers.
+D_PLUS_ENTRIES = 4
 _spectra: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _spectra_lock = threading.Lock()
 _spectra_counts = {"hits": 0, "misses": 0}
+_d_plus_copies = OrderedDict()   # token -> read-only copy of a D+
+_d_plus_tokens = itertools.count()
+
+
+def _d_plus_token(d_plus):
+    """The token of D+'s content, storing a copy if it is new; call under _spectra_lock."""
+    for token, copy in reversed(_d_plus_copies.items()):
+        if np.array_equal(copy, d_plus):
+            _d_plus_copies.move_to_end(token)
+            return token
+    token = next(_d_plus_tokens)
+    copy = np.array(d_plus, dtype=float)
+    copy.flags.writeable = False
+    _d_plus_copies[token] = copy
+    while len(_d_plus_copies) > D_PLUS_ENTRIES:
+        old, _ = _d_plus_copies.popitem(last=False)
+        for per_point in _spectra.values():
+            per_point.pop(old, None)
+    return token
 
 
 def _ness_functional(fp, d_plus):
-    d_plus = np.ascontiguousarray(d_plus, dtype=float)
-    key = (d_plus.shape, hashlib.sha256(d_plus).hexdigest())
+    d_plus = np.asarray(d_plus, dtype=float)
     with _spectra_lock:
+        key = _d_plus_token(d_plus)
         per_point = _spectra.setdefault(fp, {})
         efn = per_point.get(key)
         if efn is not None:

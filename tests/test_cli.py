@@ -139,6 +139,22 @@ def test_mc_single_draw_exits_one(chain_file, capsys):
     assert "count = 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--n", "1"], "count = 1"),
+    (["--checks", "clt,trace", "--n", "1"], "count = 1"),
+    (["--checks", "trace,bogus", "--n", "100"], "unknown check(s) bogus"),
+])
+def test_mc_rejects_before_estimating_limits(chain_file, monkeypatch, capsys, argv, message):
+    from gaussfluct import asymptotics
+
+    calls = []
+    monkeypatch.setattr(asymptotics, "estimate_limit_covariance",
+                        lambda *args, **kwargs: calls.append(args))
+    assert main(["mc", "--model", chain_file, *argv]) == 1
+    assert calls == []
+    assert message in capsys.readouterr().err
+
+
 def test_mc_reproducible(chain_file, tmp_path, capsys):
     argv = ["mc", "--model", chain_file, "--checks", "mgf", "--n", "2000",
             "--t", "4", "--alpha", "0.2", "--seed", "7"]

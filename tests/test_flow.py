@@ -6,8 +6,9 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 import gaussfluct as gf
+from gaussfluct import flow
 from gaussfluct.flow import GaussianPair, flow_scan, write_flow_csv
-from gaussfluct._linalg import AccuracyError
+from gaussfluct._linalg import AccuracyError, spd_inverse, spd_sqrt, symmetrize
 
 
 class TestFlowPoint:
@@ -46,6 +47,117 @@ class TestFlowPoint:
     def test_horizon_refusal(self, chain_model):
         with pytest.raises(AccuracyError):
             gf.flow_point(chain_model, 1e5)
+
+
+def _old_flow_point(model, e):
+    """D_t, T_t, the spectrum of K_t and 0.5*logdet(I + K_t), built as before the whitened route.
+
+    D_t is inverted by Cholesky against the identity, K_t = D^{1/2} T_t D^{1/2}
+    is formed by two products, and the log-determinant is the Cholesky one of
+    I + K_t = D^{1/2} D_t^-1 D^{1/2}, free of the cancellation in log1p(lambda).
+    """
+    cov_t = symmetrize(e @ model.covariance @ e.T)
+    cov_t_inv = spd_inverse(cov_t)
+    rel = symmetrize(cov_t_inv - spd_inverse(model.covariance))
+    dsq = spd_sqrt(model.covariance)
+    lam = np.linalg.eigvalsh(symmetrize(dsq @ rel @ dsq))
+    chol = np.linalg.cholesky(symmetrize(dsq @ cov_t_inv @ dsq))
+    return cov_t, rel, lam, float(np.sum(np.log(np.diag(chol))))
+
+
+def fresh_chain():
+    # a model of its own, so that its derived data and flow points start cold
+    return gf.build_chain(gf.ChainSpec(n_left=8, n_right=8, temps=(2.0, 1.0, 1.0)))[0]
+
+
+class TestLeanFlowPoint:
+    @pytest.mark.parametrize("t", [-6.0, 2.0, 10.0, 60.0])
+    def test_spectrum_and_logdet_match_old_construction(self, chain_model, toy_model,
+                                                        nonnormal_model, t):
+        for model in (chain_model, toy_model, nonnormal_model):
+            fp = gf.flow_point(model, t)
+            _, _, lam, logdet = _old_flow_point(model, fp.propagator)
+            # 1 + lambda are the eigenvalues of (D^{-1/2} D_t D^{-1/2})^-1; both
+            # routes lose about eps * cond of that matrix, which is below 300
+            # everywhere here except for the non-normal model at t = 60 (1e13)
+            cond = (1.0 + lam[-1]) / (1.0 + lam[0])
+            tol = max(1e-12, 16 * np.finfo(float).eps * cond)
+            assert np.all(np.diff(fp.spectrum) >= 0.0)
+            assert np.abs(fp.spectrum - lam).max() <= tol * np.abs(lam).max()
+            assert abs(fp.logdet_term - logdet) <= tol * max(1.0, abs(logdet))
+
+    def test_built_on_demand_once_and_match_old_formulas(self, monkeypatch):
+        model = fresh_chain()
+        fp = gf.flow_point(model, 3.0)
+        assert set(vars(fp)) == {"time", "propagator", "spectrum", "logdet_term",
+                                 "reference", "whitener"}
+        calls = {"flowed": 0, "spd_inverse": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(flow, "_flowed", counted("flowed", flow._flowed))
+        monkeypatch.setattr(flow, "spd_inverse", counted("spd_inverse", flow.spd_inverse))
+        cov_t, rel = fp.covariance_t, fp.relative_T
+        assert fp.covariance_t is cov_t and fp.relative_T is rel
+        assert calls == {"flowed": 2, "spd_inverse": 1}
+        old_cov_t, old_rel, _, _ = _old_flow_point(model, fp.propagator)
+        assert np.abs(cov_t - old_cov_t).max() <= 1e-12 * np.abs(old_cov_t).max()
+        assert np.abs(rel - old_rel).max() <= 1e-12 * np.abs(old_rel).max()
+
+    def test_domain_and_values_invert_nothing(self, monkeypatch):
+        import scipy.linalg
+
+        from gaussfluct import _linalg, asymptotics, model as model_module
+
+        model = fresh_chain()
+        calls = []
+
+        def refuse(name):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called")
+            return wrapped
+
+        for module in (flow, model_module, _linalg, asymptotics):
+            monkeypatch.setattr(module, "spd_inverse", refuse("spd_inverse"))
+        monkeypatch.setattr(scipy.linalg, "cho_factor", refuse("cho_factor"))
+        monkeypatch.setattr(scipy.linalg, "cholesky", refuse("scipy cholesky"))
+        monkeypatch.setattr(np.linalg, "cholesky", refuse("np cholesky"))
+        # a cold model: its D^{1/2} and D^{-1/2} come from one eigh
+        gf.flow_point(model, 1.0)
+        gf.domain_interval(model, 2.0)
+        asymptotics.delta_series(model, np.linspace(3.0, 6.0, 4))
+        for a in np.linspace(-0.5, 1.5, 9):
+            gf.renyi_entropy(model, 7.0, a)
+        gf.reference_functional(model, 8.0)
+        assert calls == []
+
+    def test_flow_cache_entry_released_with_model(self):
+        import gc
+        import weakref
+
+        model = fresh_chain()
+        fp = gf.flow_point(model, 2.0)
+        fp.covariance_t, fp.relative_T
+        gf.renyi_entropy_ness(model, 2.0, 0.1, np.eye(model.dim))
+        ref = weakref.ref(model)
+        gc.collect()
+        live = len(flow._flow_cache)
+        del model
+        gc.collect()
+        assert ref() is None
+        assert len(flow._flow_cache) == live - 1
+
+    def test_nonpositive_whitened_spectrum_raises(self, monkeypatch):
+        model = fresh_chain()
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) - eigvalsh(a)[0])
+        with pytest.raises(AccuracyError, match="not positive definite"):
+            gf.flow_point(model, 2.0)
 
 
 class TestCocycle:

@@ -154,6 +154,27 @@ class TestOneDecompositionPerBlock:
         flow_scan(chain_model, np.linspace(0.0, 20.0, 11))
         assert fresh_bases == [(chain_model.dim, chain_model.dim)]
 
+    def test_one_partition_per_generator(self, monkeypatch, split_toy):
+        monkeypatch.setattr(_linalg, "_partitions", OrderedDict())
+        calls = []
+        components = _linalg._connected_components
+
+        def counted(gen):
+            calls.append(gen.shape)
+            return components(gen)
+
+        monkeypatch.setattr(_linalg, "_connected_components", counted)
+        model = gf.Model(dim=split_toy.dim, generator=split_toy.generator,
+                         covariance=split_toy.covariance)
+        flow_scan(model, np.linspace(0.5, 5.0, 10))
+        assert calls == [(256, 256)]
+        assert len(_linalg._partitions) == 1
+        gen = split_toy.generator.copy()
+        gen[0, -1] = 1e-3  # joins the two components: a new content, a new partition
+        e = propagator(gen, 1.0)
+        assert calls == [(256, 256), (256, 256)]
+        assert np.abs(e - sla.expm(gen)).max() <= 1e-12 * np.abs(e).max()
+
     def test_limits_then_sigma_integral(self, fresh_bases, chain_model, split_toy):
         gf.estimate_limit_covariance(chain_model, horizon=12.0, grid_points=64, minus_mode="estimate")
         gf.sigma_integral_matrix(chain_model, 3.0)

@@ -236,6 +236,34 @@ class TestSpectralCache:
         assert after == pytest.approx(0.0394, abs=1e-4)
         assert after == gf.renyi_entropy_ness(model, 2.0, 0.3, d.copy())
 
+    def test_d_plus_keyed_by_a_private_copy_of_its_content(self):
+        model, oracle = fresh_toy()
+        d = oracle.d_plus()
+        gf.renyi_entropy_ness(model, 2.0, 0.3, d)
+        start = renyi.spectral_cache_info()
+        d[0, 0] = 3.0  # changed in place: the stored copy keeps the old content
+        changed = gf.renyi_entropy_ness(model, 2.0, 0.3, d)
+        info = renyi.spectral_cache_info()
+        assert (info["misses"], info["hits"]) == (start["misses"] + 1, start["hits"])
+        assert changed == gf.renyi_entropy_ness(model, 2.0, 0.3, d.copy())
+        d[0, 0] = 1.0  # back to the first content: its entry is still there
+        assert gf.renyi_entropy_ness(model, 2.0, 0.3, d) == gf.renyi_entropy_ness(
+            model, 2.0, 0.3, oracle.d_plus())
+        assert renyi.spectral_cache_info()["misses"] == info["misses"]
+        assert all(not c.flags.writeable for c in renyi._d_plus_copies.values())
+
+    def test_d_plus_copies_bounded_with_their_entries(self):
+        model, oracle = fresh_toy()
+        start = renyi.spectral_cache_info()
+        scales = 1.0 + np.arange(renyi.D_PLUS_ENTRIES + 2)
+        for s in scales:
+            gf.domain_interval_ness(model, 2.0, s * oracle.d_plus())
+            assert len(renyi._d_plus_copies) <= renyi.D_PLUS_ENTRIES
+        info = renyi.spectral_cache_info()
+        assert info["misses"] - start["misses"] == len(scales)
+        # the two evicted copies took their functionals with them
+        assert info["entries"] - start["entries"] <= renyi.D_PLUS_ENTRIES
+
     def test_equal_arrays_share_one_entry(self):
         model, _ = fresh_toy()
         gf.renyi_entropy_ness(model, 2.0, 0.3, np.eye(model.dim))
