@@ -2,10 +2,10 @@
 
 Everything here operates on plain float64 numpy arrays and returns new
 arrays; inputs are never modified.  Every question about the linear flow
-(the propagator e^{tL}, the time integral B_t and the window average of
+(the propagator e^{tL}, its increment e^{tL} - I and the window average of
 D_t) is answered from one cached eigenbasis per block of the generator,
-with scaling-and-squaring and Van Loan as the fallbacks for a block whose
-eigenbasis fails the conditioning gate.
+with scaling-and-squaring (and a walk of the grid for the window average)
+as the fallback for a block whose eigenbasis fails the conditioning gate.
 """
 
 import hashlib
@@ -87,21 +87,40 @@ def propagator(generator, t):
     dimension 256 on, an exact identity that avoids cubing the full
     dimension.  The result is a real C-contiguous array that owns its data.
     """
+    return _by_blocks(generator, t, increment=False)
+
+
+def propagator_increment(generator, t):
+    """exp(t * generator) - I without the cancellation of that difference at small |t|.
+
+    A modal block sums expm1(t lambda_j) in place of e^{t lambda_j}, since the
+    folded sum of V V^-1 is I; any other block takes expm(tA) - I.  The block
+    loop and the result's contract are those of propagator.
+    """
+    return _by_blocks(generator, t, increment=True)
+
+
+def _by_blocks(generator, t, increment):
+    """e^{tL}, or e^{tL} - I when increment is set, assembled block by block."""
     _check_horizon(generator, t)
+    n = generator.shape[0]
     if t == 0.0:
-        return np.eye(generator.shape[0])
+        return np.zeros((n, n)) if increment else np.eye(n)
     blocks = _blocks(generator)
     if len(blocks) == 1:
-        return _block_propagator(generator, blocks[0][1], t)
+        return _block_flow(generator, blocks[0][1], t, increment)
     out = np.zeros_like(generator)
     for idx, key in blocks:
-        out[np.ix_(idx, idx)] = _block_propagator(generator[np.ix_(idx, idx)], key, t)
+        out[np.ix_(idx, idx)] = _block_flow(generator[np.ix_(idx, idx)], key, t, increment)
     return out
 
 
-def _block_propagator(block, key, t):
+def _block_flow(block, key, t, increment):
     basis = _eigenbasis(block, key)
-    return sla.expm(t * block) if basis is None else basis.propagator(t)
+    if basis is not None:
+        return basis.propagator(t, increment)
+    e = sla.expm(t * block)
+    return e - np.eye(block.shape[0]) if increment else e
 
 
 def symmetrize(a):
@@ -162,8 +181,9 @@ class ModalBasis:
     def nbytes(self):
         return sum(a.nbytes for a in (self.lam, self.weight, self.v_re, self.v_im, self.w_re, self.w_im))
 
-    def propagator(self, t):
-        e = self.weight * np.exp(t * self.lam)
+    def propagator(self, t, increment=False):
+        """Re sum_j c_j v_j e^{t lambda_j} w_j' = e^{tA}; with increment, expm1 in place of exp gives e^{tA} - I."""
+        e = self.weight * (np.expm1 if increment else np.exp)(t * self.lam)
         p_re = self.v_re * e.real - self.v_im * e.imag
         p_im = self.v_re * e.imag + self.v_im * e.real
         return p_re @ self.w_re - p_im @ self.w_im
@@ -306,52 +326,35 @@ def _real_product(a, b):
     return a.real.copy() @ b.real.copy() - a.imag.copy() @ b.imag.copy()
 
 
-def _modal_congruences(parts, x, kernels, integral=False):
-    """For each kernel f, the matrix whose (a, b) block is Re P_a [(R_a x_ab R_b') o f(z_ab)] P_b'.
-
-    z_ab[j, k] = lambda_a[j] + lambda_b[k] over the eigenvalues of blocks a and b.
-    (P, R) = (V, V^-1) carries x along the flow, and (V^-T, V') gives the
-    time integral (integral=True).
-    """
-    if integral:
-        parts = [(idx, lam, w.T, v.T) for idx, lam, v, w in parts]
-    n = x.shape[0]
-    outs = [np.empty((n, n)) for _ in kernels]
-    for ia, lam_a, p_a, r_a in parts:
-        for ib, lam_b, p_b, r_b in parts:
-            core = r_a @ x[np.ix_(ia, ib)] @ r_b.T
-            z = lam_a[:, None] + lam_b[None, :]
-            for out, f in zip(outs, kernels):
-                out[np.ix_(ia, ib)] = _real_product(p_a @ (core * f(z)), p_b.T)
-    return outs
-
-
 def flow_averages(generator, x, t0, step, counts):
     """A_m = (1/m) sum_{i<m} e^{t_i A} X e^{t_i A'} on t_i = t0 + i*step, for each m in counts.
 
     Each average is one Hadamard product in the eigenbasis,
     A_m = V [(V^-1 X V^-T) o S_m] V' with the geometric sum
     S_m,jk = e^{z t0} expm1(z m step)/expm1(z step)/m, z = lambda_j + lambda_k
-    (S_m,jk = 1 where expm1(z step) == 0).  When a block fails the kappa
-    gate the grid is walked instead, D_{i+1} = E D_i E' with E = e^{step A}.
+    (S_m,jk = 1 where expm1(z step) == 0), taken per pair of generator blocks.
+    When a block fails the kappa gate the grid is walked instead,
+    D_{i+1} = E D_i E' with E = e^{step A}.
     """
     _check_horizon(generator, t0)
     counts = [int(m) for m in counts]
     parts = _modal_parts(generator)
     if parts is None:
         return _walked_averages(generator, x, t0, step, counts)
-
-    def geometric(m):
-        def kernel(z):
+    n = x.shape[0]
+    outs = [np.empty((n, n)) for _ in counts]
+    for ia, lam_a, v_a, w_a in parts:
+        for ib, lam_b, v_b, w_b in parts:
+            core = w_a @ x[np.ix_(ia, ib)] @ w_b.T
+            z = lam_a[:, None] + lam_b[None, :]
             den = np.expm1(z * step)
             flat = den == 0.0
-            s = np.exp(z * t0) * np.expm1(z * (m * step)) / np.where(flat, 1.0, den)
-            s[flat] = m
-            return s / m
-
-        return kernel
-
-    return _modal_congruences(parts, x, [geometric(m) for m in counts])
+            den[flat] = 1.0
+            for out, m in zip(outs, counts):
+                s = np.exp(z * t0) * np.expm1(z * (m * step)) / den
+                s[flat] = m
+                out[np.ix_(ia, ib)] = _real_product(v_a @ (core * (s / m)), v_b.T)
+    return outs
 
 
 def _walked_averages(generator, x, t0, step, counts):
@@ -369,58 +372,6 @@ def _walked_averages(generator, x, t0, step, counts):
         if i < last:
             d = e_step @ d @ e_step.T
     return [sums[m] for m in counts]
-
-
-def finite_gramian(generator, q, times):
-    """G(t) = int_0^t e^{sA'} Q e^{sA} ds for each t in times (oriented for t < 0).
-
-    With A = V Lambda V^-1, G(t) = V^-T [(V' Q V) o K_t] V^-1 where
-    K_jk = expm1(z_jk t)/z_jk, z_jk = lambda_j + lambda_k (K_jk = t at z = 0):
-    the cached eigenbasis serves every time.  A generator with a block that
-    fails the kappa gate takes Van Loan's block exponential (IEEE TAC 23(3),
-    1978, Thm 1), once per time.
-    """
-    times = [float(t) for t in times]
-    _check_horizon(generator, max((abs(t) for t in times), default=0.0))
-    parts = _modal_parts(generator)
-    if parts is None:
-        return [_van_loan_gramian(generator, q, t) for t in times]
-
-    def integral(t):
-        def kernel(z):
-            zero = z == 0.0
-            k = np.expm1(z * t) / np.where(zero, 1.0, z)
-            k[zero] = t
-            return k
-
-        return kernel
-
-    grams = _modal_congruences(parts, q, [integral(t) for t in times], integral=True)
-    return [symmetrize(g) for g in grams]
-
-
-def _van_loan_gramian(generator, q, t):
-    """G(t) by Van Loan at tau = t/2^k, where |tau|*||A|| < 1, then k doublings.
-
-    At tau, F = expm([[-A', Q], [0, A]] tau) gives G(tau) = F22' F12 and
-    e^{tau A} = F22; each doubling is G(2s) = G(s) + e^{sA'} G(s) e^{sA}.
-    One expm at t itself loses the digits that e^{-tA'} gains: on the
-    Jordan block [[-1, 1], [0, -1]] its Lyapunov residual is 3e-7 at t = 10
-    and exceeds G itself at t = 40, while the doublings stay at roundoff.
-    """
-    n = generator.shape[0]
-    k = max(0, math.frexp(abs(t) * generator_norm_bound(generator))[1])
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = -generator.T
-    block[:n, n:] = q
-    block[n:, n:] = generator
-    f = sla.expm(math.ldexp(t, -k) * block)
-    e = f[n:, n:]
-    g = symmetrize(e.T @ f[:n, n:])
-    for _ in range(k):
-        g = symmetrize(g + e.T @ g @ e)
-        e = e @ e
-    return g
 
 
 def parse_grid(text):

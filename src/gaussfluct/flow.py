@@ -2,8 +2,10 @@
 
 The central objects are the flow points (t, e^{tL}, D_t, T_t) with
 D_t = e^{tL} D e^{tL'} and T_t = D_t^-1 - D^-1, and the time integral
-B_t = int_0^t e^{sL'} sigma e^{sL} ds of the entropy production, in closed
-form from one eigendecomposition of L.
+B_t = int_0^t e^{sL'} sigma e^{sL} ds of the entropy production.  Since
+sigma = 1/2 (L'D^-1 + D^-1 L) is the derivative of 1/2 e^{sL'} D^-1 e^{sL}
+at s = 0, B_t = 1/2 (e^{tL'} D^-1 e^{tL} - D^-1) = 1/2 T_{-t}: no quadrature
+and no Gramian, just the propagator increment e^{tL} - I.
 
 A flow point is built from the propagator alone.  With the whitened
 propagator M = D^{-1/2} e^{tL} D^{1/2}, S_t = M M' = D^{-1/2} D_t D^{-1/2} is
@@ -25,13 +27,13 @@ import numpy as np
 
 from ._linalg import (
     AccuracyError,
-    finite_gramian,
     propagator,
+    propagator_increment,
     spd_inverse,
     spd_sqrt,
     symmetrize,
 )
-from .model import Model, covariance_roots, sigma_matrix
+from .model import Model, covariance_inverse, covariance_roots, sigma_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +173,7 @@ def _relative_entropy(lam):
 
 @dataclass(frozen=True)
 class SigmaIntegral:
-    """B_t = int_0^t e^{sL'} sigma e^{sL} ds and the offset t * tr(D sigma)."""
+    """B_t = int_0^t e^{sL'} sigma e^{sL} ds and the offset t * tr(D sigma) = t * tr L."""
 
     time: float
     matrix: np.ndarray
@@ -179,30 +181,28 @@ class SigmaIntegral:
 
 
 def sigma_integral_matrix(model, t):
-    """B_t in closed form; for t < 0 the oriented integral."""
-    (b,) = sigma_integrals(model, [t])
-    return b
+    """B_t = 1/2 (e^{tL'} D^-1 e^{tL} - D^-1); for t < 0 the oriented integral.
 
-
-def sigma_integrals(model, times):
-    """B_t for every t in times from one finite_gramian call."""
-    times = [float(t) for t in times]
-    sig = sigma_matrix(model)
-    mats = finite_gramian(model.generator, sig.matrix, times)
-    return [SigmaIntegral(time=t, matrix=b, offset=t * sig.trace_D_sigma) for t, b in zip(times, mats)]
+    With F = e^{tL} - I from propagator_increment, B_t = 1/2 (F'D^-1 + D^-1 F
+    + F'D^-1 F); the plain difference of the two terms loses digits like
+    1/|t| at small |t|.
+    """
+    t = float(t)
+    f = propagator_increment(model.generator, t)
+    p = covariance_inverse(model) @ f
+    return SigmaIntegral(time=t, matrix=symmetrize(p + 0.5 * (f.T @ p)),
+                         offset=t * float(np.trace(model.generator)))
 
 
 def entropy_balance_defect(model, t):
     """|Ent(D_t | D) + int_0^t tr(sigma (D_s - D)) ds|, an exact identity of the flow.
 
     The integral is tr(D B_t) - t tr(D sigma), since tr(sigma D_s) equals
-    tr(e^{sL'} sigma e^{sL} D); the defect is roundoff.
+    tr(e^{sL'} sigma e^{sL} D); as B_t = 1/2 T_{-t}, the identity links the
+    flow points at t and -t, and the defect is roundoff.
     """
-    return _balance_defect(model, flow_point(model, t), sigma_integral_matrix(model, t))
-
-
-def _balance_defect(model, fp, b):
-    ent = _relative_entropy(fp.spectrum)  # Ent(D_t | D) from the spectrum of K_t
+    b = sigma_integral_matrix(model, t)
+    ent = _relative_entropy(flow_point(model, t).spectrum)  # Ent(D_t | D) from the spectrum of K_t
     return abs(ent + float(np.sum(model.covariance * b.matrix)) - b.offset)
 
 
@@ -212,21 +212,22 @@ FLOW_SCAN_COLUMNS = ("t", "trace_Dt", "lambda_min_Dt", "lambda_max_Dt", "mean_si
 def flow_scan(model, times):
     """Rows of flow diagnostics over a list of times (see FLOW_SCAN_COLUMNS).
 
-    Every B_t of the scan comes from one sigma_integrals call.
+    Each row reads the flow point at t; its balance defect adds one
+    propagator increment for B_t.
     """
-    times = [float(t) for t in times]
     rows = []
-    for t, b in zip(times, sigma_integrals(model, times)):
-        fp = flow_point(model, t)
-        w = np.linalg.eigvalsh(fp.covariance_t)
+    for t in times:
+        t = float(t)
+        cov_t = flow_point(model, t).covariance_t
+        w = np.linalg.eigvalsh(cov_t)
         rows.append(
             (
                 t,
-                float(np.trace(fp.covariance_t)),
+                float(np.trace(cov_t)),
                 float(w[0]),
                 float(w[-1]),
                 mean_entropy_production(model, t),
-                _balance_defect(model, fp, b),
+                entropy_balance_defect(model, t),
             )
         )
     return rows

@@ -137,7 +137,7 @@ class HypothesisReport:
 
 @dataclass(frozen=True)
 class SigmaMatrix:
-    """Entropy production matrix 0.5*(L' D^-1 + D^-1 L) and tr(D sigma)."""
+    """Entropy production matrix 0.5*(L' D^-1 + D^-1 L) and tr(D sigma) = tr L."""
 
     matrix: np.ndarray
     trace_D_sigma: float
@@ -192,7 +192,8 @@ def sigma_matrix(model):
         dinv = covariance_inverse(model)
         s = 0.5 * (model.generator.T @ dinv + dinv @ model.generator)
         s = symmetrize(s)
-        d["sigma"] = SigmaMatrix(matrix=s, trace_D_sigma=float(np.trace(model.covariance @ s)))
+        # tr(D sigma) = 1/2 tr(D L' D^-1 + L) = tr L exactly
+        d["sigma"] = SigmaMatrix(matrix=s, trace_D_sigma=float(np.trace(model.generator)))
     return d["sigma"]
 
 

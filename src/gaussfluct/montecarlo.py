@@ -1,9 +1,11 @@
 """Sampling of the Gaussian measures and empirical checks of the functionals.
 
 Time-integrated entropy production is evaluated as a single quadratic form
-(x, B_t x) per draw against the precomputed operator
-B_t = int_0^t e^{sL'} sigma e^{sL} ds, so a draw costs O(n^2) after one
-eigendecomposition of the generator per call (flow.sigma_integral_matrix).
+(x, B_t x) per draw against the operator B_t = int_0^t e^{sL'} sigma e^{sL} ds
+= 1/2 (e^{tL'} D^-1 e^{tL} - D^-1) (flow.sigma_integral_matrix), so a draw
+costs O(n^2) after one propagator increment per call.  A single trajectory
+reads (x, B_t x) = 1/2 (|D^{-1/2} e^{tL} x|^2 - |D^{-1/2} x|^2) from the
+cached flow-point propagators instead, also O(n^2) per time.
 
 Reproducibility contract: draw i is generated from a counter-based stream
 keyed by (seed, i) alone, chunks have a fixed size, and reductions combine
@@ -17,14 +19,13 @@ a fresh Philox(key=seed, counter=i * 2**64) without the cost of building one.
 """
 
 import math
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import finite_gramian, propagator, symmetrize
-from .model import DomainError, Model, sigma_matrix
+from ._linalg import propagator, symmetrize
+from .model import DomainError, covariance_roots
 from .flow import flow_point, sigma_integral_matrix
 from .renyi import domain_interval
 
@@ -191,26 +192,14 @@ def empirical_mgf(model, t, alpha, seed, count, workers=1, enforce_domain=True):
 # trajectory statistics
 # ---------------------------------------------------------------------------
 
-_slln_kernels: "weakref.WeakKeyDictionary[Model, dict]" = weakref.WeakKeyDictionary()
-
-
-def _slln_kernel(model, horizon, n_points):
-    """(t, B_t) at log-spaced times from min(horizon/16, 1/2) to horizon."""
-    per = _slln_kernels.setdefault(model, {})
-    key = (horizon, n_points)
-    if key not in per:
-        times = np.geomspace(min(horizon / 16.0, 0.5), horizon, n_points)
-        mats = finite_gramian(model.generator, sigma_matrix(model).matrix, times)
-        per[key] = list(zip(times.tolist(), mats))
-    return per[key]
-
-
 def slln_trajectory(model, measure, horizon, seed, d_plus=None, n_points=24):
     """Time-average entropy production along one draw, on a log-spaced grid.
 
     Returns a list of (t, Sigma_t) with Sigma_t = (x, B_t x)/t - tr(D sigma)
     for a single x drawn from the reference measure or from the stationary
-    covariance d_plus.
+    covariance d_plus, at n_points times from min(horizon/16, 1/2) to horizon.
+    (x, B_t x) = 1/2 (|D^{-1/2} e^{tL} x|^2 - |D^{-1/2} x|^2) reads the flow
+    point at t, and tr(D sigma) = tr L.
     """
     if measure not in ("reference", "ness"):
         raise ValueError("measure must be 'reference' or 'ness'")
@@ -218,10 +207,14 @@ def slln_trajectory(model, measure, horizon, seed, d_plus=None, n_points=24):
         raise ValueError("measure='ness' needs the stationary covariance d_plus")
     cov = model.covariance if measure == "reference" else np.asarray(d_plus, float)
     x = (_draw_rows(seed, 0, 1, model.dim) @ _cov_factor(cov).T)[0]
-    tr_term = sigma_matrix(model).trace_D_sigma
+    whitener = covariance_roots(model)[1]
+    v = whitener @ x
+    start = float(v @ v)
+    tr_term = float(np.trace(model.generator))
     series = []
-    for t_k, b_k in _slln_kernel(model, horizon, n_points):
-        series.append((t_k, float(x @ (b_k @ x)) / t_k - tr_term))
+    for t in np.geomspace(min(horizon / 16.0, 0.5), horizon, n_points).tolist():
+        y = whitener @ (flow_point(model, t).propagator @ x)
+        series.append((t, 0.5 * (float(y @ y) - start) / t - tr_term))
     return series
 
 

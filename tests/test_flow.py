@@ -261,10 +261,14 @@ class TestEntropyBalance:
     def test_chain_small_defect(self, chain_model):
         assert gf.entropy_balance_defect(chain_model, 10.0) <= 1e-6
 
-    def test_chain_defect_at_roundoff(self, chain_model):
-        # B_t in closed form leaves no quadrature error in the balance
-        for t in (-6.0, 2.0, 10.0):
-            assert gf.entropy_balance_defect(chain_model, t) <= 1e-12
+    def test_chain_defect_at_roundoff(self, chain_model, nonnormal_model):
+        # B_t in closed form leaves no quadrature error in the balance;
+        # nonnormal_model is the one fixture with tr L != 0, so it checks the offset
+        # (left out at t = -6, where two terms of 1.3e6 cancel)
+        cases = [(chain_model, t) for t in (-6.0, 2.0, 10.0)]
+        cases += [(nonnormal_model, t) for t in (-1.0, 2.0, 10.0)]
+        for model, t in cases:
+            assert gf.entropy_balance_defect(model, t) <= 1e-12
 
 
 def test_logdet_term_derivative_matches_trace(nonnormal_model):

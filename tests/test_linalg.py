@@ -13,10 +13,10 @@ from gaussfluct._linalg import (
     MODAL_CACHE_ENTRIES,
     MODAL_KAPPA_LIMIT,
     _eigenbasis,
-    finite_gramian,
     flow_averages,
     modal_basis_info,
     propagator,
+    propagator_increment,
 )
 
 JORDAN = np.array([[-1.0, 1.0], [0.0, -1.0]])
@@ -82,7 +82,7 @@ class TestModalPropagator:
     def test_kernels_return_owned_real_arrays(self, chain_model, split_toy):
         for model in (chain_model, split_toy):
             outs = flow_averages(model.generator, model.covariance, 1.0, 0.25, [2, 4])
-            outs += finite_gramian(model.generator, gf.sigma_matrix(model).matrix, [1.0, 3.0])
+            outs += [propagator_increment(model.generator, t) for t in (1.0, 3.0)]
             for a in outs:
                 assert a.dtype == np.float64 and a.flags.c_contiguous and a.base is None
 

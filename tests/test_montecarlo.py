@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import gaussfluct as gf
 from gaussfluct import montecarlo as mc
-from gaussfluct._linalg import AccuracyError, _eigenbasis, _van_loan_gramian, finite_gramian, propagator
+from gaussfluct._linalg import AccuracyError, _eigenbasis, generator_norm_bound, propagator, symmetrize
 from gaussfluct.model import DomainError
 
 
@@ -135,6 +136,31 @@ def _jordan_model():
     return gf.Model(dim=2, generator=np.array([[-1.0, 1.0], [0.0, -1.0]]), covariance=np.eye(2))
 
 
+def _van_loan_gramian(generator, q, t):
+    """G(t) = int_0^t e^{sA'} Q e^{sA} ds by Van Loan at tau = t/2^k, where |tau|*||A|| < 1, then k doublings.
+
+    At tau, F = expm([[-A', Q], [0, A]] tau) gives G(tau) = F22' F12 and
+    e^{tau A} = F22 (Van Loan, IEEE TAC 23(3), 1978, Thm 1); each doubling
+    is G(2s) = G(s) + e^{sA'} G(s) e^{sA}.  One expm at t itself loses the
+    digits that e^{-tA'} gains: on the Jordan block [[-1, 1], [0, -1]] its
+    Lyapunov residual is 3e-7 at t = 10 and exceeds G itself at t = 40,
+    while the doublings stay at roundoff.
+    """
+    n = generator.shape[0]
+    k = max(0, math.frexp(abs(t) * generator_norm_bound(generator))[1])
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = -generator.T
+    block[:n, n:] = q
+    block[n:, n:] = generator
+    f = sla.expm(math.ldexp(t, -k) * block)
+    e = f[n:, n:]
+    g = symmetrize(e.T @ f[:n, n:])
+    for _ in range(k):
+        g = symmetrize(g + e.T @ g @ e)
+        e = e @ e
+    return g
+
+
 def _lyapunov_residual(model, t):
     """|L'B_t + B_t L - (e^{tL'} sigma e^{tL} - sigma)|_max over its largest term."""
     gen = model.generator
@@ -180,17 +206,31 @@ class TestSigmaIntegral:
         ref = _van_loan_gramian(model.generator, gf.sigma_matrix(model).matrix, t)
         assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("t", [1e-6, 1e-3])
+    def test_small_times_match_van_loan(self, chain_model, t):
+        # the plain difference e^{tL'} D^-1 e^{tL} - D^-1 misses by 2.7e-9 at t = 1e-6;
+        # at these t the reference is one expm, with no doubling
+        b = gf.sigma_integral_matrix(chain_model, t).matrix
+        ref = _van_loan_gramian(chain_model.generator, gf.sigma_matrix(chain_model).matrix, t)
+        assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("t", [-6.0, 2.0, 10.0])
+    def test_law_weights_are_flow_point_at_minus_t(self, chain_model, nonnormal_model, t):
+        # under N(0, D), (x, B_t x) is a weighted chi-square with weights
+        # spec(C' B_t C); as B_t = 1/2 T_{-t}, they are 1/2 spec(K_{-t})
+        for model in (chain_model, nonnormal_model):
+            chol = np.linalg.cholesky(model.covariance)
+            b = gf.sigma_integral_matrix(model, t).matrix
+            weights = np.linalg.eigvalsh(symmetrize(chol.T @ b @ chol))
+            ref = np.sort(0.5 * gf.flow_point(model, -t).spectrum)
+            assert np.abs(weights - ref).max() <= 1e-13 * np.abs(ref).max()
+
     @pytest.mark.parametrize("t", [-6.0, 2.0, 10.0, 40.0])
     def test_defective_generator_takes_van_loan(self, t):
+        # B_t of a block that fails the gate reads the increment expm(tA) - I
         model = _jordan_model()
         assert _eigenbasis(model.generator) is None
         assert _lyapunov_residual(model, t) <= 1e-12
-
-    def test_snapshots_are_one_call(self, chain_model):
-        times = [0.5, 2.0, 7.5]
-        mats = finite_gramian(chain_model.generator, gf.sigma_matrix(chain_model).matrix, times)
-        for t, m in zip(times, mats):
-            assert np.array_equal(m, gf.sigma_integral_matrix(chain_model, t).matrix)
 
     def test_horizon_refusal(self, chain_model):
         with pytest.raises(AccuracyError):
