@@ -17,8 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import AccuracyError, flow_averages, propagator, spd_inverse, spd_sqrt, symmetrize
+from ._linalg import AccuracyError, flow_averages, spd_inverse, spd_sqrt, symmetrize
 from .renyi import EntropicFunctional
+
+PLATEAU_CHECKPOINTS = 8   # running averages compared with the final one in _window_average
+ANTISYM_RTOL = 1e-6       # relative tolerance on omega+ = -omega- in steady_entropy_production
 
 
 class PlateauError(RuntimeError):
@@ -62,43 +65,28 @@ class AtomMeasure:
     notes: list = field(default_factory=list)
 
 
-def estimate_limit_covariance(model, horizon, tol=math.inf, grid_points=64, minus_mode="auto"):
+def estimate_limit_covariance(model, horizon, tol=math.inf, grid_points=64):
     """Cesaro-average D_t over [horizon/2, horizon] on a uniform grid.
 
     The grid is the left-Riemann grid of grid_points points from horizon/2;
     its average is read in closed form from the eigenbasis of the generator
-    (see _window_average).
-
-    minus_mode selects how the negative-time limit is produced: 'theta'
-    conjugates the positive-time estimate by the time reversal, 'estimate'
-    averages over negative times, 'auto' uses theta when available.  The
-    result is symmetrized and eigenvalue-floored at half the smallest D_t
-    eigenvalue seen on the grid.  Raises PlateauError when the averaged
-    matrix still drifts by more than tol over the last half-window.
+    (see _window_average).  D- is the time-reversal conjugate theta D+ theta
+    when the model has a time reversal, and is otherwise averaged over
+    [-horizon, -horizon/2] the same way.  Raises PlateauError when an
+    average still drifts by more than tol over the last half-window, and
+    AccuracyError when it is not positive definite.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if grid_points < 64:
         raise ValueError("use at least 64 grid points for the Cesaro average")
-    mode = minus_mode
-    if mode == "auto":
-        mode = "theta" if model.time_reversal is not None else "estimate"
-    if mode == "theta" and model.time_reversal is None:
-        raise ValueError("minus_mode='theta' needs a model with a time reversal")
 
-    d_plus, residual, m_est = _window_average(model, horizon, grid_points)
-    if residual > tol:
-        raise PlateauError(residual, tol)
-    d_plus = _floor_spd(d_plus, m_est / 2.0)
-
-    if mode == "theta":
-        th = model.time_reversal
+    d_plus, residual = _window_average(model, horizon, grid_points, tol)
+    th = model.time_reversal
+    if th is not None:
         d_minus = symmetrize(th @ d_plus @ th)
     else:
-        d_minus, res_m, m_est_m = _window_average(model, -horizon, grid_points)
-        if res_m > tol:
-            raise PlateauError(res_m, tol)
-        d_minus = _floor_spd(d_minus, m_est_m / 2.0)
+        d_minus, res_m = _window_average(model, -horizon, grid_points, tol)
         residual = max(residual, res_m)
 
     gen = model.generator
@@ -112,44 +100,40 @@ def estimate_limit_covariance(model, horizon, tol=math.inf, grid_points=64, minu
     )
 
 
-def _window_average(model, horizon, grid_points, checkpoints=8):
+def _window_average(model, horizon, grid_points, tol):
     """Average of D_t on the left-Riemann grid t_k = h/2 + k*h/(2*grid_points), k < grid_points.
 
-    Returns (average, plateau residual, m_est).  The plateau residual is the
+    Returns (average, plateau residual).  The plateau residual is the
     max-abs distance between the final average and the running averages
-    after grid points m at `checkpoints` positions in the last half of the
-    window; m_est is the smallest D_t eigenvalue at t_0 and at the last
-    point of each of those running averages.  Every average is one closed
-    form through flow_averages.
+    after grid points m at PLATEAU_CHECKPOINTS positions in the last half
+    of the window.  Every average is one closed form through flow_averages.
+    Raises PlateauError when the residual exceeds tol, and AccuracyError
+    when the average has no Cholesky factor.
     """
     t0 = horizon / 2.0
     step = t0 / grid_points
-    marks = [grid_points // 2 + k * max(1, grid_points // (2 * checkpoints)) for k in range(checkpoints)]
+    stride = max(1, grid_points // (2 * PLATEAU_CHECKPOINTS))
+    marks = [grid_points // 2 + k * stride for k in range(PLATEAU_CHECKPOINTS)]
     *running, final = flow_averages(model.generator, model.covariance, t0, step, marks + [grid_points])
     residual = max((float(np.abs(s - final).max()) for s in running), default=0.0)
-    # spectral floor estimate sampled sparsely; it only guards the final SPD
-    # projection and need not be tight
-    m_est = math.inf
-    for k in [0] + [m - 1 for m in marks]:
-        e = propagator(model.generator, t0 + k * step)
-        m_est = min(m_est, float(np.linalg.eigvalsh(symmetrize(e @ model.covariance @ e.T))[0]))
-    return symmetrize(final), residual, m_est
+    if residual > tol:
+        raise PlateauError(residual, tol)
+    average = symmetrize(final)
+    try:
+        np.linalg.cholesky(average)
+    except np.linalg.LinAlgError:
+        raise AccuracyError(
+            f"the Cesaro average of D_t at horizon {horizon:g} is not positive definite"
+        ) from None
+    return average, residual
 
 
-def _floor_spd(mat, floor):
-    w, v = np.linalg.eigh(mat)
-    if w[0] >= floor:
-        return mat
-    w = np.clip(w, floor, None)
-    return symmetrize((v * w) @ v.T)
-
-
-def steady_entropy_production(sigma, d_ref, d_plus, d_minus=None, antisym_rtol=1e-6):
+def steady_entropy_production(sigma, d_ref, d_plus, d_minus=None):
     """Steady entropy production tr(sigma (D+ - D)).
 
     When d_minus is supplied, the negative-time value tr(sigma (D- - D)) is
     computed as well and the antisymmetry omega+ = -omega- is asserted to
-    antisym_rtol (relative); time-reversal invariant models satisfy it
+    ANTISYM_RTOL (relative); time-reversal invariant models satisfy it
     exactly when D- is the theta conjugate of D+.
     """
     s = sigma.matrix
@@ -157,7 +141,7 @@ def steady_entropy_production(sigma, d_ref, d_plus, d_minus=None, antisym_rtol=1
     if d_minus is not None:
         omega_minus = float(np.trace(s @ (d_minus - d_ref)))
         scale = max(abs(omega_plus), abs(omega_minus), 1e-300)
-        if abs(omega_plus + omega_minus) > antisym_rtol * scale:
+        if abs(omega_plus + omega_minus) > ANTISYM_RTOL * scale:
             raise AccuracyError(
                 f"omega+ = {omega_plus:.6e} and omega- = {omega_minus:.6e} "
                 "are not antisymmetric to tolerance"
@@ -166,9 +150,9 @@ def steady_entropy_production(sigma, d_ref, d_plus, d_minus=None, antisym_rtol=1
 
 
 def q_operator(lims):
-    """Assemble Q from the limit covariances, with a full eigendecomposition."""
+    """Q = I - D-^{1/2} D+^{-1} D-^{1/2}, with a full eigendecomposition."""
     d_minus_sqrt = spd_sqrt(lims.d_minus)
-    q = d_minus_sqrt @ (spd_inverse(lims.d_minus) - spd_inverse(lims.d_plus)) @ d_minus_sqrt
+    q = np.eye(d_minus_sqrt.shape[0]) - d_minus_sqrt @ spd_inverse(lims.d_plus) @ d_minus_sqrt
     q = symmetrize(q)
     spectrum, vectors = np.linalg.eigh(q)
     return QOperator(matrix=q, spectrum=spectrum, weights_root=d_minus_sqrt, eigenvectors=vectors)

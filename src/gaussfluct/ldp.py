@@ -154,22 +154,3 @@ def clt_variance(efn, at):
     if value < -1e-8:
         raise AccuracyError(f"second derivative {value:.3e} is negative beyond tolerance")
     return value
-
-
-RATE_SCAN_COLUMNS = ("s", "I", "I_of_minus_s", "es_defect")
-
-
-def rate_scan(rate, s_grid):
-    rows = []
-    for s in s_grid:
-        i_s = rate(float(s))
-        i_ms = rate(-float(s))
-        rows.append((float(s), i_s, i_ms, abs(i_ms - i_s - float(s))))
-    return rows
-
-
-def write_rate_csv(path, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(RATE_SCAN_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")

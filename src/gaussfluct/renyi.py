@@ -174,10 +174,11 @@ def _ness_functional(fp, d_plus):
 
 
 def spectral_cache_info():
-    """Hits and misses of the NESS spectra since import, and the live entries and their bytes."""
+    """Hits and misses of the NESS spectra since import; live entries, and bytes with the D+ copies."""
     with _spectra_lock:
         efns = [f for per_point in _spectra.values() for f in per_point.values()]
-        return {**_spectra_counts, "entries": len(efns), "bytes": sum(f.q.nbytes for f in efns)}
+        nbytes = sum(f.q.nbytes for f in efns) + sum(c.nbytes for c in _d_plus_copies.values())
+        return {**_spectra_counts, "entries": len(efns), "bytes": nbytes}
 
 
 def domain_interval(model, t):

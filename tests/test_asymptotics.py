@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 import scipy.linalg as sla
 
 import gaussfluct as gf
+from gaussfluct import _linalg
 from gaussfluct import asymptotics as ga
-from gaussfluct._linalg import _eigenbasis, symmetrize
+from gaussfluct._linalg import AccuracyError, _eigenbasis, symmetrize
 from gaussfluct.renyi import domain_interval
 
 
@@ -30,10 +32,9 @@ class TestEstimateLimitCovariance:
         # sits near 2e-3, so that is the sharpest honest tolerance here
         model, _ = gf.build_toy(gf.ToySpec(n=1024, lam=1.0, doubled=False))
         eye = np.eye(model.dim)
-        lims_short = gf.estimate_limit_covariance(model, horizon=60.0, grid_points=64,
-                                                  minus_mode="estimate")
-        lims = gf.estimate_limit_covariance(model, horizon=200.0, grid_points=64,
-                                            minus_mode="estimate")
+        assert model.time_reversal is None  # D- is averaged over negative times
+        lims_short = gf.estimate_limit_covariance(model, horizon=60.0, grid_points=64)
+        lims = gf.estimate_limit_covariance(model, horizon=200.0, grid_points=64)
         dev = np.abs(lims.d_plus - eye).max()
         assert dev < 2.5e-3
         assert np.abs(lims.d_minus - eye).max() < 2.5e-3
@@ -47,8 +48,9 @@ class TestEstimateLimitCovariance:
 
     def test_minus_estimation_matches_theta(self, chain_model):
         lims_t = gf.estimate_limit_covariance(chain_model, horizon=12.0, grid_points=64)
-        lims_e = gf.estimate_limit_covariance(chain_model, horizon=12.0, grid_points=64,
-                                              minus_mode="estimate")
+        bare = dataclasses.replace(chain_model, time_reversal=None)
+        lims_e = gf.estimate_limit_covariance(bare, horizon=12.0, grid_points=64)
+        assert np.array_equal(lims_e.d_plus, lims_t.d_plus)
         assert np.abs(lims_t.d_minus - lims_e.d_minus).max() <= 10 * lims_t.plateau_residual
 
     def test_bounds_contain_limits(self, chain_mid, chain_mid_limits):
@@ -66,6 +68,34 @@ class TestEstimateLimitCovariance:
             gf.estimate_limit_covariance(chain_model, horizon=10.0, grid_points=64, tol=1e-6)
         assert err.value.residual > 1e-6
 
+    def test_modal_route_takes_no_propagator_or_eigensolver(self, monkeypatch, chain_model):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(_linalg, "_by_blocks", counted("propagator", _linalg._by_blocks))
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        assert _eigenbasis(chain_model.generator) is not None
+        bare = dataclasses.replace(chain_model, time_reversal=None)
+        for model in (chain_model, bare):
+            gf.estimate_limit_covariance(model, horizon=12.0, grid_points=64)
+        assert calls == []
+
+    def test_indefinite_average_raises(self, monkeypatch, chain_model):
+        def indefinite(generator, x, t0, step, counts):
+            out = [np.array(x) for _ in counts]
+            out[-1][0, 0] = -1.0
+            return out
+
+        monkeypatch.setattr(ga, "flow_averages", indefinite)
+        with pytest.raises(AccuracyError, match="horizon 12"):
+            gf.estimate_limit_covariance(chain_model, horizon=12.0, grid_points=64)
+
 
 def _riemann_reference(model, horizon, grid_points=64, checkpoints=8):
     """The window average point by point: one scipy expm per left-Riemann grid point."""
@@ -74,17 +104,13 @@ def _riemann_reference(model, horizon, grid_points=64, checkpoints=8):
     marks = {grid_points // 2 + k * max(1, grid_points // (2 * checkpoints)) for k in range(checkpoints)}
     acc = np.zeros_like(model.covariance)
     running = []
-    m_est = math.inf
     for k in range(grid_points):
         e = sla.expm((t0 + k * step) * model.generator)
-        d = e @ model.covariance @ e.T
-        acc += d
-        if k == 0 or k + 1 in marks:
-            m_est = min(m_est, float(np.linalg.eigvalsh(symmetrize(d))[0]))
+        acc += e @ model.covariance @ e.T
         if k + 1 in marks:
             running.append(acc / (k + 1))
     final = acc / grid_points
-    return symmetrize(final), max(float(np.abs(s - final).max()) for s in running), m_est
+    return symmetrize(final), max(float(np.abs(s - final).max()) for s in running)
 
 
 def _jordan_model():
@@ -97,11 +123,10 @@ class TestWindowAverage:
     def test_matches_riemann_reference(self, request, name, horizon):
         model = _jordan_model() if name == "jordan" else request.getfixturevalue(name)
         assert (_eigenbasis(model.generator) is None) == (name == "jordan")
-        d_plus, residual, m_est = ga._window_average(model, horizon, 64)
-        ref_d, ref_residual, ref_m = _riemann_reference(model, horizon)
+        d_plus, residual = ga._window_average(model, horizon, 64, math.inf)
+        ref_d, ref_residual = _riemann_reference(model, horizon)
         assert np.abs(d_plus - ref_d).max() <= 1e-12 * np.abs(ref_d).max()
         assert abs(residual - ref_residual) <= 1e-12 * abs(ref_residual)
-        assert abs(m_est - ref_m) <= 1e-12 * abs(ref_m)
 
 
 class TestSteadyEntropyProduction:

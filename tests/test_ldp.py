@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import gaussfluct as gf
-from gaussfluct import ldp
 from gaussfluct.model import DomainError
 from gaussfluct.renyi import DomainInterval, EntropicFunctional
 
@@ -154,13 +153,3 @@ class TestRejection:
     def test_bad_kind(self, toy_oracle):
         with pytest.raises(ValueError):
             gf.rate_function(toy_oracle.limit_functional(), kind="both")
-
-
-def test_rate_scan_csv(tmp_path, toy_oracle):
-    rate = gf.rate_function(toy_oracle.limit_functional(), kind="reference")
-    rows = ldp.rate_scan(rate, np.linspace(-1, 1, 5))
-    path = tmp_path / "rate.csv"
-    ldp.write_rate_csv(path, rows)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "s,I,I_of_minus_s,es_defect"
-    assert len(lines) == 6

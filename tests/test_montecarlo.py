@@ -226,7 +226,7 @@ class TestSigmaIntegral:
             assert np.abs(weights - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("t", [-6.0, 2.0, 10.0, 40.0])
-    def test_defective_generator_takes_van_loan(self, t):
+    def test_defective_generator_takes_expm(self, t):
         # B_t of a block that fails the gate reads the increment expm(tA) - I
         model = _jordan_model()
         assert _eigenbasis(model.generator) is None

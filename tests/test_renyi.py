@@ -1,4 +1,6 @@
 import math
+import weakref
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -263,6 +265,20 @@ class TestSpectralCache:
         assert info["misses"] - start["misses"] == len(scales)
         # the two evicted copies took their functionals with them
         assert info["entries"] - start["entries"] <= renyi.D_PLUS_ENTRIES
+
+    def test_bytes_count_the_d_plus_copies(self, monkeypatch):
+        monkeypatch.setattr(renyi, "_spectra", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(renyi, "_d_plus_copies", OrderedDict())
+        model, oracle = fresh_toy()
+        n = model.dim
+        assert renyi.spectral_cache_info()["bytes"] == 0
+        grown = []
+        for t, d in ((2.0, oracle.d_plus()), (3.0, oracle.d_plus()), (2.0, 2.0 * oracle.d_plus())):
+            before = renyi.spectral_cache_info()["bytes"]
+            atoms = gf.ness_functional(model, t, d).q.nbytes
+            grown.append(renyi.spectral_cache_info()["bytes"] - before - atoms)
+        # a new D+ adds its n x n copy; a seen one adds only the new entry's atoms
+        assert grown == [n * n * 8, 0, n * n * 8]
 
     def test_equal_arrays_share_one_entry(self):
         model, _ = fresh_toy()
