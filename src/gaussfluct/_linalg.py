@@ -3,9 +3,11 @@
 Everything here operates on plain float64 numpy arrays and returns new
 arrays; inputs are never modified.  Every question about the linear flow
 (the propagator e^{tL}, its increment e^{tL} - I and the window average of
-D_t) is answered from one cached eigenbasis per block of the generator,
-with scaling-and-squaring (and a walk of the grid for the window average)
-as the fallback for a block whose eigenbasis fails the conditioning gate.
+D_t) is answered from one cached eigenbasis per block of the generator: a
+unitary one from the Hermitian eigh(iA) for a skew block A, a folded eig one
+otherwise, with scaling-and-squaring (and a walk of the grid for the window
+average) as the fallback for a block whose eig basis fails the conditioning
+gate.
 """
 
 import hashlib
@@ -80,12 +82,13 @@ def _blocks(generator):
 def propagator(generator, t):
     """exp(t * generator), one connected component of the sparsity graph at a time.
 
-    A block whose eigenbasis passes the kappa gate is exponentiated as
-    Re(V e^{t Lambda} V^-1) from its cached basis (Moler and Van Loan, SIAM
-    Rev. 45 (2003), method 14); any other block by scipy's scaling and
-    squaring with diagonal Pade order 13.  Components are split from
-    dimension 256 on, an exact identity that avoids cubing the full
-    dimension.  The result is a real C-contiguous array that owns its data.
+    A block with a cached eigenbasis is exponentiated as
+    Re(V e^{t Lambda} V^-1) from it, V^-1 = U^H for the unitary basis U of a
+    skew block (Moler and Van Loan, SIAM Rev. 45 (2003), method 14); a block
+    whose eig basis fails the kappa gate by scipy's scaling and squaring
+    with diagonal Pade order 13.  Components are split from dimension 256
+    on, an exact identity that avoids cubing the full dimension.  The result
+    is a real C-contiguous array that owns its data.
     """
     return _by_blocks(generator, t, increment=False)
 
@@ -93,9 +96,9 @@ def propagator(generator, t):
 def propagator_increment(generator, t):
     """exp(t * generator) - I without the cancellation of that difference at small |t|.
 
-    A modal block sums expm1(t lambda_j) in place of e^{t lambda_j}, since the
-    folded sum of V V^-1 is I; any other block takes expm(tA) - I.  The block
-    loop and the result's contract are those of propagator.
+    A modal block sums expm1(t lambda_j) in place of e^{t lambda_j}, since
+    V V^-1 (folded, or U U^H) is I; any other block takes expm(tA) - I.  The
+    block loop and the result's contract are those of propagator.
     """
     return _by_blocks(generator, t, increment=True)
 
@@ -153,20 +156,22 @@ def spd_sqrt(mat):
 # within sqrt(2) of kappa(V) (see _decompose), estimated from below by power
 # iteration (_norm2_estimate).  Measured estimates (exact values in
 # parentheses): 2.194, 2.209, 2.209 and 2.206 (2.234 to 2.236) on the 16, 48,
-# 128 and 256+1+256 chains, 1.000 on the toys and about 1e16 on the Jordan
-# block [[-1, 1], [0, -1]].  The 1-norm product grows like the dimension for
-# delocalized eigenvectors (77 to 1165 on the same chains), so it is not used.
+# 128 and 256+1+256 chains and about 1e16 on the Jordan block [[-1, 1],
+# [0, -1]].  The 1-norm product grows like the dimension for delocalized
+# eigenvectors (77 to 1165 on the same chains), so it is not used.  Skew
+# blocks (the toys) need no gate: their basis is unitary, kappa exactly 1.
 MODAL_KAPPA_LIMIT = 1.0e3
 
 
 @dataclass(frozen=True, eq=False)
 class ModalBasis:
-    """Folded eigenbasis of a real block: e^{tA} = Re sum_j c_j v_j e^{lambda_j t} w_j'.
+    """Folded eig basis of a real block: e^{tA} = Re sum_j c_j v_j e^{lambda_j t} w_j'.
 
     One member of each conjugate pair is kept (c_j = 2) beside the real
     eigenvalues (c_j = 1); v_j are columns of V and w_j rows of V^-1,
     stored as real and imaginary parts so that the propagator runs in real
-    arithmetic.  kappa is the gate's estimate (see MODAL_KAPPA_LIMIT).
+    arithmetic.  kappa is the gate's estimate (see MODAL_KAPPA_LIMIT).  A
+    skew block takes a UnitaryBasis instead.
     """
 
     lam: np.ndarray
@@ -200,6 +205,39 @@ class ModalBasis:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class UnitaryBasis:
+    """Eigenbasis of a real skew block A from the Hermitian eigh(iA) = U diag(w) U^H.
+
+    A = U diag(-i w) U^H with U unitary, so V^-1 = U^H is read from U and
+    never stored, and kappa(U) is exactly 1.  Every eigenvalue is kept with
+    weight 1; U is stored as real and imaginary parts and w as real
+    frequencies, which is no more than the eig fold of a block of the same
+    size holds.
+    """
+
+    freq: np.ndarray
+    u_re: np.ndarray
+    u_im: np.ndarray
+    kappa = 1.0
+
+    @property
+    def nbytes(self):
+        return self.freq.nbytes + self.u_re.nbytes + self.u_im.nbytes
+
+    def propagator(self, t, increment=False):
+        """Re U e^{-i t w} U^H = e^{tA}; with increment, expm1 in place of exp gives e^{tA} - I."""
+        e = (np.expm1 if increment else np.exp)(-1j * t * self.freq)
+        p_re = self.u_re * e.real - self.u_im * e.imag
+        p_im = self.u_re * e.imag + self.u_im * e.real
+        return p_re @ self.u_re.T + p_im @ self.u_im.T
+
+    def unfolded(self):
+        """(Lambda, U, U^H) over every eigenvalue."""
+        u = self.u_re + 1j * self.u_im
+        return -1j * self.freq, u, u.conj().T
+
+
 def _norm2_estimate(a, iterations=20):
     """||a||_2 of a real matrix from below, by power iteration on a'a from a fixed start vector."""
     x = np.random.default_rng(0).standard_normal(a.shape[1])
@@ -217,15 +255,19 @@ def _norm2_estimate(a, iterations=20):
 
 
 def _decompose(block):
-    """(ModalBasis or None, kappa): None when eig fails or kappa exceeds the gate.
+    """(basis or None, kappa): a UnitaryBasis for a skew block, else a ModalBasis or None.
 
-    LAPACK returns a conjugate pair as adjacent eigenvalues, the one with
-    positive imaginary part first, with v_j = x_j + i x_{j+1} for two real
-    columns of a real matrix X.  X is V times a block-diagonal unitary scaled
+    None when eig fails or kappa exceeds the gate.  For the eig route, LAPACK
+    returns a conjugate pair as adjacent eigenvalues, the one with positive
+    imaginary part first, with v_j = x_j + i x_{j+1} for two real columns of
+    a real matrix X.  X is V times a block-diagonal unitary scaled
     by 1 (real eigenvalues) or 1/sqrt(2) (pairs), so kappa(X) is within
     sqrt(2) of kappa(V), and equal when the eigenvalues are all pairs or all
     real.  The gate reads kappa(X), and every solve stays real.
     """
+    if np.array_equal(block.T, -block):
+        freq, u = np.linalg.eigh(1j * block)
+        return UnitaryBasis(freq=freq, u_re=u.real.copy(), u_im=u.imag.copy()), UnitaryBasis.kappa
     try:
         lam, v = np.linalg.eig(block)
         lam = lam.astype(complex)
@@ -270,7 +312,7 @@ def _content_key(a):
 
 
 def _eigenbasis(block, key=None):
-    """The cached ModalBasis of a generator block, or None when it fails the gate.
+    """The cached UnitaryBasis or ModalBasis of a generator block, or None when it fails the gate.
 
     key is the block's _content_key, when the caller already has it.
     """

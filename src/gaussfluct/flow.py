@@ -5,7 +5,9 @@ D_t = e^{tL} D e^{tL'} and T_t = D_t^-1 - D^-1, and the time integral
 B_t = int_0^t e^{sL'} sigma e^{sL} ds of the entropy production.  Since
 sigma = 1/2 (L'D^-1 + D^-1 L) is the derivative of 1/2 e^{sL'} D^-1 e^{sL}
 at s = 0, B_t = 1/2 (e^{tL'} D^-1 e^{tL} - D^-1) = 1/2 T_{-t}: no quadrature
-and no Gramian, just the propagator increment e^{tL} - I.
+and no Gramian, just the propagator increment e^{tL} - I.  The same identity
+read at -t gives T_t = e^{-tL'} D^-1 e^{-tL} - D^-1 from the increment at -t,
+so neither D_t nor any Cholesky factor is inverted for T_t either.
 
 A flow point is built from the propagator alone.  With the whitened
 propagator M = D^{-1/2} e^{tL} D^{1/2}, S_t = M M' = D^{-1/2} D_t D^{-1/2} is
@@ -13,7 +15,8 @@ the inverse of I + K_t = D^{1/2} D_t^-1 D^{1/2}, K_t = D^{1/2} T_t D^{1/2}.  So
 one eigvalsh of S_t gives mu, the spectrum of K_t is lambda = 1/mu - 1
 (1 + lambda = 1/mu) and 0.5*logdet(I + K_t) = -0.5*sum log(mu); no inverse
 of D_t is formed.  The propagator, that spectrum and the log-determinant are
-eager; D_t and T_t are computed on first access and then kept.  S_t is
+eager; D_t and T_t are computed on first access and then kept, T_t as
+2 B_{-t} from the increment at -t and D^-1 = D^{-1/2} D^{-1/2}.  S_t is
 positive by construction, so a nonpositive mu raises: it means an inaccurate
 matrix exponential.  No domain is decided here; renyi reads the finite-time
 domains from the same spectrum.
@@ -33,7 +36,7 @@ from ._linalg import (
     spd_sqrt,
     symmetrize,
 )
-from .model import Model, covariance_inverse, covariance_roots, sigma_matrix
+from .model import Model, covariance_roots, sigma_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,14 +49,16 @@ class FlowPoint:
     0.5*logdet(I + D T_t) = -0.5*sum log(mu_i), which vanishes identically for
     time-reversal invariant models (det D_t = det D).  covariance_t (D_t) and
     relative_T (T_t) are built on first access and kept.  They read the
-    model's arrays reference (D) and whitener (D^{-1/2}), never the model, so
-    a flow point does not keep its model alive in the weak caches.
+    model's arrays generator (L), reference (D) and whitener (D^{-1/2}),
+    never the model, so a flow point does not keep its model alive in the
+    weak caches.
     """
 
     time: float
     propagator: np.ndarray
     spectrum: np.ndarray
     logdet_term: float
+    generator: np.ndarray = field(repr=False)
     reference: np.ndarray = field(repr=False)
     whitener: np.ndarray = field(repr=False)
 
@@ -64,13 +69,27 @@ class FlowPoint:
 
     @cached_property
     def relative_T(self):
-        """T_t = D_t^-1 - D^-1, with D^-1 = D^{-1/2} D^{-1/2}; the D_t it inverts is not kept."""
-        cov_t = _flowed(self.propagator, self.reference)
-        return symmetrize(spd_inverse(cov_t) - self.whitener @ self.whitener)
+        """T_t = D_t^-1 - D^-1 = e^{-tL'} D^-1 e^{-tL} - D^-1 = 2 B_{-t}, from the increment at -t."""
+        return _precision_change(self.generator, self.whitener, -self.time)
 
 
 def _flowed(e, d):
     return symmetrize(e @ d @ e.T)
+
+
+def _precision_change(generator, whitener, t):
+    """e^{tL'} D^-1 e^{tL} - D^-1 = F'D^-1 + D^-1 F + F'D^-1 F, F = e^{tL} - I, D^-1 = W W.
+
+    W = D^{-1/2}.  With G = W F and P = W G = D^-1 F it is G'G + (P + P'),
+    summed in place and exactly symmetric; the plain difference of the two
+    terms loses digits like 1/|t| at small |t|.
+    """
+    g = whitener @ propagator_increment(generator, t)
+    p = whitener @ g
+    out = g.T @ g
+    np.add(p, p.T, out=g)
+    out += g
+    return out
 
 
 @dataclass(frozen=True)
@@ -117,6 +136,7 @@ def flow_point(model, t):
         propagator=e,
         spectrum=1.0 / mu[::-1] - 1.0,
         logdet_term=-0.5 * float(np.sum(np.log(mu))),
+        generator=model.generator,
         reference=model.covariance,
         whitener=whitener,
     )
@@ -181,17 +201,15 @@ class SigmaIntegral:
 
 
 def sigma_integral_matrix(model, t):
-    """B_t = 1/2 (e^{tL'} D^-1 e^{tL} - D^-1); for t < 0 the oriented integral.
+    """B_t = 1/2 (e^{tL'} D^-1 e^{tL} - D^-1) = 1/2 T_{-t}; for t < 0 the oriented integral.
 
-    With F = e^{tL} - I from propagator_increment, B_t = 1/2 (F'D^-1 + D^-1 F
-    + F'D^-1 F); the plain difference of the two terms loses digits like
-    1/|t| at small |t|.
+    Read from the propagator increment F = e^{tL} - I as
+    1/2 (F'D^-1 + D^-1 F + F'D^-1 F), which keeps its digits at small |t|.
     """
     t = float(t)
-    f = propagator_increment(model.generator, t)
-    p = covariance_inverse(model) @ f
-    return SigmaIntegral(time=t, matrix=symmetrize(p + 0.5 * (f.T @ p)),
-                         offset=t * float(np.trace(model.generator)))
+    b = _precision_change(model.generator, covariance_roots(model)[1], t)
+    b *= 0.5
+    return SigmaIntegral(time=t, matrix=b, offset=t * float(np.trace(model.generator)))
 
 
 def entropy_balance_defect(model, t):

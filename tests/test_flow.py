@@ -90,7 +90,7 @@ class TestLeanFlowPoint:
         model = fresh_chain()
         fp = gf.flow_point(model, 3.0)
         assert set(vars(fp)) == {"time", "propagator", "spectrum", "logdet_term",
-                                 "reference", "whitener"}
+                                 "generator", "reference", "whitener"}
         calls = {"flowed": 0, "spd_inverse": 0}
 
         def counted(name, fn):
@@ -103,7 +103,8 @@ class TestLeanFlowPoint:
         monkeypatch.setattr(flow, "spd_inverse", counted("spd_inverse", flow.spd_inverse))
         cov_t, rel = fp.covariance_t, fp.relative_T
         assert fp.covariance_t is cov_t and fp.relative_T is rel
-        assert calls == {"flowed": 2, "spd_inverse": 1}
+        # T_t is read from the increment at -t: no D_t is inverted
+        assert calls == {"flowed": 1, "spd_inverse": 0}
         old_cov_t, old_rel, _, _ = _old_flow_point(model, fp.propagator)
         assert np.abs(cov_t - old_cov_t).max() <= 1e-12 * np.abs(old_cov_t).max()
         assert np.abs(rel - old_rel).max() <= 1e-12 * np.abs(old_rel).max()
@@ -134,6 +135,12 @@ class TestLeanFlowPoint:
         for a in np.linspace(-0.5, 1.5, 9):
             gf.renyi_entropy(model, 7.0, a)
         gf.reference_functional(model, 8.0)
+        # the NESS path with D+ = I reads T_t itself, and so does the log-density
+        eye = np.eye(model.dim)
+        gf.domain_interval_ness(model, 2.0, eye)
+        for a in np.linspace(-0.5, 0.5, 5):
+            gf.renyi_entropy_ness(model, 7.0, a, eye)
+        gf.log_density(model, 9.0, np.ones(model.dim))
         assert calls == []
 
     def test_flow_cache_entry_released_with_model(self):
@@ -171,6 +178,13 @@ class TestCocycle:
 
     def test_toy_defect_small(self, toy_model):
         assert gf.cocycle_defect(toy_model, 5.0, 5.0) <= 1e-10
+
+    @pytest.mark.parametrize("s,t", [(30.0, 30.0), (10.0, 50.0), (59.0, 1.0)])
+    def test_nonnormal_defect_relative_at_long_time(self, nonnormal_model, s, t):
+        # |T_60| is about 2e55 here; inverting D_t by Cholesky left a relative
+        # defect of 6.5e-5, the increment at -t leaves roundoff
+        scale = np.abs(gf.flow_point(nonnormal_model, s + t).relative_T).max()
+        assert gf.cocycle_defect(nonnormal_model, s, t) <= 1e-12 * scale
 
 
 class TestLogDensity:

@@ -14,6 +14,7 @@ from gaussfluct._linalg import (
     MODAL_CACHE_ENTRIES,
     MODAL_KAPPA_LIMIT,
     _eigenbasis,
+    _walked_averages,
     flow_averages,
     modal_basis_info,
     propagator,
@@ -95,6 +96,41 @@ class TestModalPropagator:
     def test_jordan_block_takes_expm(self):
         assert _eigenbasis(JORDAN) is None
         assert np.array_equal(propagator(JORDAN, 3.0), sla.expm(3.0 * JORDAN))
+
+
+def _skew_generators():
+    """Skew generators: the split n=128 toy, the undoubled toy with odd n
+    (one exact zero eigenvalue) and eight identical 2x2 rotations (+-i, each eightfold)."""
+    return {
+        "split toy": gf.build_toy(gf.ToySpec(n=128, lam=1.0))[0].generator,
+        "odd toy": gf.build_toy(gf.ToySpec(n=65, lam=1.0, doubled=False))[0].generator,
+        "rotations": np.kron(np.eye(8), np.array([[0.0, 1.0], [-1.0, 0.0]])),
+    }
+
+
+class TestSkewBlocks:
+    @pytest.mark.parametrize("name", sorted(_skew_generators()))
+    def test_unitary_route(self, fresh_bases, name):
+        gen = _skew_generators()[name]
+        n = gen.shape[0]
+        # scipy's expm is itself 3e-13 off the extended-precision value at t = 60
+        for t in (-6.0, 2.0, 10.0):
+            ref = sla.expm(t * gen)
+            assert np.abs(propagator(gen, t) - ref).max() <= 1e-13 * np.abs(ref).max()
+            inc = propagator_increment(gen, t)
+            assert np.abs(inc - (ref - np.eye(n))).max() <= 1e-13 * np.abs(ref).max()
+        x = np.eye(n) + np.outer(np.arange(n), np.arange(n)) / n**2
+        for avg, walked in zip(flow_averages(gen, x, 1.0, 0.25, [4, 16]),
+                               _walked_averages(gen, x, 1.0, 0.25, [4, 16])):
+            assert np.abs(avg - walked).max() <= 1e-12 * np.abs(walked).max()
+        info = modal_basis_info()
+        assert fresh_bases == []
+        assert info["fallbacks"] == 0 and all(k == 1.0 for k in info["kappa"])
+        skew_bytes = info["bytes"]
+        # the same blocks shifted off the imaginary axis take the eig fold
+        propagator(gen - 0.1 * np.eye(n), 1.0)
+        assert fresh_bases
+        assert 0 < skew_bytes <= modal_basis_info()["bytes"] - skew_bytes
 
 
 class TestBasisCache:
@@ -184,7 +220,9 @@ class TestOneDecompositionPerBlock:
         del fresh_bases[:]
         gf.estimate_limit_covariance(split_toy, horizon=6.0, grid_points=64)
         gf.sigma_integral_matrix(split_toy, 3.0)
-        assert fresh_bases == [(128, 128), (128, 128)]
+        # the toy's skew blocks take eigh(iA), never eig
+        assert fresh_bases == []
+        assert modal_basis_info()["misses"] == 3
 
 
 def test_basis_info_after_chain_pipeline(fresh_bases, chain_model):

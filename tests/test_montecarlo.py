@@ -214,6 +214,14 @@ class TestSigmaIntegral:
         ref = _van_loan_gramian(chain_model.generator, gf.sigma_matrix(chain_model).matrix, t)
         assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("t", [1e-6, 1e-3])
+    def test_relative_T_is_twice_b_at_minus_t(self, chain_model, nonnormal_model, t):
+        # T_t = 2 B_{-t}; inverting D_t by Cholesky missed by 3.1e-9 (relative) at t = 1e-6
+        for model in (chain_model, nonnormal_model):
+            rel = gf.flow_point(model, t).relative_T
+            ref = 2.0 * _van_loan_gramian(model.generator, gf.sigma_matrix(model).matrix, -t)
+            assert np.abs(rel - ref).max() <= 1e-12 * np.abs(ref).max()
+
     @pytest.mark.parametrize("t", [-6.0, 2.0, 10.0])
     def test_law_weights_are_flow_point_at_minus_t(self, chain_model, nonnormal_model, t):
         # under N(0, D), (x, B_t x) is a weighted chi-square with weights
