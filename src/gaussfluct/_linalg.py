@@ -2,8 +2,8 @@
 
 Everything here operates on plain float64 numpy arrays and returns new
 arrays; inputs are never modified.  Every question about the linear flow
-(the propagator e^{tL}, its increment e^{tL} - I and the window average of
-D_t) is answered from one cached eigenbasis per block of the generator: a
+(the propagator e^{tL}, its increment e^{tL} - I, its action e^{tL} x on a
+vector and the window average of D_t) is answered from one cached eigenbasis per block of the generator: a
 unitary one from the Hermitian eigh(iA) for a skew block A, a folded eig one
 otherwise, with scaling-and-squaring (and a walk of the grid for the window
 average) as the fallback for a block whose eig basis fails the conditioning
@@ -103,6 +103,27 @@ def propagator_increment(generator, t):
     return _by_blocks(generator, t, increment=True)
 
 
+def propagator_apply(generator, times, x):
+    """e^{tL} x for a vector x at each t in times, one row per time.
+
+    Blocks as in propagator; a block with a cached eigenbasis costs O(n^2)
+    per time (its basis's apply) and forms no n x n propagator, a block that
+    fails the gate multiplies x by its expm.  The generator is hashed and
+    its horizon checked once for all times.
+    """
+    times = [float(t) for t in times]
+    x = np.asarray(x, dtype=float)
+    out = np.empty((len(times), x.shape[0]))
+    _check_horizon(generator, max(map(abs, times), default=0.0))
+    blocks = _blocks(generator)
+    for idx, key in blocks:
+        block = generator if len(blocks) == 1 else generator[np.ix_(idx, idx)]
+        basis = _eigenbasis(block, key)
+        for row, t in zip(out, times):
+            row[idx] = basis.apply(t, x[idx]) if basis is not None else sla.expm(t * block) @ x[idx]
+    return out
+
+
 def _by_blocks(generator, t, increment):
     """e^{tL}, or e^{tL} - I when increment is set, assembled block by block."""
     _check_horizon(generator, t)
@@ -193,6 +214,11 @@ class ModalBasis:
         p_im = self.v_re * e.imag + self.v_im * e.real
         return p_re @ self.w_re - p_im @ self.w_im
 
+    def apply(self, t, x):
+        """e^{tA} x = Re sum_j c_j v_j e^{t lambda_j} (w_j' x), O(n^2) for a vector x."""
+        c = self.weight * np.exp(t * self.lam) * (self.w_re @ x + 1j * (self.w_im @ x))
+        return self.v_re @ c.real - self.v_im @ c.imag
+
     def unfolded(self):
         """(Lambda, V, V^-1) over every eigenvalue, the dropped partners rebuilt as conjugates."""
         pair = self.weight == 2.0
@@ -231,6 +257,11 @@ class UnitaryBasis:
         p_re = self.u_re * e.real - self.u_im * e.imag
         p_im = self.u_re * e.imag + self.u_im * e.real
         return p_re @ self.u_re.T + p_im @ self.u_im.T
+
+    def apply(self, t, x):
+        """e^{tA} x = Re U e^{-i t w} U^H x, O(n^2) for a vector x."""
+        c = np.exp(-1j * t * self.freq) * (x @ self.u_re - 1j * (x @ self.u_im))
+        return self.u_re @ c.real - self.u_im @ c.imag
 
     def unfolded(self):
         """(Lambda, U, U^H) over every eigenvalue."""

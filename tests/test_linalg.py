@@ -18,6 +18,7 @@ from gaussfluct._linalg import (
     flow_averages,
     modal_basis_info,
     propagator,
+    propagator_apply,
     propagator_increment,
 )
 
@@ -96,6 +97,19 @@ class TestModalPropagator:
     def test_jordan_block_takes_expm(self):
         assert _eigenbasis(JORDAN) is None
         assert np.array_equal(propagator(JORDAN, 3.0), sla.expm(3.0 * JORDAN))
+
+    def test_apply_matches_propagator(self, chain_model, split_toy, nonnormal_model):
+        # eig fold, unitary split blocks, eig fold again and the expm fallback
+        times = [-6.0, 0.0, 2.0, 10.0]
+        for gen in (chain_model.generator, split_toy.generator, nonnormal_model.generator, JORDAN):
+            x = np.random.default_rng(3).standard_normal(gen.shape[0])
+            rows = propagator_apply(gen, times, x)
+            assert rows.shape == (len(times), gen.shape[0])
+            for t, row in zip(times, rows):
+                ref = propagator(gen, t) @ x
+                assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
+        with pytest.raises(_linalg.AccuracyError):
+            propagator_apply(chain_model.generator, [1.0, -1e5], np.ones(chain_model.dim))
 
 
 def _skew_generators():

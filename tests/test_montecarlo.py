@@ -8,7 +8,7 @@ import scipy.linalg as sla
 import gaussfluct as gf
 from gaussfluct import montecarlo as mc
 from gaussfluct._linalg import AccuracyError, _eigenbasis, generator_norm_bound, propagator, symmetrize
-from gaussfluct.model import DomainError
+from gaussfluct.model import DomainError, covariance_roots
 
 
 def _reference_rows(seed, start, stop, dim):
@@ -72,7 +72,7 @@ class TestSampling:
         sig = gf.sigma_matrix(chain_model).matrix
         model, _ = chain_mid
         results = []
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 4):
             quad = mc.quad_form_samples(chain_model.covariance, [sig], seed=7, count=count,
                                         workers=workers)
             batch = gf.sample_gaussian(model.covariance, seed=7, count=count, workers=workers)
@@ -80,7 +80,7 @@ class TestSampling:
                                                      count=count, workers=workers)
             results.append((quad.tobytes(), batch.draws.tobytes(), batch.mean.tobytes(),
                             batch.variance.tobytes(), defect))
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1] == results[2] == results[3]
 
     def test_trace_identity(self, chain_model):
         rows = mc.trace_identity_report(chain_model.covariance, seed=11, count=20_000, n_mats=10)
@@ -129,6 +129,46 @@ class TestSampling:
         for estimator in estimators:
             with pytest.raises(ValueError, match=f"count = {count} "):
                 estimator()
+
+
+def _dense_quad_forms(cov, mats, seed, count):
+    """(x, M x) by the general product: einsum(z @ W, z) with W = C'MC, all rows at once."""
+    chol = np.linalg.cholesky(cov)
+    z = mc._draw_rows(seed, 0, count, cov.shape[0])
+    return np.stack([np.einsum("ij,ij->i", z @ (chol.T @ m @ chol), z) for m in mats], axis=1)
+
+
+class TestTriangularQuadForms:
+    @pytest.mark.parametrize("dim,count", [(1, 50), (66, 2 * mc.CHUNK + 17)])
+    def test_matches_dense_product(self, dim, count):
+        # a non-symmetric M: the fold W_ij + W_ji keeps its form exactly
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((dim, dim))
+        cov = a @ a.T + dim * np.eye(dim)
+        mats = [rng.standard_normal((dim, dim)), symmetrize(rng.standard_normal((dim, dim)))]
+        got = mc.quad_form_samples(cov, mats, seed=9, count=count, workers=2)
+        ref = _dense_quad_forms(cov, mats, 9, count)
+        assert got.shape == (count, 2)
+        for j in range(2):
+            assert np.abs(got[:, j] - ref[:, j]).max() <= 1e-13 * np.abs(ref[:, j]).max()
+
+    def test_inputs_unmodified(self, chain_model):
+        cov = chain_model.covariance.copy()
+        mats = [gf.sigma_matrix(chain_model).matrix.copy(), np.triu(np.ones_like(cov))]
+        saved = [cov.copy()] + [m.copy() for m in mats]
+        mc.quad_form_samples(cov, mats, seed=1, count=300)
+        for before, after in zip(saved, [cov] + mats):
+            assert after.tobytes() == before.tobytes()
+
+    def test_propagated_defect_matches_two_products(self, chain_mid):
+        # the once-formed factor C' e^{tL'} against (z C') e^{tL'}
+        model, _ = chain_mid
+        cov, count = model.covariance, mc.CHUNK + 5
+        x = mc._draw_rows(2, 0, count, model.dim) @ np.linalg.cholesky(cov).T
+        y = x @ propagator(model.generator, 3.0).T
+        ref = float(np.abs(y.T @ y / count - cov).max())
+        got = mc.propagated_sample_cov_defect(model, cov, 3.0, seed=2, count=count)
+        assert abs(got - ref) <= 1e-12 * np.abs(cov).max()
 
 
 def _jordan_model():
@@ -295,6 +335,22 @@ class TestSllnTrajectory:
         # the time average is unbiased for the finite-t mean, which sits within
         # ~10% of omega+ at this horizon
         assert abs(mean - oracle.omega_plus_sigma) <= 5 * se + 0.1 * oracle.omega_plus_sigma
+
+    @pytest.mark.parametrize("measure", ["reference", "ness"])
+    def test_matches_flow_point_formula(self, chain_mid, chain_mid_limits, measure):
+        # Sigma_t = 1/2 (|D^{-1/2} e^{tL} x|^2 - |D^{-1/2} x|^2)/t - tr L with e^{tL} from the flow point
+        model, _ = chain_mid
+        d_plus = chain_mid_limits.d_plus
+        cov = model.covariance if measure == "reference" else d_plus
+        series = gf.slln_trajectory(model, measure, horizon=40.0, seed=5, d_plus=d_plus)
+        x = (mc._draw_rows(5, 0, 1, model.dim) @ np.linalg.cholesky(cov).T)[0]
+        whitener = covariance_roots(model)[1]
+        start = float((whitener @ x) @ (whitener @ x))
+        tr_term = float(np.trace(model.generator))
+        for t, value in series:
+            y = whitener @ (gf.flow_point(model, t).propagator @ x)
+            ref = 0.5 * (float(y @ y) - start) / t - tr_term
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_ness_measure_needs_d_plus(self, chain_model):
         with pytest.raises(ValueError):
