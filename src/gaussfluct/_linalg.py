@@ -3,10 +3,13 @@
 Everything here operates on plain float64 numpy arrays and returns new
 arrays; inputs are never modified.  Every question about the linear flow
 (the propagator e^{tL}, its increment e^{tL} - I, its action e^{tL} x on a
-vector and the window average of D_t) is answered from one cached eigenbasis per block of the generator: a
-unitary one from the Hermitian eigh(iA) for a skew block A, a folded eig one
-otherwise, with scaling-and-squaring (and a walk of the grid for the window
-average) as the fallback for a block whose eig basis fails the conditioning
+vector and the window average of D_t) is answered from one cached eigenbasis
+per block of the generator.  The route is read from the block's content:
+a unitary basis from the Hermitian eigh(iA) for a skew block A; a real
+oscillator basis from eigh(J) for a second-order block [[0, -J], [I, 0]]
+with J symmetric positive definite (the harmonic chains); a folded eig basis
+otherwise.  Scaling-and-squaring (and a walk of the grid for the window
+average) is the fallback for a block whose eig basis fails the conditioning
 gate.
 """
 
@@ -84,7 +87,8 @@ def propagator(generator, t):
 
     A block with a cached eigenbasis is exponentiated as
     Re(V e^{t Lambda} V^-1) from it, V^-1 = U^H for the unitary basis U of a
-    skew block (Moler and Van Loan, SIAM Rev. 45 (2003), method 14); a block
+    skew block (Moler and Van Loan, SIAM Rev. 45 (2003), method 14), or in
+    real cos/sin blocks for an oscillator block; a block
     whose eig basis fails the kappa gate by scipy's scaling and squaring
     with diagonal Pade order 13.  Components are split from dimension 256
     on, an exact identity that avoids cubing the full dimension.  The result
@@ -97,7 +101,8 @@ def propagator_increment(generator, t):
     """exp(t * generator) - I without the cancellation of that difference at small |t|.
 
     A modal block sums expm1(t lambda_j) in place of e^{t lambda_j}, since
-    V V^-1 (folded, or U U^H) is I; any other block takes expm(tA) - I.  The
+    V V^-1 (folded, or U U^H) is I, and an oscillator block takes
+    -2 sin^2(tw/2) in place of cos(tw); any other block takes expm(tA) - I.  The
     block loop and the result's contract are those of propagator.
     """
     return _by_blocks(generator, t, increment=True)
@@ -173,14 +178,16 @@ def spd_sqrt(mat):
 
 # The modal route carries Q into the eigenbasis and back through V and V^-1,
 # which costs about kappa(V)^2 * eps of relative accuracy: below 1e-9 here.
-# kappa is the 2-norm ||X||_2 ||X^-1||_2 of the real eigenvector matrix X,
-# within sqrt(2) of kappa(V) (see _decompose), estimated from below by power
-# iteration (_norm2_estimate).  Measured estimates (exact values in
-# parentheses): 2.194, 2.209, 2.209 and 2.206 (2.234 to 2.236) on the 16, 48,
-# 128 and 256+1+256 chains and about 1e16 on the Jordan block [[-1, 1],
-# [0, -1]].  The 1-norm product grows like the dimension for delocalized
-# eigenvectors (77 to 1165 on the same chains), so it is not used.  Skew
-# blocks (the toys) need no gate: their basis is unitary, kappa exactly 1.
+# For an eig basis, kappa is the 2-norm ||X||_2 ||X^-1||_2 of the real
+# eigenvector matrix X, within sqrt(2) of kappa(V) (see _decompose),
+# estimated from below by power iteration (_norm2_estimate): about 1e16 on
+# the Jordan block [[-1, 1], [0, -1]], and 2.194 to 2.209 on the 16 to
+# 256+1+256 chains when they take this route.  The 1-norm product grows like
+# the dimension for delocalized eigenvectors (77 to 1165 on the same chains),
+# so it is not used.  Skew blocks (the toys) need no gate: their basis is
+# unitary, kappa exactly 1.  The chains take the oscillator basis, whose
+# kappa is exact, sqrt(cond G) for the conserved energy form G = diag(I, J):
+# 2.2360 on the 128+1+128 chain.
 MODAL_KAPPA_LIMIT = 1.0e3
 
 
@@ -192,7 +199,8 @@ class ModalBasis:
     eigenvalues (c_j = 1); v_j are columns of V and w_j rows of V^-1,
     stored as real and imaginary parts so that the propagator runs in real
     arithmetic.  kappa is the gate's estimate (see MODAL_KAPPA_LIMIT).  A
-    skew block takes a UnitaryBasis instead.
+    skew block takes a UnitaryBasis instead, an oscillator block an
+    OscillatorBasis.
     """
 
     lam: np.ndarray
@@ -202,6 +210,7 @@ class ModalBasis:
     w_re: np.ndarray
     w_im: np.ndarray
     kappa: float
+    route = "eig"
 
     @property
     def nbytes(self):
@@ -246,6 +255,7 @@ class UnitaryBasis:
     u_re: np.ndarray
     u_im: np.ndarray
     kappa = 1.0
+    route = "unitary"
 
     @property
     def nbytes(self):
@@ -269,6 +279,62 @@ class UnitaryBasis:
         return -1j * self.freq, u, u.conj().T
 
 
+@dataclass(frozen=True, eq=False)
+class OscillatorBasis:
+    """Real eigenbasis of a second-order block A = [[0, -J], [I, 0]] from eigh(J) = Q diag(w^2) Q'.
+
+    A conserves G = diag(I, J), and its modes are +-i w_k.  With C = cos tW,
+    S = sin tW and W = diag(w), e^{tA} = [[Q C Q', -Q W S Q'], [Q W^-1 S Q', Q C Q']]
+    is real, three products of size h^3 for h = n/2; only w and Q are stored.
+    The unfolded V = [[iQW, -iQW], [Q, Q]] has singular values sqrt(2) w_k and
+    sqrt(2), so its 2-norm kappa is exactly max(1, w_max)/min(1, w_min),
+    which is sqrt(cond G).
+    """
+
+    freq: np.ndarray
+    q: np.ndarray
+    route = "oscillator"
+
+    @property
+    def kappa(self):
+        return max(1.0, float(self.freq[-1])) / min(1.0, float(self.freq[0]))
+
+    @property
+    def nbytes(self):
+        return self.freq.nbytes + self.q.nbytes
+
+    def propagator(self, t, increment=False):
+        """e^{tA} in real cos/sin blocks; with increment, C - I = -2 sin^2(tW/2) gives e^{tA} - I."""
+        tw = t * self.freq
+        s = np.sin(tw)
+        c = -2.0 * np.sin(0.5 * tw) ** 2 if increment else np.cos(tw)
+        q, h = self.q, self.freq.size
+        out = np.empty((2 * h, 2 * h))
+        out[:h, :h] = out[h:, h:] = (q * c) @ q.T
+        out[:h, h:] = (q * (-self.freq * s)) @ q.T
+        out[h:, :h] = (q * (s / self.freq)) @ q.T
+        return out
+
+    def apply(self, t, x):
+        """e^{tA} x through Q' x, O(n^2) for a vector x."""
+        tw = t * self.freq
+        c, s = np.cos(tw), np.sin(tw)
+        h = self.freq.size
+        a, b = x[:h] @ self.q, x[h:] @ self.q
+        return np.concatenate([self.q @ (c * a - self.freq * s * b), self.q @ (s / self.freq * a + c * b)])
+
+    def unfolded(self):
+        """(Lambda, V, V^-1) with Lambda = (i w, -i w), V = [[iQW, -iQW], [Q, Q]] and its analytic inverse."""
+        q, qt = self.q, self.q.T
+        qw = q * (1j * self.freq)
+        wq = qt * (-0.5j / self.freq)[:, None]
+        return (
+            np.concatenate([1j * self.freq, -1j * self.freq]),
+            np.block([[qw, -qw], [q, q]]),
+            np.block([[wq, 0.5 * qt], [-wq, 0.5 * qt]]),
+        )
+
+
 def _norm2_estimate(a, iterations=20):
     """||a||_2 of a real matrix from below, by power iteration on a'a from a fixed start vector."""
     x = np.random.default_rng(0).standard_normal(a.shape[1])
@@ -285,8 +351,24 @@ def _norm2_estimate(a, iterations=20):
     return sigma
 
 
+def _oscillator_basis(block):
+    """The OscillatorBasis of a block that is exactly [[0, -J], [I, 0]] with J symmetric positive definite, else None."""
+    n = block.shape[0]
+    h = n // 2
+    if n % 2 or block[:h, :h].any() or block[h:, h:].any() or not np.array_equal(block[h:, :h], np.eye(h)):
+        return None
+    j = -block[:h, h:]
+    if not np.array_equal(j, j.T):
+        return None
+    w2, q = np.linalg.eigh(j)
+    if not w2[0] > 0.0:
+        return None
+    return OscillatorBasis(freq=np.sqrt(w2), q=q)
+
+
 def _decompose(block):
-    """(basis or None, kappa): a UnitaryBasis for a skew block, else a ModalBasis or None.
+    """(basis or None, kappa): a UnitaryBasis for a skew block, an OscillatorBasis for an
+    oscillator block within the gate, else a ModalBasis or None.
 
     None when eig fails or kappa exceeds the gate.  For the eig route, LAPACK
     returns a conjugate pair as adjacent eigenvalues, the one with positive
@@ -299,6 +381,9 @@ def _decompose(block):
     if np.array_equal(block.T, -block):
         freq, u = np.linalg.eigh(1j * block)
         return UnitaryBasis(freq=freq, u_re=u.real.copy(), u_im=u.imag.copy()), UnitaryBasis.kappa
+    basis = _oscillator_basis(block)
+    if basis is not None and basis.kappa <= MODAL_KAPPA_LIMIT:
+        return basis, basis.kappa
     try:
         lam, v = np.linalg.eig(block)
         lam = lam.astype(complex)
@@ -343,7 +428,7 @@ def _content_key(a):
 
 
 def _eigenbasis(block, key=None):
-    """The cached UnitaryBasis or ModalBasis of a generator block, or None when it fails the gate.
+    """The cached UnitaryBasis, OscillatorBasis or ModalBasis of a generator block, or None when it fails the gate.
 
     key is the block's _content_key, when the caller already has it.
     """
@@ -369,9 +454,11 @@ def _eigenbasis(block, key=None):
 
 
 def modal_basis_info():
-    """Hits, misses and gate failures ('fallbacks') since import; live entries, bytes and kappa.
+    """Hits, misses and gate failures ('fallbacks') since import; live entries, bytes, kappa and routes.
 
-    kappa lists the gate's estimate per live entry, inf where eig or inv failed.
+    kappa lists the gate's estimate per live entry (exact for the unitary and
+    oscillator bases), inf where eig or inv failed.  routes names each live
+    entry's route: 'unitary', 'oscillator', 'eig', or 'expm' for a gate failure.
     """
     with _bases_lock:
         entries = list(_bases.values())
@@ -380,6 +467,7 @@ def modal_basis_info():
             "entries": len(entries),
             "bytes": sum(b.nbytes for b, _ in entries if b is not None),
             "kappa": [k for _, k in entries],
+            "routes": [b.route if b is not None else "expm" for b, _ in entries],
         }
 
 
@@ -423,8 +511,11 @@ def flow_averages(generator, x, t0, step, counts):
             den = np.expm1(z * step)
             flat = den == 0.0
             den[flat] = 1.0
+            e_0 = np.exp(z * t0)
             for out, m in zip(outs, counts):
-                s = np.exp(z * t0) * np.expm1(z * (m * step)) / den
+                # np.multiply keeps the operand order; the operator may swap the
+                # operands to reuse the temporary and round differently.
+                s = np.multiply(e_0, np.expm1(z * (m * step))) / den
                 s[flat] = m
                 out[np.ix_(ia, ib)] = _real_product(v_a @ (core * (s / m)), v_b.T)
     return outs

@@ -99,7 +99,7 @@ class TestModalPropagator:
         assert np.array_equal(propagator(JORDAN, 3.0), sla.expm(3.0 * JORDAN))
 
     def test_apply_matches_propagator(self, chain_model, split_toy, nonnormal_model):
-        # eig fold, unitary split blocks, eig fold again and the expm fallback
+        # oscillator basis, unitary split blocks, eig fold and the expm fallback
         times = [-6.0, 0.0, 2.0, 10.0]
         for gen in (chain_model.generator, split_toy.generator, nonnormal_model.generator, JORDAN):
             x = np.random.default_rng(3).standard_normal(gen.shape[0])
@@ -147,6 +147,83 @@ class TestSkewBlocks:
         assert 0 < skew_bytes <= modal_basis_info()["bytes"] - skew_bytes
 
 
+def _oscillator_generators():
+    """Second-order generators [[0, -J], [I, 0]]: the 16+1+16 and 128+1+128 chains
+    and an inhomogeneous 12+1+12 chain."""
+    rng = np.random.default_rng(8)
+    couplings = (rng.uniform(0.5, 2.0, 25), rng.uniform(0.5, 2.0, 26))
+    specs = {
+        "chain 16": gf.ChainSpec(n_left=16, n_right=16),
+        "chain 128": gf.ChainSpec(n_left=128, n_right=128),
+        "inhomogeneous": gf.ChainSpec(n_left=12, n_right=12, inhomogeneous=couplings),
+    }
+    return {name: gf.build_chain(spec)[0].generator for name, spec in specs.items()}
+
+
+def _second_order(j, damping=0.0):
+    """[[-damping I, -J], [I, 0]] in (p, q) order."""
+    h = j.shape[0]
+    return np.block([[-damping * np.eye(h), -j], [np.eye(h), np.zeros((h, h))]])
+
+
+class TestOscillatorBlocks:
+    @pytest.mark.parametrize("name", sorted(_oscillator_generators()))
+    def test_oscillator_route(self, fresh_bases, name):
+        gen = _oscillator_generators()[name]
+        n = gen.shape[0]
+        h = n // 2
+        j = -gen[:h, h:]
+        for t in (-6.0, 2.0, 10.0):
+            ref = sla.expm(t * gen)
+            assert np.abs(propagator(gen, t) - ref).max() <= 1e-12 * np.abs(ref).max()
+        t = 1e-6
+        taylor = t * gen + (t**2 / 2) * gen @ gen + (t**3 / 6) * gen @ gen @ gen
+        inc = propagator_increment(gen, t)
+        assert np.abs(inc - taylor).max() <= 1e-12 * np.abs(taylor).max()
+        energy = sla.block_diag(np.eye(h), j)
+        e = propagator(gen, 60.0)
+        assert np.abs(e.T @ energy @ e - energy).max() <= 1e-13
+        x = np.random.default_rng(3).standard_normal(n)
+        for t, row in zip((-6.0, 2.0), propagator_apply(gen, (-6.0, 2.0), x)):
+            ref = propagator(gen, t) @ x
+            assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
+        lam, v, v_inv = _eigenbasis(gen).unfolded()
+        assert np.abs((v * lam) @ v_inv - gen).max() <= 1e-13 * np.abs(gen).max()
+        cov = np.eye(n) + np.outer(np.arange(n), np.arange(n)) / n**2
+        for avg, walked in zip(flow_averages(gen, cov, 1.0, 0.25, [4, 16]),
+                               _walked_averages(gen, cov, 1.0, 0.25, [4, 16])):
+            assert np.abs(avg - walked).max() <= 1e-12 * np.abs(walked).max()
+        info = modal_basis_info()
+        assert fresh_bases == []
+        assert info["routes"] == ["oscillator"] and info["misses"] == 1
+        assert info["bytes"] == (h + h * h) * 8
+        w = np.sqrt(np.linalg.eigvalsh(j))
+        exact = max(1.0, w[-1]) / min(1.0, w[0])
+        assert info["kappa"][0] == pytest.approx(exact, rel=1e-13)
+        assert info["kappa"][0] == pytest.approx(np.linalg.cond(v), rel=1e-12)
+
+    def test_other_blocks_keep_eig(self, fresh_bases, chain_model):
+        h = chain_model.dim // 2
+        j = -chain_model.generator[:h, h:]
+        skewed = j.copy()
+        skewed[0, 1] += 0.05
+        cases = {
+            "not positive definite": _second_order(-np.eye(h)),
+            "non-symmetric J": _second_order(skewed),
+            "damped": _second_order(j, damping=0.1),
+        }
+        for name, gen in cases.items():
+            ref = sla.expm(2.0 * gen)
+            assert np.abs(propagator(gen, 2.0) - ref).max() <= 1e-12 * np.abs(ref).max(), name
+            assert modal_basis_info()["routes"][-1] == "eig", name
+        assert len(fresh_bases) == len(cases)
+        # an oscillator block past the gate (kappa 1e4) takes eig, then expm
+        gen = _second_order(np.diag(np.geomspace(1e-8, 1.0, 8)))
+        assert np.array_equal(propagator(gen, 2.0), sla.expm(2.0 * gen))
+        assert modal_basis_info()["routes"][-1] == "expm"
+        assert len(fresh_bases) == len(cases) + 1
+
+
 class TestBasisCache:
     def test_in_place_change_gives_fresh_basis(self, chain_model):
         gen = chain_model.generator.copy()
@@ -168,10 +245,11 @@ class TestBasisCache:
         assert info["misses"] == MODAL_CACHE_ENTRIES + 3
 
     def test_gate_uses_two_norm_kappa(self):
-        # the 1-norm product reads 1165 here; the 2-norm kappa(V) is 2.236
+        # the 1-norm product reads 1165 here; the 2-norm kappa(V) is 2.236.  In
+        # (q, p) order the chain is not an oscillator block and takes eig.
         model, _ = gf.build_chain(gf.ChainSpec(n_left=256, n_right=256, temps=(2.0, 1.0, 1.0)))
-        basis = _eigenbasis(model.generator)
-        assert basis is not None
+        basis = _eigenbasis(model.generator[::-1, ::-1])
+        assert basis.route == "eig"
         assert 2.0 <= basis.kappa <= 2.3
         assert _eigenbasis(JORDAN) is None
 
@@ -195,15 +273,17 @@ class TestBasisCache:
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
-        assert fresh_bases == [(chain_model.dim, chain_model.dim)]
         assert all(np.array_equal(r, results[0]) for r in results)
-        assert modal_basis_info()["hits"] == len(results) - 1
+        info = modal_basis_info()
+        assert (info["misses"], info["hits"]) == (1, len(results) - 1)
+        assert info["routes"] == ["oscillator"]
 
 
 class TestOneDecompositionPerBlock:
     def test_flow_scan(self, fresh_bases, chain_model):
         flow_scan(chain_model, np.linspace(0.0, 20.0, 11))
-        assert fresh_bases == [(chain_model.dim, chain_model.dim)]
+        info = modal_basis_info()
+        assert (info["misses"], info["routes"]) == (1, ["oscillator"])
 
     def test_one_partition_per_generator(self, monkeypatch, split_toy):
         monkeypatch.setattr(_linalg, "_partitions", OrderedDict())
@@ -230,13 +310,14 @@ class TestOneDecompositionPerBlock:
         bare = dataclasses.replace(chain_model, time_reversal=None)
         gf.estimate_limit_covariance(bare, horizon=12.0, grid_points=64)
         gf.sigma_integral_matrix(chain_model, 3.0)
-        assert fresh_bases == [(chain_model.dim, chain_model.dim)]
-        del fresh_bases[:]
+        info = modal_basis_info()
+        assert (info["misses"], info["routes"]) == (1, ["oscillator"])
         gf.estimate_limit_covariance(split_toy, horizon=6.0, grid_points=64)
         gf.sigma_integral_matrix(split_toy, 3.0)
-        # the toy's skew blocks take eigh(iA), never eig
+        # the chain takes eigh(J) and the toy's skew blocks eigh(iA), never eig
+        info = modal_basis_info()
         assert fresh_bases == []
-        assert modal_basis_info()["misses"] == 3
+        assert (info["misses"], info["routes"]) == (3, ["oscillator", "unitary", "unitary"])
 
 
 def test_basis_info_after_chain_pipeline(fresh_bases, chain_model):
@@ -248,10 +329,12 @@ def test_basis_info_after_chain_pipeline(fresh_bases, chain_model):
     # the window average's lookup is the miss; each scanned time looks the basis
     # up for its flow-point propagator and for the increment of its B_t
     assert info["hits"] == 2 * 2
-    half = chain_model.dim // 2  # the chain's eigenvalues are conjugate pairs
-    assert info["bytes"] >= 4 * chain_model.dim * half * 8
-    assert 1.0 <= info["kappa"][0] <= 2.3
+    half = chain_model.dim // 2  # the oscillator basis keeps w and Q of the h x h stiffness J
+    assert info["bytes"] == (half + half * half) * 8
+    w = np.sqrt(np.linalg.eigvalsh(-chain_model.generator[:half, half:]))
+    assert info["kappa"][0] == pytest.approx(max(1.0, w[-1]) / min(1.0, w[0]), rel=1e-13)
     propagator(JORDAN, 1.0)
     info = modal_basis_info()
     assert (info["misses"], info["fallbacks"], info["entries"]) == (2, 1, 2)
     assert info["kappa"][1] > MODAL_KAPPA_LIMIT
+    assert info["routes"] == ["oscillator", "expm"]
