@@ -1,4 +1,4 @@
-"""Shared dense linear algebra helpers.
+"""Shared dense linear algebra helpers, on numpy's own LAPACK.
 
 Everything here operates on plain float64 numpy arrays and returns new
 arrays; inputs are never modified.  Every question about the linear flow
@@ -10,7 +10,8 @@ oscillator basis from eigh(J) for a second-order block [[0, -J], [I, 0]]
 with J symmetric positive definite (the harmonic chains); a folded eig basis
 otherwise.  Scaling-and-squaring (and a walk of the grid for the window
 average) is the fallback for a block whose eig basis fails the conditioning
-gate.
+gate; it is the only helper here that imports scipy, inside _expm, so the
+module and every block that passes the gate load numpy alone.
 """
 
 import hashlib
@@ -20,7 +21,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 # Refuse propagators past this value of |t| * ||L||; the scaling-and-squaring
 # error bound degrades and downstream group-law checks become meaningless.
@@ -37,49 +37,77 @@ def generator_norm_bound(generator):
     return float(np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()))
 
 
-def _check_horizon(generator, t):
-    reach = abs(t) * generator_norm_bound(generator)
+def _checked_blocks(generator, t):
+    """_blocks(generator) after refusing |t| * generator_norm_bound(generator) past the horizon limit."""
+    blocks, bound = _blocks(generator)
+    reach = abs(t) * bound
     if reach > EXPM_HORIZON_LIMIT:
         raise AccuracyError(
             f"|t|*||L|| = {reach:.3g} exceeds {EXPM_HORIZON_LIMIT:.0e}; use a smaller horizon"
         )
+    return blocks
+
+
+def _expm(a):
+    """scipy's scaling and squaring with diagonal Pade order 13, for a block that fails the gate."""
+    from scipy.linalg import expm
+
+    return expm(a)
 
 
 def _connected_components(generator):
-    """Index groups of the sparsity graph of generator + generator'."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
+    """Index groups of the sparsity graph of |generator| + |generator'|, or None for one group.
 
-    adj = csr_matrix((np.abs(generator) + np.abs(generator.T)) > 0.0)
-    count, labels = connected_components(adj, directed=False)
-    if count == 1:
-        return None
-    return [np.flatnonzero(labels == c) for c in range(count)]
+    A breadth-first search from the smallest index not yet reached; each
+    level reads the adjacency rows of its whole frontier at once, so every
+    row is read once.  Groups hold ascending indices and come in the order
+    of their smallest index.
+    """
+    adj = generator != 0.0
+    adj |= adj.T
+    n = adj.shape[0]
+    unseen = np.ones(n, dtype=bool)
+    groups = []
+    start = 0
+    while unseen[start]:
+        unseen[start] = False
+        level = np.array([start])
+        found = [level]
+        while level.size:
+            reach = np.logical_or.reduce(adj.take(level, axis=0), axis=0)
+            reach &= unseen
+            level = reach.nonzero()[0]
+            unseen[level] = False
+            found.append(level)
+        groups.append(np.sort(np.concatenate(found)))
+        start = int(unseen.argmax())
+    return None if len(groups) == 1 else groups
 
 
 def _blocks(generator):
-    """[(idx, key)]: the index groups handled separately and the content key of each block.
+    """(blocks, bound): blocks lists (idx, key), the index groups handled separately with
+    the content key of each block, and bound is generator_norm_bound(generator).
 
-    The groups are the connected components from dimension 256 on.  The
-    partition is computed once per generator content and cached beside the
-    eigenbases, under the same bound and lock.
+    The groups are the connected components from dimension 256 on.  Both are
+    computed once per generator content and cached beside the eigenbases,
+    under the same bound and lock.
     """
     key = _content_key(generator)
     with _bases_lock:
-        blocks = _partitions.get(key)
-        if blocks is None:
+        entry = _partitions.get(key)
+        if entry is None:
             n = generator.shape[0]
             groups = _connected_components(generator) if n >= 256 else None
             if groups is None:
                 blocks = [(np.arange(n), key)]
             else:
                 blocks = [(idx, _content_key(generator[np.ix_(idx, idx)])) for idx in groups]
-            _partitions[key] = blocks
+            entry = _partitions[key] = (blocks, generator_norm_bound(generator))
             while len(_partitions) > MODAL_CACHE_ENTRIES:
                 _partitions.popitem(last=False)
         else:
             _partitions.move_to_end(key)
-        return blocks
+        return entry
 
 
 def propagator(generator, t):
@@ -119,23 +147,21 @@ def propagator_apply(generator, times, x):
     times = [float(t) for t in times]
     x = np.asarray(x, dtype=float)
     out = np.empty((len(times), x.shape[0]))
-    _check_horizon(generator, max(map(abs, times), default=0.0))
-    blocks = _blocks(generator)
+    blocks = _checked_blocks(generator, max(map(abs, times), default=0.0))
     for idx, key in blocks:
         block = generator if len(blocks) == 1 else generator[np.ix_(idx, idx)]
         basis = _eigenbasis(block, key)
         for row, t in zip(out, times):
-            row[idx] = basis.apply(t, x[idx]) if basis is not None else sla.expm(t * block) @ x[idx]
+            row[idx] = basis.apply(t, x[idx]) if basis is not None else _expm(t * block) @ x[idx]
     return out
 
 
 def _by_blocks(generator, t, increment):
     """e^{tL}, or e^{tL} - I when increment is set, assembled block by block."""
-    _check_horizon(generator, t)
     n = generator.shape[0]
     if t == 0.0:
         return np.zeros((n, n)) if increment else np.eye(n)
-    blocks = _blocks(generator)
+    blocks = _checked_blocks(generator, t)
     if len(blocks) == 1:
         return _block_flow(generator, blocks[0][1], t, increment)
     out = np.zeros_like(generator)
@@ -148,7 +174,7 @@ def _block_flow(block, key, t, increment):
     basis = _eigenbasis(block, key)
     if basis is not None:
         return basis.propagator(t, increment)
-    e = sla.expm(t * block)
+    e = _expm(t * block)
     return e - np.eye(block.shape[0]) if increment else e
 
 
@@ -156,17 +182,25 @@ def symmetrize(a):
     return 0.5 * (a + a.T)
 
 
+def is_identity(a):
+    """np.array_equal(a, np.eye(n)) for an n x n array a, without forming the identity."""
+    n = a.shape[0]
+    return a.shape == (n, n) and np.count_nonzero(a) == n and bool((np.diagonal(a) == 1.0).all())
+
+
 def spd_inverse(mat):
-    """Inverse of an SPD matrix through its Cholesky factorization."""
-    c, low = sla.cho_factor(mat, lower=True, check_finite=False)
-    inv = sla.cho_solve((c, low), np.eye(mat.shape[0]), check_finite=False)
-    return symmetrize(inv)
+    """Inverse of an SPD matrix as C^-T C^-1 from its Cholesky factor C (numpy's cholesky).
+
+    Raises LinAlgError when mat is not positive definite.
+    """
+    c_inv = np.linalg.inv(np.linalg.cholesky(mat))
+    return symmetrize(c_inv.T @ c_inv)
 
 
 def spd_sqrt(mat):
     """Symmetric square root of an SPD matrix via eigendecomposition."""
     n = mat.shape[0]
-    if np.array_equal(mat, np.eye(n)):
+    if is_identity(mat):
         return np.eye(n)
     w, v = np.linalg.eigh(mat)
     if w[0] <= 0.0:
@@ -355,7 +389,7 @@ def _oscillator_basis(block):
     """The OscillatorBasis of a block that is exactly [[0, -J], [I, 0]] with J symmetric positive definite, else None."""
     n = block.shape[0]
     h = n // 2
-    if n % 2 or block[:h, :h].any() or block[h:, h:].any() or not np.array_equal(block[h:, :h], np.eye(h)):
+    if n % 2 or block[:h, :h].any() or block[h:, h:].any() or not is_identity(block[h:, :h]):
         return None
     j = -block[:h, h:]
     if not np.array_equal(j, j.T):
@@ -471,10 +505,10 @@ def modal_basis_info():
         }
 
 
-def _modal_parts(generator):
-    """[(idx, Lambda, V, V^-1)] unfolded per block, or None when any block fails the gate."""
+def _modal_parts(generator, blocks):
+    """[(idx, Lambda, V, V^-1)] unfolded per block of _blocks, or None when any block fails the gate."""
     parts = []
-    for idx, key in _blocks(generator):
+    for idx, key in blocks:
         basis = _eigenbasis(generator[np.ix_(idx, idx)], key)
         if basis is None:
             return None
@@ -497,9 +531,8 @@ def flow_averages(generator, x, t0, step, counts):
     When a block fails the kappa gate the grid is walked instead,
     D_{i+1} = E D_i E' with E = e^{step A}.
     """
-    _check_horizon(generator, t0)
     counts = [int(m) for m in counts]
-    parts = _modal_parts(generator)
+    parts = _modal_parts(generator, _checked_blocks(generator, t0))
     if parts is None:
         return _walked_averages(generator, x, t0, step, counts)
     n = x.shape[0]

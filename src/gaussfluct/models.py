@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import flow
 from .model import DomainError, Model, StructuralError
@@ -361,9 +360,11 @@ def build_chain(spec):
     site_t = _chain_site_temps(spec)
     cov = np.zeros((n, n))
     cov[:ns, :ns] = np.diag(site_t)
-    cov[ns:, ns:] = sla.block_diag(
-        tl * np.linalg.inv(j_left), tc * np.linalg.inv(j_center), tr * np.linalg.inv(j_right)
-    )
+    at = ns
+    for temp, jac in ((tl, j_left), (tc, j_center), (tr, j_right)):
+        k = jac.shape[0]
+        cov[at : at + k, at : at + k] = temp * np.linalg.inv(jac)
+        at += k
     cov = 0.5 * (cov + cov.T)
     theta = np.diag(np.concatenate([-np.ones(ns), np.ones(ns)]))
 

@@ -28,7 +28,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
 
 from ._linalg import propagator, propagator_apply, symmetrize
 from .model import DomainError, covariance_roots
@@ -103,8 +102,11 @@ def quad_form_samples(cov, mats, seed, count, workers=1):
     z'Tz = z'Wz for any M, symmetric or not.  Each form then takes one
     in-place dtrmm per TRMM_ROWS draws of a chunk, on a reused copy of
     those draws (n^2 flops per draw against 2n^2 for a general product),
-    and a row dot.
+    and a row dot.  It is one of the three places that load scipy, here for
+    its BLAS dtrmm, which numpy does not expose.
     """
+    from scipy.linalg.blas import dtrmm
+
     _check_count(count, 1)
     cov = np.asarray(cov, dtype=float)
     chol = _cov_factor(cov)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import AccuracyError, spd_sqrt, symmetrize
+from ._linalg import AccuracyError, is_identity, spd_sqrt, symmetrize
 from .flow import flow_point
 from .model import DomainError
 
@@ -162,7 +162,7 @@ def _ness_functional(fp, d_plus):
         if efn is not None:
             _spectra_counts["hits"] += 1
             return efn
-        if np.array_equal(d_plus, np.eye(d_plus.shape[0])):
+        if is_identity(d_plus):
             k = fp.relative_T
         else:
             dpsq = spd_sqrt(d_plus)

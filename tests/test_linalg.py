@@ -320,6 +320,94 @@ class TestOneDecompositionPerBlock:
         assert (info["misses"], info["routes"]) == (3, ["oscillator", "unitary", "unitary"])
 
 
+def _reachability_partition(generator):
+    """Index groups of |A| + |A'| from its transitive closure by repeated boolean squaring."""
+    n = generator.shape[0]
+    reach = ((np.abs(generator) + np.abs(generator.T)) > 0.0) | np.eye(n, dtype=bool)
+    while True:
+        closed = reach.astype(float) @ reach.astype(float) > 0.0
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    groups, seen = [], np.zeros(n, dtype=bool)
+    for i in range(n):
+        if not seen[i]:
+            groups.append(np.flatnonzero(reach[i]))
+            seen[groups[-1]] = True
+    return groups
+
+
+def _permuted_blocks_with_one_way_coupling():
+    """Blocks of sizes 40, 1, 60 and 30 in shuffled coordinates; the first and last joined one way only."""
+    rng = np.random.default_rng(11)
+    sizes = (40, 1, 60, 30)
+    gen = np.zeros((sum(sizes), sum(sizes)))
+    at = 0
+    for k in sizes:
+        gen[at:at + k, at:at + k] = rng.standard_normal((k, k))
+        at += k
+    gen[3, 110] = 0.5  # A_ij != 0 with A_ji == 0
+    perm = rng.permutation(gen.shape[0])
+    return gen[np.ix_(perm, perm)], perm
+
+
+class TestComponentSearch:
+    @pytest.mark.parametrize("case, count", [("chain", 1), ("split_toy", 2), ("dense", 1),
+                                             ("permuted_blocks", 3)])
+    def test_matches_the_reachability_partition(self, case, count, chain_model, split_toy):
+        if case == "chain":
+            gen = chain_model.generator
+        elif case == "split_toy":
+            gen = split_toy.generator
+        elif case == "dense":
+            gen = np.random.default_rng(7).standard_normal((300, 300))
+        else:
+            gen, _ = _permuted_blocks_with_one_way_coupling()
+        want = _reachability_partition(gen)
+        assert len(want) == count
+        got = _linalg._connected_components(gen)
+        if count == 1:
+            assert got is None
+        else:
+            assert len(got) == count and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_one_way_coupling_joins_and_the_singleton_stays(self):
+        gen, perm = _permuted_blocks_with_one_way_coupling()
+        groups = _linalg._connected_components(gen)
+        where = np.argsort(perm)  # original index -> shuffled index
+        joined = np.sort(where[np.r_[0:40, 101:131]])
+        assert sorted(g.size for g in groups) == [1, 60, 70]
+        assert any(np.array_equal(g, joined) for g in groups)
+        assert any(np.array_equal(g, [where[40]]) for g in groups)
+        assert [g[0] for g in groups] == sorted(g[0] for g in groups)
+
+
+class TestIdentityAndInverse:
+    @pytest.mark.parametrize("case", ["eye", "negative_zero", "two_on_diagonal", "nan_off_diagonal",
+                                      "nan_on_diagonal", "off_diagonal", "wide"])
+    def test_is_identity_decides_as_array_equal(self, case):
+        a = np.eye(5) if case != "wide" else np.eye(5, 6)
+        if case == "negative_zero":
+            a[1, 2] = -0.0
+        elif case == "two_on_diagonal":
+            a[3, 3] = 2.0
+        elif case == "nan_off_diagonal":
+            a[0, 4] = np.nan
+        elif case == "nan_on_diagonal":
+            a[2, 2] = np.nan
+        elif case == "off_diagonal":
+            a[4, 0] = 1e-300
+        assert _linalg.is_identity(a) == np.array_equal(a, np.eye(a.shape[0]))
+
+    def test_spd_inverse_inverts_and_refuses_an_indefinite_matrix(self, chain_model):
+        cov = chain_model.covariance
+        inv = _linalg.spd_inverse(cov)
+        assert np.array_equal(inv, inv.T)
+        assert np.abs(inv @ cov - np.eye(cov.shape[0])).max() <= 1e-12
+        with pytest.raises(np.linalg.LinAlgError):
+            _linalg.spd_inverse(np.diag([1.0, -1.0, 2.0]))
+
+
 def test_basis_info_after_chain_pipeline(fresh_bases, chain_model):
     model = dataclasses.replace(chain_model)  # a model of its own: no cached flow points
     gf.estimate_limit_covariance(model, horizon=12.0, grid_points=64)
