@@ -1,17 +1,14 @@
 """Shared dense linear algebra helpers, on numpy's own LAPACK.
 
-Everything here operates on plain float64 numpy arrays and returns new
-arrays; inputs are never modified.  Every question about the linear flow
-(the propagator e^{tL}, its increment e^{tL} - I, its action e^{tL} x on a
-vector and the window average of D_t) is answered from one cached eigenbasis
-per block of the generator.  The route is read from the block's content:
-a unitary basis from the Hermitian eigh(iA) for a skew block A; a real
-oscillator basis from eigh(J) for a second-order block [[0, -J], [I, 0]]
-with J symmetric positive definite (the harmonic chains); a folded eig basis
-otherwise.  Scaling-and-squaring (and a walk of the grid for the window
-average) is the fallback for a block whose eig basis fails the conditioning
-gate; it is the only helper here that imports scipy, inside _expm, so the
-module and every block that passes the gate load numpy alone.
+Everything here takes float64 numpy arrays and returns new arrays.  The
+propagator e^{tL}, its increment e^{tL} - I, its action e^{tL} x and the
+window average of D_t are read from one cached basis per block of the
+generator, whose route is read from the block's content.  A skew block and
+a block [[0, -J], [I, 0]] with J symmetric positive definite (the harmonic
+chains) are rotations: real mode pairs turn at the frequencies of eigh(iA)
+or eigh(J).  Any other block takes a folded eig basis, and a generator with
+such a block walks the grid for its window average.  A block that fails the
+conditioning gate takes scipy's expm, imported inside _expm alone.
 """
 
 import hashlib
@@ -113,14 +110,11 @@ def _blocks(generator):
 def propagator(generator, t):
     """exp(t * generator), one connected component of the sparsity graph at a time.
 
-    A block with a cached eigenbasis is exponentiated as
-    Re(V e^{t Lambda} V^-1) from it, V^-1 = U^H for the unitary basis U of a
-    skew block (Moler and Van Loan, SIAM Rev. 45 (2003), method 14), or in
-    real cos/sin blocks for an oscillator block; a block
-    whose eig basis fails the kappa gate by scipy's scaling and squaring
-    with diagonal Pade order 13.  Components are split from dimension 256
-    on, an exact identity that avoids cubing the full dimension.  The result
-    is a real C-contiguous array that owns its data.
+    A rotation block turns its mode pairs by real cos/sin factors, an eig
+    block takes Re(V e^{t Lambda} V^-1) (Moler and Van Loan, SIAM Rev. 45
+    (2003), method 14), and a block past the kappa gate scipy's expm.
+    Components are split from dimension 256 on, an exact identity that avoids
+    cubing the full dimension.  The result is real, C-contiguous and owned.
     """
     return _by_blocks(generator, t, increment=False)
 
@@ -128,10 +122,9 @@ def propagator(generator, t):
 def propagator_increment(generator, t):
     """exp(t * generator) - I without the cancellation of that difference at small |t|.
 
-    A modal block sums expm1(t lambda_j) in place of e^{t lambda_j}, since
-    V V^-1 (folded, or U U^H) is I, and an oscillator block takes
-    -2 sin^2(tw/2) in place of cos(tw); any other block takes expm(tA) - I.  The
-    block loop and the result's contract are those of propagator.
+    An eig block sums expm1(t lambda_j) in place of e^{t lambda_j}, a rotation
+    block takes -2 sin^2(tw/2) in place of cos(tw), any other expm(tA) - I;
+    otherwise as propagator.
     """
     return _by_blocks(generator, t, increment=True)
 
@@ -139,10 +132,9 @@ def propagator_increment(generator, t):
 def propagator_apply(generator, times, x):
     """e^{tL} x for a vector x at each t in times, one row per time.
 
-    Blocks as in propagator; a block with a cached eigenbasis costs O(n^2)
-    per time (its basis's apply) and forms no n x n propagator, a block that
-    fails the gate multiplies x by its expm.  The generator is hashed and
-    its horizon checked once for all times.
+    Blocks as in propagator; a block with a cached basis costs O(n^2) per
+    time and forms no n x n propagator, one past the gate multiplies x by its
+    expm.  The generator is hashed and its horizon checked once.
     """
     times = [float(t) for t in times]
     x = np.asarray(x, dtype=float)
@@ -210,31 +202,27 @@ def spd_sqrt(mat):
     return symmetrize((v * np.sqrt(w)) @ v.T)
 
 
-# The modal route carries Q into the eigenbasis and back through V and V^-1,
-# which costs about kappa(V)^2 * eps of relative accuracy: below 1e-9 here.
-# For an eig basis, kappa is the 2-norm ||X||_2 ||X^-1||_2 of the real
-# eigenvector matrix X, within sqrt(2) of kappa(V) (see _decompose),
-# estimated from below by power iteration (_norm2_estimate): about 1e16 on
-# the Jordan block [[-1, 1], [0, -1]], and 2.194 to 2.209 on the 16 to
-# 256+1+256 chains when they take this route.  The 1-norm product grows like
-# the dimension for delocalized eigenvectors (77 to 1165 on the same chains),
-# so it is not used.  Skew blocks (the toys) need no gate: their basis is
-# unitary, kappa exactly 1.  The chains take the oscillator basis, whose
-# kappa is exact, sqrt(cond G) for the conserved energy form G = diag(I, J):
-# 2.2360 on the 128+1+128 chain.
+# A basis carries Q into its modes and back at about kappa^2 * eps of relative
+# accuracy: below 1e-9 here.  The power-iteration 2-norm kappa of an eig basis
+# reads about 1e16 on the Jordan block [[-1, 1], [0, -1]] and 2.194 to 2.209
+# on the 16 to 256+1+256 chains in (q, p) order (1-norm: 77 to 1165).  Skew
+# blocks read 1 and oscillator blocks sqrt(cond G) exactly (128+1+128: 2.2360).
 MODAL_KAPPA_LIMIT = 1.0e3
 
 
+class _Basis:
+    @property
+    def nbytes(self):
+        return sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
+
+
 @dataclass(frozen=True, eq=False)
-class ModalBasis:
+class ModalBasis(_Basis):
     """Folded eig basis of a real block: e^{tA} = Re sum_j c_j v_j e^{lambda_j t} w_j'.
 
     One member of each conjugate pair is kept (c_j = 2) beside the real
-    eigenvalues (c_j = 1); v_j are columns of V and w_j rows of V^-1,
-    stored as real and imaginary parts so that the propagator runs in real
-    arithmetic.  kappa is the gate's estimate (see MODAL_KAPPA_LIMIT).  A
-    skew block takes a UnitaryBasis instead, an oscillator block an
-    OscillatorBasis.
+    eigenvalues (c_j = 1); v_j are columns of V and w_j rows of V^-1, stored
+    as real and imaginary parts.  kappa is the gate's estimate.
     """
 
     lam: np.ndarray
@@ -245,10 +233,6 @@ class ModalBasis:
     w_im: np.ndarray
     kappa: float
     route = "eig"
-
-    @property
-    def nbytes(self):
-        return sum(a.nbytes for a in (self.lam, self.weight, self.v_re, self.v_im, self.w_re, self.w_im))
 
     def propagator(self, t, increment=False):
         """Re sum_j c_j v_j e^{t lambda_j} w_j' = e^{tA}; with increment, expm1 in place of exp gives e^{tA} - I."""
@@ -262,67 +246,67 @@ class ModalBasis:
         c = self.weight * np.exp(t * self.lam) * (self.w_re @ x + 1j * (self.w_im @ x))
         return self.v_re @ c.real - self.v_im @ c.imag
 
-    def unfolded(self):
-        """(Lambda, V, V^-1) over every eigenvalue, the dropped partners rebuilt as conjugates."""
-        pair = self.weight == 2.0
-        v = self.v_re + 1j * self.v_im
-        w = self.w_re + 1j * self.w_im
-        return (
-            np.concatenate([self.lam, self.lam[pair].conj()]),
-            np.concatenate([v, v[:, pair].conj()], axis=1),
-            np.concatenate([w, w[pair].conj()], axis=0),
-        )
+
+class RotationBasis(_Basis):
+    """A block whose modes turn in real pairs: (a, b) = forward(x) and c = a + i b give d/dt c = i w c.
+
+    forward maps the columns of x (block coordinates) to the mode pairs, and
+    back(a, b) maps them home; the columns x_k = back(e_k, 0) and
+    y_k = back(0, e_k) satisfy A x_k = w_k y_k and A y_k = -w_k x_k.
+    """
+
+    def _turn(self, t, increment=False):
+        """(cos tw, sin tw), with -2 sin^2(tw/2) = cos tw - 1 in place of cos tw for the increment."""
+        tw = t * self.freq
+        return -2.0 * np.sin(0.5 * tw) ** 2 if increment else np.cos(tw), np.sin(tw)
+
+    def apply(self, t, x):
+        """e^{tA} x: each pair (a_k, b_k) turned by the angle t w_k, O(n^2) for a vector x."""
+        a, b = self.forward(x[:, None])
+        c, s = (f[:, None] for f in self._turn(t))
+        return self.back(c * a - s * b, s * a + c * b)[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
-class UnitaryBasis:
-    """Eigenbasis of a real skew block A from the Hermitian eigh(iA) = U diag(w) U^H.
+class UnitaryBasis(RotationBasis):
+    """Real rotation basis of a skew block A from the Hermitian eigh(iA) = U diag(w) U^H.
 
-    A = U diag(-i w) U^H with U unitary, so V^-1 = U^H is read from U and
-    never stored, and kappa(U) is exactly 1.  Every eigenvalue is kept with
-    weight 1; U is stored as real and imaginary parts and w as real
-    frequencies, which is no more than the eig fold of a block of the same
-    size holds.
+    Each u_k with w_k > 0 gives x_k = sqrt(2) Re u_k and y_k = sqrt(2) Im u_k,
+    with A x_k = w_k y_k and A y_k = -w_k x_k (the real normal form of a
+    normal matrix: Horn and Johnson, Matrix Analysis, 2nd ed., section 2.5).
+    Exact null modes are kept apart as flat modes N of frequency 0.  v holds
+    [X N | Y 0]: [X N Y] is real orthogonal (so kappa is exactly 1), and the
+    zero columns give both halves the width m of freq = (w, 0).
     """
 
     freq: np.ndarray
-    u_re: np.ndarray
-    u_im: np.ndarray
+    v: np.ndarray
     kappa = 1.0
     route = "unitary"
 
-    @property
-    def nbytes(self):
-        return self.freq.nbytes + self.u_re.nbytes + self.u_im.nbytes
+    def forward(self, x):
+        return np.split(self.v.T @ x, 2)
+
+    def back(self, a, b):
+        return self.v @ np.concatenate([a, b])
 
     def propagator(self, t, increment=False):
-        """Re U e^{-i t w} U^H = e^{tA}; with increment, expm1 in place of exp gives e^{tA} - I."""
-        e = (np.expm1 if increment else np.exp)(-1j * t * self.freq)
-        p_re = self.u_re * e.real - self.u_im * e.imag
-        p_im = self.u_re * e.imag + self.u_im * e.real
-        return p_re @ self.u_re.T + p_im @ self.u_im.T
-
-    def apply(self, t, x):
-        """e^{tA} x = Re U e^{-i t w} U^H x, O(n^2) for a vector x."""
-        c = np.exp(-1j * t * self.freq) * (x @ self.u_re - 1j * (x @ self.u_im))
-        return self.u_re @ c.real - self.u_im @ c.imag
-
-    def unfolded(self):
-        """(Lambda, U, U^H) over every eigenvalue."""
-        u = self.u_re + 1j * self.u_im
-        return -1j * self.freq, u, u.conj().T
+        """e^{tA} = [X C + Y S, Y C - X S] [X Y]' (C - I in place of C gives e^{tA} - I)."""
+        c, s = self._turn(t, increment)
+        x, y = np.split(self.v, 2, axis=1)
+        return np.concatenate([x * c + y * s, y * c - x * s], axis=1) @ self.v.T
 
 
 @dataclass(frozen=True, eq=False)
-class OscillatorBasis:
-    """Real eigenbasis of a second-order block A = [[0, -J], [I, 0]] from eigh(J) = Q diag(w^2) Q'.
+class OscillatorBasis(RotationBasis):
+    """Real rotation basis of a second-order block A = [[0, -J], [I, 0]] from eigh(J) = Q diag(w^2) Q'.
 
-    A conserves G = diag(I, J), and its modes are +-i w_k.  With C = cos tW,
-    S = sin tW and W = diag(w), e^{tA} = [[Q C Q', -Q W S Q'], [Q W^-1 S Q', Q C Q']]
-    is real, three products of size h^3 for h = n/2; only w and Q are stored.
-    The unfolded V = [[iQW, -iQW], [Q, Q]] has singular values sqrt(2) w_k and
-    sqrt(2), so its 2-norm kappa is exactly max(1, w_max)/min(1, w_min),
-    which is sqrt(cond G).
+    A conserves G = diag(I, J).  Its mode pairs are a = Q'p and b = W Q'q
+    with W = diag(w), and with C = cos tW and S = sin tW,
+    e^{tA} = [[Q C Q', -Q W S Q'], [Q W^-1 S Q', Q C Q']] is three products of
+    size h^3 for h = n/2; only w and Q are stored.  The back map
+    [[Q, 0], [0, Q W^-1]] has singular values 1 and 1/w_k, so its 2-norm kappa
+    is exactly max(1, w_max)/min(1, w_min), which is sqrt(cond G).
     """
 
     freq: np.ndarray
@@ -333,40 +317,22 @@ class OscillatorBasis:
     def kappa(self):
         return max(1.0, float(self.freq[-1])) / min(1.0, float(self.freq[0]))
 
-    @property
-    def nbytes(self):
-        return self.freq.nbytes + self.q.nbytes
+    def forward(self, x):
+        h = self.freq.size
+        return self.q.T @ x[:h], self.freq[:, None] * (self.q.T @ x[h:])
+
+    def back(self, a, b):
+        return np.concatenate([self.q @ a, self.q @ (b / self.freq[:, None])])
 
     def propagator(self, t, increment=False):
-        """e^{tA} in real cos/sin blocks; with increment, C - I = -2 sin^2(tW/2) gives e^{tA} - I."""
-        tw = t * self.freq
-        s = np.sin(tw)
-        c = -2.0 * np.sin(0.5 * tw) ** 2 if increment else np.cos(tw)
+        """e^{tA} in real cos/sin blocks (C - I in place of C gives e^{tA} - I)."""
+        c, s = self._turn(t, increment)
         q, h = self.q, self.freq.size
         out = np.empty((2 * h, 2 * h))
         out[:h, :h] = out[h:, h:] = (q * c) @ q.T
         out[:h, h:] = (q * (-self.freq * s)) @ q.T
         out[h:, :h] = (q * (s / self.freq)) @ q.T
         return out
-
-    def apply(self, t, x):
-        """e^{tA} x through Q' x, O(n^2) for a vector x."""
-        tw = t * self.freq
-        c, s = np.cos(tw), np.sin(tw)
-        h = self.freq.size
-        a, b = x[:h] @ self.q, x[h:] @ self.q
-        return np.concatenate([self.q @ (c * a - self.freq * s * b), self.q @ (s / self.freq * a + c * b)])
-
-    def unfolded(self):
-        """(Lambda, V, V^-1) with Lambda = (i w, -i w), V = [[iQW, -iQW], [Q, Q]] and its analytic inverse."""
-        q, qt = self.q, self.q.T
-        qw = q * (1j * self.freq)
-        wq = qt * (-0.5j / self.freq)[:, None]
-        return (
-            np.concatenate([1j * self.freq, -1j * self.freq]),
-            np.block([[qw, -qw], [q, q]]),
-            np.block([[wq, 0.5 * qt], [-wq, 0.5 * qt]]),
-        )
 
 
 def _norm2_estimate(a, iterations=20):
@@ -400,22 +366,35 @@ def _oscillator_basis(block):
     return OscillatorBasis(freq=np.sqrt(w2), q=q)
 
 
+def _skew_basis(block):
+    """The UnitaryBasis of a skew block, or None when eigh(iA) does not pair its frequencies.
+
+    Frequencies within n eps max|w| of zero are roundoff, whatever their
+    sign: their eigenvectors U0 span a subspace closed under conjugation, and
+    the leading left singular vectors of [Re U0, Im U0] give the flat modes.
+    """
+    w, u = np.linalg.eigh(1j * block)
+    tol = block.shape[0] * np.finfo(float).eps * max(-w[0], w[-1])
+    pos, null = w > tol, np.abs(w) <= tol
+    if np.count_nonzero(w < -tol) != np.count_nonzero(pos):
+        return None
+    x = math.sqrt(2.0) * u[:, pos]
+    u0 = u[:, null]
+    flat = np.linalg.svd(np.concatenate([u0.real, u0.imag], axis=1), full_matrices=False)[0][:, :u0.shape[1]]
+    v = np.concatenate([x.real, flat, x.imag, np.zeros_like(flat)], axis=1)
+    return UnitaryBasis(freq=np.concatenate([w[pos], np.zeros(flat.shape[1])]), v=v)
+
+
 def _decompose(block):
     """(basis or None, kappa): a UnitaryBasis for a skew block, an OscillatorBasis for an
-    oscillator block within the gate, else a ModalBasis or None.
+    oscillator block within the gate, else a ModalBasis, or None past the gate.
 
-    None when eig fails or kappa exceeds the gate.  For the eig route, LAPACK
-    returns a conjugate pair as adjacent eigenvalues, the one with positive
-    imaginary part first, with v_j = x_j + i x_{j+1} for two real columns of
-    a real matrix X.  X is V times a block-diagonal unitary scaled
-    by 1 (real eigenvalues) or 1/sqrt(2) (pairs), so kappa(X) is within
-    sqrt(2) of kappa(V), and equal when the eigenvalues are all pairs or all
-    real.  The gate reads kappa(X), and every solve stays real.
+    LAPACK returns a conjugate pair as adjacent eigenvalues, positive imaginary
+    part first, with v_j = x_j + i x_{j+1} for two real columns of X.  X is V
+    times a block-diagonal unitary scaled by 1 or 1/sqrt(2), so kappa(X) is
+    within sqrt(2) of kappa(V); the gate reads kappa(X), and solves stay real.
     """
-    if np.array_equal(block.T, -block):
-        freq, u = np.linalg.eigh(1j * block)
-        return UnitaryBasis(freq=freq, u_re=u.real.copy(), u_im=u.imag.copy()), UnitaryBasis.kappa
-    basis = _oscillator_basis(block)
+    basis = _skew_basis(block) if np.array_equal(block.T, -block) else _oscillator_basis(block)
     if basis is not None and basis.kappa <= MODAL_KAPPA_LIMIT:
         return basis, basis.kappa
     try:
@@ -490,9 +469,9 @@ def _eigenbasis(block, key=None):
 def modal_basis_info():
     """Hits, misses and gate failures ('fallbacks') since import; live entries, bytes, kappa and routes.
 
-    kappa lists the gate's estimate per live entry (exact for the unitary and
-    oscillator bases), inf where eig or inv failed.  routes names each live
-    entry's route: 'unitary', 'oscillator', 'eig', or 'expm' for a gate failure.
+    kappa lists the gate's estimate per live entry (exact for the rotation
+    bases), inf where eig or inv failed; routes names each entry's route:
+    'unitary' (skew), 'oscillator', 'eig', or 'expm' for a gate failure.
     """
     with _bases_lock:
         entries = list(_bases.values())
@@ -505,52 +484,72 @@ def modal_basis_info():
         }
 
 
-def _modal_parts(generator, blocks):
-    """[(idx, Lambda, V, V^-1)] unfolded per block of _blocks, or None when any block fails the gate."""
-    parts = []
-    for idx, key in blocks:
-        basis = _eigenbasis(generator[np.ix_(idx, idx)], key)
-        if basis is None:
-            return None
-        parts.append((idx, *basis.unfolded()))
-    return parts
+def _expm1i(x):
+    """expm1(i x) = -2 sin^2(x/2) + i sin(x) for real x, from real sines."""
+    return -2.0 * np.sin(0.5 * x) ** 2 + 1j * np.sin(x)
 
 
-def _real_product(a, b):
-    """Re(a @ b) in two real products; the copies give BLAS contiguous operands."""
-    return a.real.copy() @ b.real.copy() - a.imag.copy() @ b.imag.copy()
+def _kernel(theta, t0, step):
+    """m -> (1/m) sum_{i<m} e^{z t_i} = e^{z t0} expm1(z m step)/(m expm1(z step)) for z = i theta
+    (1 where expm1(z step) == 0), with e^{z t0}/expm1(z step) built once for all m."""
+    den = _expm1i(theta * step)
+    flat = den == 0.0
+    den[flat] = 1.0
+    factor = (_expm1i(theta * t0) + 1.0) / den
+
+    def at(m):
+        k = factor * _expm1i(theta * (m * step)) / m
+        k[flat] = 1.0
+        return k
+    return at
 
 
 def flow_averages(generator, x, t0, step, counts):
     """A_m = (1/m) sum_{i<m} e^{t_i A} X e^{t_i A'} on t_i = t0 + i*step, for each m in counts.
 
-    Each average is one Hadamard product in the eigenbasis,
-    A_m = V [(V^-1 X V^-T) o S_m] V' with the geometric sum
-    S_m,jk = e^{z t0} expm1(z m step)/expm1(z step)/m, z = lambda_j + lambda_k
-    (S_m,jk = 1 where expm1(z step) == 0), taken per pair of generator blocks.
-    When a block fails the kappa gate the grid is walked instead,
-    D_{i+1} = E D_i E' with E = e^{step A}.
+    When every block is a rotation basis, each pair of blocks (a block with
+    itself included) is averaged in mode coordinates by _rotation_averages:
+    with c = a + i b, X has the mode moments H = E[c c^*], turning as
+    e^{i(w_j - w_k)t}, and S = E[c c^T], turning as e^{i(w_j + w_k)t}, so each
+    average multiplies them by the kernels of _kernel and maps the averaged
+    moments of (a, b) home by real products: no complex n x n array.  A
+    generator with an eig block, or one past the gate, walks the grid.
     """
     counts = [int(m) for m in counts]
-    parts = _modal_parts(generator, _checked_blocks(generator, t0))
-    if parts is None:
+    blocks = _checked_blocks(generator, t0)
+    parts = [(idx, _eigenbasis(generator if len(blocks) == 1 else generator[np.ix_(idx, idx)], key))
+             for idx, key in blocks]
+    if not all(isinstance(basis, RotationBasis) for _, basis in parts):
         return _walked_averages(generator, x, t0, step, counts)
-    n = x.shape[0]
-    outs = [np.empty((n, n)) for _ in counts]
-    for ia, lam_a, v_a, w_a in parts:
-        for ib, lam_b, v_b, w_b in parts:
-            core = w_a @ x[np.ix_(ia, ib)] @ w_b.T
-            z = lam_a[:, None] + lam_b[None, :]
-            den = np.expm1(z * step)
-            flat = den == 0.0
-            den[flat] = 1.0
-            e_0 = np.exp(z * t0)
-            for out, m in zip(outs, counts):
-                # np.multiply keeps the operand order; the operator may swap the
-                # operands to reuse the temporary and round differently.
-                s = np.multiply(e_0, np.expm1(z * (m * step))) / den
-                s[flat] = m
-                out[np.ix_(ia, ib)] = _real_product(v_a @ (core * (s / m)), v_b.T)
+    if len(parts) == 1:
+        return _rotation_averages(parts[0][1], parts[0][1], x, t0, step, counts)
+    outs = [np.empty(x.shape) for _ in counts]
+    for ia, left in parts:
+        for ib, right in parts:
+            ix = np.ix_(ia, ib)
+            for out, avg in zip(outs, _rotation_averages(left, right, x[ix], t0, step, counts)):
+                out[ix] = avg
+    return outs
+
+
+def _rotation_averages(left, right, x, t0, step, counts):
+    """flow_averages of e^{t_i A} X e^{t_i B'} for blocks A and B with rotation bases left and right."""
+    # the mode moments, transposed: aa = (F_a X F_a')', ab = (F_a X F_b')' and so on
+    pa, pb = left.forward(x)
+    aa, ab = right.forward(pa.T)
+    ba, bb = right.forward(pb.T)
+    h = (aa + bb) + 1j * (ba - ab)   # H'
+    s = (aa - bb) + 1j * (ab + ba)   # S'
+    w_left, w_right = left.freq, right.freq[:, None]
+    diff, total = _kernel(w_left - w_right, t0, step), _kernel(w_left + w_right, t0, step)
+    outs = []
+    for m in counts:
+        hk, sk = h * diff(m), s * total(m)
+        p, q = hk + sk, sk - hk
+        # the averaged moments: (p.real, q.imag) / 2 on the a side, (p.imag, -q.real) / 2 on the b side
+        u = right.back(0.5 * p.real, 0.5 * q.imag)
+        v = right.back(0.5 * p.imag, -0.5 * q.real)
+        outs.append(left.back(u.T, v.T))
     return outs
 
 

@@ -3,9 +3,9 @@
 Finite truncations never converge strongly, so the stationary covariances
 are estimated by Cesaro averaging of D_t over the second half of a horizon,
 with a plateau residual as the quality diagnostic.  The average over the
-uniform grid is closed form: one Hadamard product with a geometric kernel in
-the generator's cached eigenbasis (_linalg.flow_averages), and a walk along
-the grid only for a generator whose eigenbasis fails the conditioning gate.
+uniform grid is closed form, two geometric kernels in the mode frequencies,
+when every generator block is a rotation (_linalg.flow_averages: skew, or a
+harmonic chain in (p, q) order); any other generator walks the grid.
 The limiting functional e(alpha) is assembled from the spectral data of
 Q = D-^{1/2} (D-^{-1} - D+^{-1}) D-^{1/2} weighted by the entropy production
 matrix, and is represented as the logarithmic potential of a finite signed
@@ -69,12 +69,12 @@ def estimate_limit_covariance(model, horizon, tol=math.inf, grid_points=64):
     """Cesaro-average D_t over [horizon/2, horizon] on a uniform grid.
 
     The grid is the left-Riemann grid of grid_points points from horizon/2;
-    its average is read in closed form from the eigenbasis of the generator
-    (see _window_average).  D- is the time-reversal conjugate theta D+ theta
-    when the model has a time reversal, and is otherwise averaged over
-    [-horizon, -horizon/2] the same way.  Raises PlateauError when an
-    average still drifts by more than tol over the last half-window, and
-    AccuracyError when it is not positive definite.
+    its average is closed form in the rotation modes of the generator, or a
+    walk of the grid (see _window_average).  D- is the time-reversal conjugate
+    theta D+ theta when the model has a time reversal, and is otherwise
+    averaged over [-horizon, -horizon/2] the same way.  Raises PlateauError
+    when an average still drifts by more than tol over the last half-window,
+    and AccuracyError when it is not positive definite.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -106,7 +106,7 @@ def _window_average(model, horizon, grid_points, tol):
     Returns (average, plateau residual).  The plateau residual is the
     max-abs distance between the final average and the running averages
     after grid points m at PLATEAU_CHECKPOINTS positions in the last half
-    of the window.  Every average is one closed form through flow_averages.
+    of the window.  All averages come from one flow_averages call.
     Raises PlateauError when the residual exceeds tol, and AccuracyError
     when the average has no Cholesky factor.
     """

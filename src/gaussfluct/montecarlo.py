@@ -51,7 +51,7 @@ def _draw_rows(seed, start, stop, dim):
     for i in range(start, stop):
         counter[1] = i                          # counter = i * 2**64
         bg.state = state
-        out[i - start] = gen.standard_normal(dim)
+        gen.standard_normal(out=out[i - start])
     return out
 
 

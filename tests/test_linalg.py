@@ -122,11 +122,36 @@ def _skew_generators():
     }
 
 
+def _rotation_maps(basis):
+    """The columns x_k = back(e_k, 0) and y_k = back(0, e_k) of a rotation basis."""
+    m = basis.freq.size
+    eye, zero = np.eye(m), np.zeros((m, m))
+    return basis.back(eye, zero), basis.back(zero, eye)
+
+
+def assert_rotation_maps(gen, basis):
+    """A x = w y and A y = -w x for the columns of the rotation basis of gen."""
+    x, y = _rotation_maps(basis)
+    scale = np.abs(gen).max() * max(1.0, np.abs(x).max(), np.abs(y).max())
+    assert np.abs(gen @ x - y * basis.freq).max() <= 1e-13 * scale
+    assert np.abs(gen @ y + x * basis.freq).max() <= 1e-13 * scale
+    return x, y
+
+
 class TestSkewBlocks:
     @pytest.mark.parametrize("name", sorted(_skew_generators()))
     def test_unitary_route(self, fresh_bases, name):
         gen = _skew_generators()[name]
         n = gen.shape[0]
+        for idx, key in _linalg._blocks(gen)[0]:
+            block = gen[np.ix_(idx, idx)]
+            basis = _eigenbasis(block, key)
+            x, y = assert_rotation_maps(block, basis)
+            # [X N Y] is orthogonal; the flat modes N have frequency 0 and no y column
+            xy = np.concatenate([x, y[:, basis.freq > 0.0]], axis=1)
+            assert np.abs(xy.T @ xy - np.eye(idx.size)).max() <= 1e-13
+        if name == "odd toy":
+            assert np.count_nonzero(_eigenbasis(gen).freq == 0.0) == 1
         # scipy's expm is itself 3e-13 off the extended-precision value at t = 60
         for t in (-6.0, 2.0, 10.0):
             ref = sla.expm(t * gen)
@@ -145,6 +170,18 @@ class TestSkewBlocks:
         propagator(gen - 0.1 * np.eye(n), 1.0)
         assert fresh_bases
         assert 0 < skew_bytes <= modal_basis_info()["bytes"] - skew_bytes
+
+    def test_cross_block_average_matches_walk(self, fresh_bases):
+        # the doubled toy at horizon 40: two skew 512-blocks coupled only
+        # through X, whose cross-block entries take the kernels in w_a,j -+ w_b,k
+        model = gf.build_toy(gf.ToySpec(n=512, lam=1.0))[0]
+        t0, step, counts = 20.0, 20.0 / 64, [32, 48, 64]
+        averages = flow_averages(model.generator, model.covariance, t0, step, counts)
+        assert modal_basis_info()["routes"] == ["unitary", "unitary"]
+        half = model.dim // 2
+        assert np.abs(averages[-1][:half, half:]).max() > 1e-3
+        for avg, walked in zip(averages, _walked_averages(model.generator, model.covariance, t0, step, counts)):
+            assert np.abs(avg - walked).max() <= 1e-12 * np.abs(walked).max()
 
 
 def _oscillator_generators():
@@ -187,8 +224,10 @@ class TestOscillatorBlocks:
         for t, row in zip((-6.0, 2.0), propagator_apply(gen, (-6.0, 2.0), x)):
             ref = propagator(gen, t) @ x
             assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
-        lam, v, v_inv = _eigenbasis(gen).unfolded()
-        assert np.abs((v * lam) @ v_inv - gen).max() <= 1e-13 * np.abs(gen).max()
+        x, y = assert_rotation_maps(gen, _eigenbasis(gen))
+        # [X Y] = [[Q, 0], [0, Q W^-1]] is orthonormal in the energy form
+        xy = np.concatenate([x, y], axis=1)
+        assert np.abs(xy.T @ energy @ xy - np.eye(n)).max() <= 1e-13
         cov = np.eye(n) + np.outer(np.arange(n), np.arange(n)) / n**2
         for avg, walked in zip(flow_averages(gen, cov, 1.0, 0.25, [4, 16]),
                                _walked_averages(gen, cov, 1.0, 0.25, [4, 16])):
@@ -200,7 +239,7 @@ class TestOscillatorBlocks:
         w = np.sqrt(np.linalg.eigvalsh(j))
         exact = max(1.0, w[-1]) / min(1.0, w[0])
         assert info["kappa"][0] == pytest.approx(exact, rel=1e-13)
-        assert info["kappa"][0] == pytest.approx(np.linalg.cond(v), rel=1e-12)
+        assert info["kappa"][0] == pytest.approx(np.linalg.cond(xy), rel=1e-12)
 
     def test_other_blocks_keep_eig(self, fresh_bases, chain_model):
         h = chain_model.dim // 2

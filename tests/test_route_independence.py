@@ -2,20 +2,37 @@
 
 The route of a generator block (unitary, oscillator, eig, or the expm
 fallback) is read from its content, and so is the split into connected
-components.  A coordinate permutation P x changes neither the physics nor
-any spectrum, but it can send a model down another route: the permuted
-128+1+128 chain loses its [[0, -J], [I, 0]] layout and takes the eig route,
-and the permuted split toy stays skew but hands the component search two
-groups that are not contiguous.  Each route is thus an oracle for the other.
+components.  Three transforms change no physics but can change the route:
 
-Tolerances are pinned at 100 times the scale measured on the chain at
-horizon 60 (D+ within 1.2e-13 max-abs, e(1/2) within 1.2e-15, e_10(1/2)
-within 5.0e-15): 1e-11 relative for matrices and 1e-12 for spectra and
-values, each relative to the largest magnitude it compares.  spec(Q) is the
-exception: Q = I - D-^{1/2} D+^-1 D-^{1/2} carries the D+ gap between the
-routes (9.8e-14 max-abs) through D+^-1 amplified about fifteenfold, to
-1.45e-12, so it is held to the matrix tolerance of the D+ it is built from.
+- a coordinate permutation P x: the permuted 128+1+128 chain loses its
+  [[0, -J], [I, 0]] layout and takes the eig route (its window average walks
+  the grid), and the permuted split toy stays skew but hands the component
+  search two groups that are not contiguous;
+- a forced expm fallback: with the kappa gate at 0 every block fails it, so
+  every propagator is scipy's expm and every window average walks the grid;
+- a time rescaling L -> cL read at t/c (c = 3, not a power of two, so the
+  rounding differs): the toy stays skew and takes the unitary route at other
+  frequencies and grid times, while the chain's lower-left block becomes
+  c I, so it is no oscillator block and takes the eig route.
+
+Each route is thus an oracle for the other.  Tolerances are pinned at 100
+times the scale measured on the chain at horizon 60 under the permutation
+(D+ within 1.2e-13 max-abs, e(1/2) within 1.2e-15, e_10(1/2) within
+5.0e-15): 1e-11 relative for matrices and 1e-12 for spectra and values, each
+relative to the largest magnitude it compares.  spec(Q) is the exception:
+Q = I - D-^{1/2} D+^-1 D-^{1/2} carries the D+ gap between the routes
+(9.8e-14 max-abs) through D+^-1 amplified about fifteenfold, to 1.45e-12,
+so it is held to the matrix tolerance of the D+ it is built from.  Under the
+forced fallback e_{t+} is held to the matrix tolerance too: scipy's expm is
+the less faithful oracle there.  At t = 5 its log det e^{tL} misses the
+exact t tr L = 0 by 8.6e-13 on the toy and 4.3e-12 on the chain (the
+oscillator and unitary routes: 1.8e-14 and 2.6e-13), and e_{t+}, which 5%
+from the end of its domain amplifies its T_t about twentyfold, reads 3.7e-12
+against the reference on both models, while T_t and B_t agree within 7e-14.
 """
+
+import dataclasses
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -27,6 +44,7 @@ from gaussfluct.flow import flow_point, sigma_integral_matrix
 MATRIX_RTOL = 1e-11
 VALUE_RTOL = 1e-12
 TIMES = (0.7, 5.0)
+SCALE = 3.0
 
 
 def permuted(model, perm):
@@ -45,11 +63,16 @@ def back(mat, perm):
     return mat[np.ix_(inv, inv)]
 
 
-def assert_close(got, want, rtol):
+def rescaled(model, c):
+    """The model with generator c L: its flow at t/c is the model's flow at t."""
+    return dataclasses.replace(model, generator=c * model.generator, label=model.label + " rescaled")
+
+
+def assert_close(got, want, rtol, what=""):
     got, want = np.asarray(got, float), np.asarray(want, float)
     assert got.shape == want.shape
     scale = np.abs(want).max()
-    assert np.abs(got - want).max() <= rtol * scale, (np.abs(got - want).max(), scale)
+    assert np.abs(got - want).max() <= rtol * scale, (what, np.abs(got - want).max(), scale)
 
 
 def _routes(generator):
@@ -64,19 +87,43 @@ def _alphas(dom, count=9):
     return np.linspace(lo + pad, hi - pad, count)
 
 
-def assert_finite_time_agrees(model, twin, perm, d_plus, d_plus_twin):
+def observables(model, d_plus, scale=1.0, alphas=None):
+    """T_t, spec(K_t), B_t, e_t and e_{t+} at t/scale for each t in TIMES.
+
+    The alphas default to points inside the model's own domains; pass the
+    reference's to read a transformed copy at the same points.
+    """
+    alphas = {} if alphas is None else alphas
+    out = {}
     for t in TIMES:
-        fp, fq = flow_point(model, t), flow_point(twin, t)
-        assert_close(back(fq.relative_T, perm), fp.relative_T, MATRIX_RTOL)
-        assert_close(fq.spectrum, fp.spectrum, VALUE_RTOL)
-        b, bq = sigma_integral_matrix(model, t), sigma_integral_matrix(twin, t)
-        assert_close(back(bq.matrix, perm), b.matrix, MATRIX_RTOL)
-        alphas = _alphas(gf.domain_interval(model, t))
-        assert_close([gf.renyi_entropy(twin, t, a) for a in alphas],
-                     [gf.renyi_entropy(model, t, a) for a in alphas], VALUE_RTOL)
-        alphas = _alphas(gf.domain_interval_ness(model, t, d_plus))
-        assert_close([gf.renyi_entropy_ness(twin, t, a, d_plus_twin) for a in alphas],
-                     [gf.renyi_entropy_ness(model, t, a, d_plus) for a in alphas], VALUE_RTOL)
+        s = t / scale
+        fp = flow_point(model, s)
+        a = alphas.setdefault(("e", t), _alphas(gf.domain_interval(model, s)))
+        a_plus = alphas.setdefault(("e+", t), _alphas(gf.domain_interval_ness(model, s, d_plus)))
+        out[t] = {
+            "T": fp.relative_T,
+            "spec K": fp.spectrum,
+            "B": sigma_integral_matrix(model, s).matrix,
+            "e": [gf.renyi_entropy(model, s, x) for x in a],
+            "e+": [gf.renyi_entropy_ness(model, s, x, d_plus) for x in a_plus],
+        }
+    return out, alphas
+
+
+def assert_same_observables(got, want, perm=None, ness_rtol=VALUE_RTOL):
+    for t in TIMES:
+        for name in ("T", "B"):
+            mat = got[t][name] if perm is None else back(got[t][name], perm)
+            assert_close(mat, want[t][name], MATRIX_RTOL, (name, t))
+        for name in ("spec K", "e"):
+            assert_close(got[t][name], want[t][name], VALUE_RTOL, (name, t))
+        assert_close(got[t]["e+"], want[t]["e+"], ness_rtol, ("e+", t))
+
+
+def assert_same_limits(lims_got, lims_want, perm=None):
+    d_plus = lims_got.d_plus if perm is None else back(lims_got.d_plus, perm)
+    assert_close(d_plus, lims_want.d_plus, MATRIX_RTOL)
+    assert_close(gf.q_operator(lims_got).spectrum, gf.q_operator(lims_want).spectrum, MATRIX_RTOL)
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +138,24 @@ def chain_large():
     return gf.build_chain(gf.ChainSpec(n_left=128, n_right=128, temps=(2.0, 1.0, 1.0)))[0]
 
 
+# (model fixture, horizon of its window average)
+CASES = {"split_toy": 40.0, "chain_large": 60.0}
+
+
+@pytest.fixture(scope="module")
+def reference(request):
+    """Per model: its limits at the case's horizon and its observables, through its own route."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            model = request.getfixturevalue(name)
+            lims = gf.estimate_limit_covariance(model, horizon=CASES[name], grid_points=64)
+            cache[name] = (model, lims, *observables(model, lims.d_plus))
+        return cache[name]
+    return get
+
+
 def test_split_toy_under_a_permutation(split_toy):
     perm = np.random.default_rng(3).permutation(split_toy.dim)
     twin = permuted(split_toy, perm)
@@ -98,16 +163,43 @@ def test_split_toy_under_a_permutation(split_toy):
     assert len(groups) == 2 and all(np.any(np.diff(g) > 1) for g in groups)
     assert _routes(split_toy.generator) == _routes(twin.generator) == ["unitary", "unitary"]
     eye = np.eye(split_toy.dim)  # the toy's D+
-    assert_finite_time_agrees(split_toy, twin, perm, eye, eye)
+    want, alphas = observables(split_toy, eye)
+    got, _ = observables(twin, eye, alphas=alphas)
+    assert_same_observables(got, want, perm)
 
 
-def test_chain_under_a_permutation(chain_large):
-    perm = np.random.default_rng(5).permutation(chain_large.dim)
-    twin = permuted(chain_large, perm)
-    assert _routes(chain_large.generator) == ["oscillator"]
+def test_chain_under_a_permutation(reference):
+    chain, lims, want, alphas = reference("chain_large")
+    perm = np.random.default_rng(5).permutation(chain.dim)
+    twin = permuted(chain, perm)
+    assert _routes(chain.generator) == ["oscillator"]
     assert _routes(twin.generator) == ["eig"]
-    lims = gf.estimate_limit_covariance(chain_large, horizon=60.0, grid_points=64)
     lims_twin = gf.estimate_limit_covariance(twin, horizon=60.0, grid_points=64)
-    assert_close(back(lims_twin.d_plus, perm), lims.d_plus, MATRIX_RTOL)
-    assert_close(gf.q_operator(lims_twin).spectrum, gf.q_operator(lims).spectrum, MATRIX_RTOL)
-    assert_finite_time_agrees(chain_large, twin, perm, lims.d_plus, lims_twin.d_plus)
+    assert_same_limits(lims_twin, lims, perm)
+    got, _ = observables(twin, lims_twin.d_plus, alphas=alphas)
+    assert_same_observables(got, want, perm)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_time_rescaling(reference, name):
+    model, lims, want, alphas = reference(name)
+    twin = rescaled(model, SCALE)
+    assert _routes(twin.generator) == {"chain_large": ["eig"], "split_toy": ["unitary", "unitary"]}[name]
+    lims_twin = gf.estimate_limit_covariance(twin, horizon=CASES[name] / SCALE, grid_points=64)
+    assert_same_limits(lims_twin, lims)
+    got, _ = observables(twin, lims_twin.d_plus, scale=SCALE, alphas=alphas)
+    assert_same_observables(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_forced_expm_fallback(monkeypatch, reference, name):
+    model, lims, want, alphas = reference(name)
+    # no block passes a gate at 0, and an empty cache decomposes each block again
+    monkeypatch.setattr(_linalg, "MODAL_KAPPA_LIMIT", 0.0)
+    monkeypatch.setattr(_linalg, "_bases", OrderedDict())
+    twin = dataclasses.replace(model)  # a model of its own: no cached flow points
+    lims_twin = gf.estimate_limit_covariance(twin, horizon=CASES[name], grid_points=64)
+    assert set(_linalg.modal_basis_info()["routes"]) == {"expm"}
+    assert_same_limits(lims_twin, lims)
+    got, _ = observables(twin, lims_twin.d_plus, alphas=alphas)
+    assert_same_observables(got, want, ness_rtol=MATRIX_RTOL)
