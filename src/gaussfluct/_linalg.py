@@ -2,13 +2,15 @@
 
 Everything here takes float64 numpy arrays and returns new arrays.  The
 propagator e^{tL}, its increment e^{tL} - I, its action e^{tL} x and the
-window average of D_t are read from one cached basis per block of the
-generator, whose route is read from the block's content.  A skew block and
-a block [[0, -J], [I, 0]] with J symmetric positive definite (the harmonic
-chains) are rotations: real mode pairs turn at the frequencies of eigh(iA)
-or eigh(J).  Any other block takes a folded eig basis, and a generator with
-such a block walks the grid for its window average.  A block that fails the
-conditioning gate takes scipy's expm, imported inside _expm alone.
+window average of D_t are read from one cache entry per generator content:
+the index groups of its blocks, one basis per block and the norm bound that
+guards the horizon.  A block's route is read from its content.  A skew block
+and a block [[0, -J], [I, 0]] with J symmetric positive definite (the
+harmonic chains) are rotations: real mode pairs turn at the frequencies of
+eigh(iA) or eigh(J).  Any other block takes a folded eig basis, and a
+generator with such a block walks the grid for its window average.  A block
+that fails the conditioning gate takes scipy's expm, imported inside _expm
+alone.
 """
 
 import hashlib
@@ -34,22 +36,11 @@ def generator_norm_bound(generator):
     return float(np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()))
 
 
-def _checked_blocks(generator, t):
-    """_blocks(generator) after refusing |t| * generator_norm_bound(generator) past the horizon limit."""
-    blocks, bound = _blocks(generator)
-    reach = abs(t) * bound
-    if reach > EXPM_HORIZON_LIMIT:
-        raise AccuracyError(
-            f"|t|*||L|| = {reach:.3g} exceeds {EXPM_HORIZON_LIMIT:.0e}; use a smaller horizon"
-        )
-    return blocks
-
-
-def _expm(a):
-    """scipy's scaling and squaring with diagonal Pade order 13, for a block that fails the gate."""
+def _expm(generator, idx, t):
+    """scipy's scaling and squaring (diagonal Pade order 13) of t A, for the block A = generator[idx, idx] past the gate."""
     from scipy.linalg import expm
 
-    return expm(a)
+    return expm(t * generator[np.ix_(idx, idx)])
 
 
 def _connected_components(generator):
@@ -79,32 +70,6 @@ def _connected_components(generator):
         groups.append(np.sort(np.concatenate(found)))
         start = int(unseen.argmax())
     return None if len(groups) == 1 else groups
-
-
-def _blocks(generator):
-    """(blocks, bound): blocks lists (idx, key), the index groups handled separately with
-    the content key of each block, and bound is generator_norm_bound(generator).
-
-    The groups are the connected components from dimension 256 on.  Both are
-    computed once per generator content and cached beside the eigenbases,
-    under the same bound and lock.
-    """
-    key = _content_key(generator)
-    with _bases_lock:
-        entry = _partitions.get(key)
-        if entry is None:
-            n = generator.shape[0]
-            groups = _connected_components(generator) if n >= 256 else None
-            if groups is None:
-                blocks = [(np.arange(n), key)]
-            else:
-                blocks = [(idx, _content_key(generator[np.ix_(idx, idx)])) for idx in groups]
-            entry = _partitions[key] = (blocks, generator_norm_bound(generator))
-            while len(_partitions) > MODAL_CACHE_ENTRIES:
-                _partitions.popitem(last=False)
-        else:
-            _partitions.move_to_end(key)
-        return entry
 
 
 def propagator(generator, t):
@@ -139,12 +104,9 @@ def propagator_apply(generator, times, x):
     times = [float(t) for t in times]
     x = np.asarray(x, dtype=float)
     out = np.empty((len(times), x.shape[0]))
-    blocks = _checked_blocks(generator, max(map(abs, times), default=0.0))
-    for idx, key in blocks:
-        block = generator if len(blocks) == 1 else generator[np.ix_(idx, idx)]
-        basis = _eigenbasis(block, key)
+    for idx, basis in _parts(generator, max(map(abs, times), default=0.0)):
         for row, t in zip(out, times):
-            row[idx] = basis.apply(t, x[idx]) if basis is not None else _expm(t * block) @ x[idx]
+            row[idx] = basis.apply(t, x[idx]) if basis is not None else _expm(generator, idx, t) @ x[idx]
     return out
 
 
@@ -153,21 +115,20 @@ def _by_blocks(generator, t, increment):
     n = generator.shape[0]
     if t == 0.0:
         return np.zeros((n, n)) if increment else np.eye(n)
-    blocks = _checked_blocks(generator, t)
-    if len(blocks) == 1:
-        return _block_flow(generator, blocks[0][1], t, increment)
+    parts = _parts(generator, t)
+    if len(parts) == 1:
+        return _block_flow(generator, *parts[0], t, increment)
     out = np.zeros_like(generator)
-    for idx, key in blocks:
-        out[np.ix_(idx, idx)] = _block_flow(generator[np.ix_(idx, idx)], key, t, increment)
+    for idx, basis in parts:
+        out[np.ix_(idx, idx)] = _block_flow(generator, idx, basis, t, increment)
     return out
 
 
-def _block_flow(block, key, t, increment):
-    basis = _eigenbasis(block, key)
+def _block_flow(generator, idx, basis, t, increment):
     if basis is not None:
         return basis.propagator(t, increment)
-    e = _expm(t * block)
-    return e - np.eye(block.shape[0]) if increment else e
+    e = _expm(generator, idx, t)
+    return e - np.eye(idx.size) if increment else e
 
 
 def symmetrize(a):
@@ -210,14 +171,8 @@ def spd_sqrt(mat):
 MODAL_KAPPA_LIMIT = 1.0e3
 
 
-class _Basis:
-    @property
-    def nbytes(self):
-        return sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
-
-
 @dataclass(frozen=True, eq=False)
-class ModalBasis(_Basis):
+class ModalBasis:
     """Folded eig basis of a real block: e^{tA} = Re sum_j c_j v_j e^{lambda_j t} w_j'.
 
     One member of each conjugate pair is kept (c_j = 2) beside the real
@@ -247,7 +202,7 @@ class ModalBasis(_Basis):
         return self.v_re @ c.real - self.v_im @ c.imag
 
 
-class RotationBasis(_Basis):
+class RotationBasis:
     """A block whose modes turn in real pairs: (a, b) = forward(x) and c = a + i b give d/dt c = i w c.
 
     forward maps the columns of x (block coordinates) to the mode pairs, and
@@ -423,64 +378,70 @@ def _decompose(block):
     return basis, kappa
 
 
-# Eigenbases and generator partitions keyed by the shape and SHA-256 of an
-# array's bytes, so routing depends on content only and an array changed in
-# place gets a fresh entry.  At most MODAL_CACHE_ENTRIES entries of each kind
-# live (least recently used first out); builds run under the lock, so
-# concurrent callers decompose a block or partition a generator once.
+# One entry per generator, keyed by its shape and the SHA-256 of its bytes, so
+# routing depends on content only and an array changed in place gets a fresh
+# entry.  An entry holds the index groups of the generator's blocks with each
+# block's basis (None past the gate) and gate kappa, and generator_norm_bound.
+# At most MODAL_CACHE_ENTRIES entries live (least recently used first out);
+# builds run under the lock, so concurrent callers decompose a generator once.
 MODAL_CACHE_ENTRIES = 8
-_bases = OrderedDict()
-_partitions = OrderedDict()
-_bases_lock = threading.Lock()
-_bases_counts = {"hits": 0, "misses": 0, "fallbacks": 0}
+_cache = OrderedDict()
+_lock = threading.Lock()
+_counts = {"hits": 0, "misses": 0, "fallbacks": 0}
 
 
-def _content_key(a):
-    a = np.ascontiguousarray(a, dtype=float)
-    return (a.shape, hashlib.sha256(a).hexdigest())
+def _parts(generator, t):
+    """[(idx, basis)] for the blocks of a generator, after refusing |t| * generator_norm_bound past the horizon limit.
 
-
-def _eigenbasis(block, key=None):
-    """The cached UnitaryBasis, OscillatorBasis or ModalBasis of a generator block, or None when it fails the gate.
-
-    key is the block's _content_key, when the caller already has it.
+    The blocks are the connected components from dimension 256 on, else the
+    whole generator; basis is a block's UnitaryBasis, OscillatorBasis or
+    ModalBasis, or None when it fails the gate.
     """
-    block = np.ascontiguousarray(block, dtype=float)
-    if block.shape == (1, 1):
-        one = np.ones((1, 1))
-        return ModalBasis(lam=block[0].astype(complex), weight=np.ones(1), v_re=one,
-                          v_im=0.0 * one, w_re=one, w_im=0.0 * one, kappa=1.0)
-    if key is None:
-        key = _content_key(block)
-    with _bases_lock:
-        entry = _bases.get(key)
+    generator = np.ascontiguousarray(generator, dtype=float)
+    key = (generator.shape, hashlib.sha256(generator).hexdigest())
+    with _lock:
+        entry = _cache.get(key)
         if entry is None:
-            entry = _bases[key] = _decompose(block)
-            _bases_counts["misses"] += 1
-            _bases_counts["fallbacks"] += entry[0] is None
-            while len(_bases) > MODAL_CACHE_ENTRIES:
-                _bases.popitem(last=False)
+            n = generator.shape[0]
+            groups = (_connected_components(generator) if n >= 256 else None) or [np.arange(n)]
+            built = [_decompose(generator if len(groups) == 1 else generator[np.ix_(idx, idx)])
+                     for idx in groups]
+            parts = [(idx, basis) for idx, (basis, _) in zip(groups, built)]
+            entry = _cache[key] = (parts, [kappa for _, kappa in built], generator_norm_bound(generator))
+            _counts["misses"] += 1
+            _counts["fallbacks"] += sum(basis is None for _, basis in parts)
+            while len(_cache) > MODAL_CACHE_ENTRIES:
+                _cache.popitem(last=False)
         else:
-            _bases_counts["hits"] += 1
-            _bases.move_to_end(key)
-        return entry[0]
+            _counts["hits"] += 1
+            _cache.move_to_end(key)
+    parts, _, bound = entry
+    reach = abs(t) * bound
+    if reach > EXPM_HORIZON_LIMIT:
+        raise AccuracyError(
+            f"|t|*||L|| = {reach:.3g} exceeds {EXPM_HORIZON_LIMIT:.0e}; use a smaller horizon"
+        )
+    return parts
 
 
 def modal_basis_info():
-    """Hits, misses and gate failures ('fallbacks') since import; live entries, bytes, kappa and routes.
+    """Generator lookups that hit and missed and blocks past the gate ('fallbacks') since import;
+    live generator entries, and the bytes, kappa and route of each block of them.
 
-    kappa lists the gate's estimate per live entry (exact for the rotation
-    bases), inf where eig or inv failed; routes names each entry's route:
-    'unitary' (skew), 'oscillator', 'eig', or 'expm' for a gate failure.
+    kappa lists the gate's estimate per block (exact for the rotation bases),
+    inf where eig or inv failed; routes names each block's route: 'unitary'
+    (skew), 'oscillator', 'eig', or 'expm' for a gate failure.
     """
-    with _bases_lock:
-        entries = list(_bases.values())
+    with _lock:
+        entries = list(_cache.values())
+        bases = [basis for parts, _, _ in entries for _, basis in parts]
         return {
-            **_bases_counts,
+            **_counts,
             "entries": len(entries),
-            "bytes": sum(b.nbytes for b, _ in entries if b is not None),
-            "kappa": [k for _, k in entries],
-            "routes": [b.route if b is not None else "expm" for b, _ in entries],
+            "bytes": sum(a.nbytes for basis in bases if basis is not None
+                         for a in vars(basis).values() if isinstance(a, np.ndarray)),
+            "kappa": [kappa for _, kappas, _ in entries for kappa in kappas],
+            "routes": [basis.route if basis is not None else "expm" for basis in bases],
         }
 
 
@@ -516,9 +477,7 @@ def flow_averages(generator, x, t0, step, counts):
     generator with an eig block, or one past the gate, walks the grid.
     """
     counts = [int(m) for m in counts]
-    blocks = _checked_blocks(generator, t0)
-    parts = [(idx, _eigenbasis(generator if len(blocks) == 1 else generator[np.ix_(idx, idx)], key))
-             for idx, key in blocks]
+    parts = _parts(generator, t0)
     if not all(isinstance(basis, RotationBasis) for _, basis in parts):
         return _walked_averages(generator, x, t0, step, counts)
     if len(parts) == 1:

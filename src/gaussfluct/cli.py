@@ -14,8 +14,8 @@ import numpy as np
 
 from . import asymptotics, flow, ldp, models, montecarlo, renyi
 from ._linalg import parse_grid
-from .model import DomainError, StructuralError, sigma_matrix, validate_model
-from .modelio import ParseError, dumps_17g, load_model
+from .model import DomainError, sigma_matrix, validate_model
+from .modelio import dumps_17g, load_model
 
 EXIT_OK = 0
 EXIT_STRUCTURAL = 1
@@ -381,10 +381,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
-    except (ParseError, StructuralError, DomainError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
 

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .model import Model, StructuralError
+from .model import Model
 from .models import ChainSpec, ToySpec, build_chain, build_toy
 
 
@@ -133,11 +133,8 @@ def load_model(path):
     gen = _matrix_from_spec(doc["generator"], "generator", dim)
     cov = _matrix_from_spec(doc["covariance"], "covariance", dim)
     theta = _matrix_from_spec(doc.get("time_reversal"), "time_reversal", dim)
-    try:
-        return Model(dim=dim, generator=gen, covariance=cov, time_reversal=theta,
-                     label=str(doc.get("label", "")))
-    except StructuralError:
-        raise
+    return Model(dim=dim, generator=gen, covariance=cov, time_reversal=theta,
+                 label=str(doc.get("label", "")))
 
 
 def save_model(model, path):

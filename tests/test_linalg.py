@@ -13,7 +13,7 @@ from gaussfluct.flow import flow_scan
 from gaussfluct._linalg import (
     MODAL_CACHE_ENTRIES,
     MODAL_KAPPA_LIMIT,
-    _eigenbasis,
+    _parts,
     _walked_averages,
     flow_averages,
     modal_basis_info,
@@ -38,11 +38,17 @@ def _long_double_propagator(gen, t, halvings=12, terms=25):
     return e.astype(float)
 
 
+def _one_basis(gen):
+    """The cached basis of a generator that is one block, None when it fails the gate."""
+    (_, basis), = _parts(gen, 0.0)
+    return basis
+
+
 @pytest.fixture
 def fresh_bases(monkeypatch):
-    """An empty eigenbasis cache with zeroed counters, and a log of np.linalg.eig shapes."""
-    monkeypatch.setattr(_linalg, "_bases", OrderedDict())
-    monkeypatch.setattr(_linalg, "_bases_counts", {"hits": 0, "misses": 0, "fallbacks": 0})
+    """An empty generator cache with zeroed counters, and a log of np.linalg.eig shapes."""
+    monkeypatch.setattr(_linalg, "_cache", OrderedDict())
+    monkeypatch.setattr(_linalg, "_counts", {"hits": 0, "misses": 0, "fallbacks": 0})
     shapes = []
     eig = np.linalg.eig
 
@@ -64,7 +70,7 @@ class TestModalPropagator:
     @pytest.mark.parametrize("t", [-6.0, 2.0, 10.0, 60.0])
     def test_matches_reference(self, chain_model, toy_model, nonnormal_model, t):
         for model in (chain_model, toy_model, nonnormal_model):
-            assert _eigenbasis(model.generator) is not None
+            assert _one_basis(model.generator) is not None
             e = propagator(model.generator, t)
             ref = _long_double_propagator(model.generator, t)
             assert np.abs(e - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -95,7 +101,7 @@ class TestModalPropagator:
         assert np.abs(e - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_jordan_block_takes_expm(self):
-        assert _eigenbasis(JORDAN) is None
+        assert _one_basis(JORDAN) is None
         assert np.array_equal(propagator(JORDAN, 3.0), sla.expm(3.0 * JORDAN))
 
     def test_apply_matches_propagator(self, chain_model, split_toy, nonnormal_model):
@@ -110,6 +116,41 @@ class TestModalPropagator:
                 assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
         with pytest.raises(_linalg.AccuracyError):
             propagator_apply(chain_model.generator, [1.0, -1e5], np.ones(chain_model.dim))
+
+
+class TestOneByOneBlocks:
+    @pytest.mark.parametrize("value", [0.0, -0.5, 0.3])
+    def test_scalar_generator(self, fresh_bases, value):
+        gen = np.array([[value]])
+        times = [-2.0, 0.5, 3.0]
+        for t in times:
+            assert propagator(gen, t)[0, 0] == pytest.approx(np.exp(value * t), rel=1e-15, abs=0.0)
+            assert propagator_increment(gen, t)[0, 0] == pytest.approx(np.expm1(value * t), rel=1e-15, abs=0.0)
+        rows = propagator_apply(gen, times, [2.0])
+        assert rows[:, 0] == pytest.approx(2.0 * np.exp(value * np.array(times)), rel=1e-15, abs=0.0)
+        x = np.array([[1.5]])
+        for avg, walked in zip(flow_averages(gen, x, 1.0, 0.25, [4, 16]),
+                               _walked_averages(gen, x, 1.0, 0.25, [4, 16])):
+            assert avg[0, 0] == pytest.approx(walked[0, 0], rel=1e-14, abs=0.0)
+        basis = _one_basis(gen)
+        if value == 0.0:  # one flat mode
+            assert basis.route == "unitary" and np.array_equal(basis.freq, [0.0])
+        else:
+            assert basis.route == "eig"
+
+    @pytest.mark.parametrize("value", [0.0, 0.3])
+    def test_singleton_component(self, fresh_bases, value):
+        # components of 150, 149 and 1 (dim 300): skew, shifted skew and the scalar
+        rng = np.random.default_rng(9)
+        a, b = rng.standard_normal((150, 150)), rng.standard_normal((149, 149))
+        gen = sla.block_diag(a - a.T, b - b.T - 0.2 * np.eye(149), [[value]])
+        for t in (-2.0, 1.0, 5.0):
+            ref = sla.expm(t * gen)
+            assert np.abs(propagator(gen, t) - ref).max() <= 1e-12 * np.abs(ref).max()
+            inc = propagator_increment(gen, t)
+            assert np.abs(inc - (ref - np.eye(300))).max() <= 1e-12 * np.abs(ref).max()
+        assert [idx.size for idx, _ in _parts(gen, 0.0)] == [150, 149, 1]
+        assert modal_basis_info()["routes"] == ["unitary", "eig", "unitary" if value == 0.0 else "eig"]
 
 
 def _skew_generators():
@@ -143,15 +184,14 @@ class TestSkewBlocks:
     def test_unitary_route(self, fresh_bases, name):
         gen = _skew_generators()[name]
         n = gen.shape[0]
-        for idx, key in _linalg._blocks(gen)[0]:
+        for idx, basis in _parts(gen, 0.0):
             block = gen[np.ix_(idx, idx)]
-            basis = _eigenbasis(block, key)
             x, y = assert_rotation_maps(block, basis)
             # [X N Y] is orthogonal; the flat modes N have frequency 0 and no y column
             xy = np.concatenate([x, y[:, basis.freq > 0.0]], axis=1)
             assert np.abs(xy.T @ xy - np.eye(idx.size)).max() <= 1e-13
         if name == "odd toy":
-            assert np.count_nonzero(_eigenbasis(gen).freq == 0.0) == 1
+            assert np.count_nonzero(_one_basis(gen).freq == 0.0) == 1
         # scipy's expm is itself 3e-13 off the extended-precision value at t = 60
         for t in (-6.0, 2.0, 10.0):
             ref = sla.expm(t * gen)
@@ -224,7 +264,7 @@ class TestOscillatorBlocks:
         for t, row in zip((-6.0, 2.0), propagator_apply(gen, (-6.0, 2.0), x)):
             ref = propagator(gen, t) @ x
             assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
-        x, y = assert_rotation_maps(gen, _eigenbasis(gen))
+        x, y = assert_rotation_maps(gen, _one_basis(gen))
         # [X Y] = [[Q, 0], [0, Q W^-1]] is orthonormal in the energy form
         xy = np.concatenate([x, y], axis=1)
         assert np.abs(xy.T @ energy @ xy - np.eye(n)).max() <= 1e-13
@@ -278,19 +318,43 @@ class TestBasisCache:
         for _ in range(MODAL_CACHE_ENTRIES + 3):
             gen = rng.standard_normal((4, 4)) - 4.0 * np.eye(4)
             propagator(gen, 1.0)
-            assert len(_linalg._bases) <= MODAL_CACHE_ENTRIES
+            assert len(_linalg._cache) <= MODAL_CACHE_ENTRIES
         info = modal_basis_info()
         assert info["entries"] == MODAL_CACHE_ENTRIES
         assert info["misses"] == MODAL_CACHE_ENTRIES + 3
+
+    def test_more_components_than_entries_decompose_once(self, fresh_bases, monkeypatch):
+        # one entry holds every block: more skew 32-blocks than entries (dim 384)
+        # are decomposed on the first call and then read back
+        rng = np.random.default_rng(6)
+        count = MODAL_CACHE_ENTRIES + 4
+        gen = sla.block_diag(*(a - a.T for a in rng.standard_normal((count, 32, 32))))
+        eighs = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            eighs.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        propagator(gen, 1.0)
+        assert (modal_basis_info()["misses"], len(eighs)) == (1, count)
+        e, inc = propagator(gen, 2.0), propagator_increment(gen, 2.0)
+        info = modal_basis_info()
+        assert (info["misses"], info["hits"], len(eighs)) == (1, 2, count)
+        assert info["entries"] == 1 and info["routes"] == ["unitary"] * count
+        ref = sla.expm(2.0 * gen)
+        assert np.abs(e - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(inc - (ref - np.eye(gen.shape[0]))).max() <= 1e-12 * np.abs(ref).max()
 
     def test_gate_uses_two_norm_kappa(self):
         # the 1-norm product reads 1165 here; the 2-norm kappa(V) is 2.236.  In
         # (q, p) order the chain is not an oscillator block and takes eig.
         model, _ = gf.build_chain(gf.ChainSpec(n_left=256, n_right=256, temps=(2.0, 1.0, 1.0)))
-        basis = _eigenbasis(model.generator[::-1, ::-1])
+        basis = _one_basis(model.generator[::-1, ::-1])
         assert basis.route == "eig"
         assert 2.0 <= basis.kappa <= 2.3
-        assert _eigenbasis(JORDAN) is None
+        assert _one_basis(JORDAN) is None
 
 
     def test_concurrent_callers_decompose_once(self, fresh_bases, chain_model):
@@ -325,7 +389,7 @@ class TestOneDecompositionPerBlock:
         assert (info["misses"], info["routes"]) == (1, ["oscillator"])
 
     def test_one_partition_per_generator(self, monkeypatch, split_toy):
-        monkeypatch.setattr(_linalg, "_partitions", OrderedDict())
+        monkeypatch.setattr(_linalg, "_cache", OrderedDict())
         calls = []
         components = _linalg._connected_components
 
@@ -338,7 +402,7 @@ class TestOneDecompositionPerBlock:
                          covariance=split_toy.covariance)
         flow_scan(model, np.linspace(0.5, 5.0, 10))
         assert calls == [(256, 256)]
-        assert len(_linalg._partitions) == 1
+        assert len(_linalg._cache) == 1
         gen = split_toy.generator.copy()
         gen[0, -1] = 1e-3  # joins the two components: a new content, a new partition
         e = propagator(gen, 1.0)
@@ -353,10 +417,11 @@ class TestOneDecompositionPerBlock:
         assert (info["misses"], info["routes"]) == (1, ["oscillator"])
         gf.estimate_limit_covariance(split_toy, horizon=6.0, grid_points=64)
         gf.sigma_integral_matrix(split_toy, 3.0)
-        # the chain takes eigh(J) and the toy's skew blocks eigh(iA), never eig
+        # the chain takes eigh(J) and the toy's skew blocks eigh(iA), never eig;
+        # a miss is one generator, whatever its number of blocks
         info = modal_basis_info()
         assert fresh_bases == []
-        assert (info["misses"], info["routes"]) == (3, ["oscillator", "unitary", "unitary"])
+        assert (info["misses"], info["routes"]) == (2, ["oscillator", "unitary", "unitary"])
 
 
 def _reachability_partition(generator):

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 
 import gaussfluct as gf
 from gaussfluct import montecarlo as mc
-from gaussfluct._linalg import AccuracyError, _eigenbasis, generator_norm_bound, propagator, symmetrize
+from gaussfluct._linalg import AccuracyError, _parts, generator_norm_bound, propagator, symmetrize
 from gaussfluct.model import DomainError, covariance_roots
 
 
@@ -241,7 +241,7 @@ class TestSigmaIntegral:
     @pytest.mark.parametrize("t", [-6.0, 2.0, 10.0])
     def test_modal_matches_van_loan(self, nonnormal_model, t):
         model = nonnormal_model
-        assert _eigenbasis(model.generator) is not None
+        assert all(basis is not None for _, basis in _parts(model.generator, 0.0))
         b = gf.sigma_integral_matrix(model, t).matrix
         ref = _van_loan_gramian(model.generator, gf.sigma_matrix(model).matrix, t)
         assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -277,7 +277,7 @@ class TestSigmaIntegral:
     def test_defective_generator_takes_expm(self, t):
         # B_t of a block that fails the gate reads the increment expm(tA) - I
         model = _jordan_model()
-        assert _eigenbasis(model.generator) is None
+        assert [basis for _, basis in _parts(model.generator, 0.0)] == [None]
         assert _lyapunov_residual(model, t) <= 1e-12
 
     def test_horizon_refusal(self, chain_model):

@@ -2,7 +2,7 @@
 
 The route of a generator block (unitary, oscillator, eig, or the expm
 fallback) is read from its content, and so is the split into connected
-components.  Three transforms change no physics but can change the route:
+components.  Four transforms change no physics but can change the route:
 
 - a coordinate permutation P x: the permuted 128+1+128 chain loses its
   [[0, -J], [I, 0]] layout and takes the eig route (its window average walks
@@ -13,7 +13,11 @@ components.  Three transforms change no physics but can change the route:
 - a time rescaling L -> cL read at t/c (c = 3, not a power of two, so the
   rounding differs): the toy stays skew and takes the unitary route at other
   frequencies and grid times, while the chain's lower-left block becomes
-  c I, so it is no oscillator block and takes the eig route.
+  c I, so it is no oscillator block and takes the eig route;
+- an orthogonal similarity L -> O'LO (O from the QR factors of a seeded
+  normal matrix), skew-symmetrized with D and theta symmetrized: the split
+  toy's two components merge into one dense skew block, which takes the
+  unitary route at dimension 256.
 
 Each route is thus an oracle for the other.  Tolerances are pinned at 100
 times the scale measured on the chain at horizon 60 under the permutation
@@ -39,6 +43,7 @@ import pytest
 
 import gaussfluct as gf
 from gaussfluct import _linalg
+from gaussfluct._linalg import symmetrize
 from gaussfluct.flow import flow_point, sigma_integral_matrix
 
 MATRIX_RTOL = 1e-11
@@ -57,10 +62,27 @@ def permuted(model, perm):
                     label=model.label + " permuted")
 
 
-def back(mat, perm):
-    """Undo permuted() on a matrix."""
+def unpermuted(perm):
+    """The map that undoes permuted() on a matrix."""
     inv = np.argsort(perm)
-    return mat[np.ix_(inv, inv)]
+    return lambda mat: mat[np.ix_(inv, inv)]
+
+
+def rotated(model, o):
+    """A skew model in the coordinates o'x for an orthogonal o: every matrix M becomes o'Mo,
+    the generator skew-symmetrized and the covariance and time reversal symmetrized."""
+    def similar(mat):
+        return o.T @ mat @ o
+    gen = similar(model.generator)
+    return gf.Model(dim=model.dim, generator=0.5 * (gen - gen.T),
+                    covariance=symmetrize(similar(model.covariance)),
+                    time_reversal=symmetrize(similar(model.time_reversal)),
+                    label=model.label + " rotated")
+
+
+def unrotated(o):
+    """The map that undoes rotated() on a matrix."""
+    return lambda mat: o @ mat @ o.T
 
 
 def rescaled(model, c):
@@ -76,8 +98,7 @@ def assert_close(got, want, rtol, what=""):
 
 
 def _routes(generator):
-    blocks, _ = _linalg._blocks(generator)
-    return [_linalg._eigenbasis(generator[np.ix_(idx, idx)], key).route for idx, key in blocks]
+    return [basis.route for _, basis in _linalg._parts(generator, 0.0)]
 
 
 def _alphas(dom, count=9):
@@ -110,18 +131,19 @@ def observables(model, d_plus, scale=1.0, alphas=None):
     return out, alphas
 
 
-def assert_same_observables(got, want, perm=None, ness_rtol=VALUE_RTOL):
+def assert_same_observables(got, want, home=None, ness_rtol=VALUE_RTOL):
+    """got against want; home maps a matrix of got back to the coordinates of want."""
     for t in TIMES:
         for name in ("T", "B"):
-            mat = got[t][name] if perm is None else back(got[t][name], perm)
+            mat = got[t][name] if home is None else home(got[t][name])
             assert_close(mat, want[t][name], MATRIX_RTOL, (name, t))
         for name in ("spec K", "e"):
             assert_close(got[t][name], want[t][name], VALUE_RTOL, (name, t))
         assert_close(got[t]["e+"], want[t]["e+"], ness_rtol, ("e+", t))
 
 
-def assert_same_limits(lims_got, lims_want, perm=None):
-    d_plus = lims_got.d_plus if perm is None else back(lims_got.d_plus, perm)
+def assert_same_limits(lims_got, lims_want, home=None):
+    d_plus = lims_got.d_plus if home is None else home(lims_got.d_plus)
     assert_close(d_plus, lims_want.d_plus, MATRIX_RTOL)
     assert_close(gf.q_operator(lims_got).spectrum, gf.q_operator(lims_want).spectrum, MATRIX_RTOL)
 
@@ -165,7 +187,7 @@ def test_split_toy_under_a_permutation(split_toy):
     eye = np.eye(split_toy.dim)  # the toy's D+
     want, alphas = observables(split_toy, eye)
     got, _ = observables(twin, eye, alphas=alphas)
-    assert_same_observables(got, want, perm)
+    assert_same_observables(got, want, unpermuted(perm))
 
 
 def test_chain_under_a_permutation(reference):
@@ -175,9 +197,20 @@ def test_chain_under_a_permutation(reference):
     assert _routes(chain.generator) == ["oscillator"]
     assert _routes(twin.generator) == ["eig"]
     lims_twin = gf.estimate_limit_covariance(twin, horizon=60.0, grid_points=64)
-    assert_same_limits(lims_twin, lims, perm)
+    assert_same_limits(lims_twin, lims, unpermuted(perm))
     got, _ = observables(twin, lims_twin.d_plus, alphas=alphas)
-    assert_same_observables(got, want, perm)
+    assert_same_observables(got, want, unpermuted(perm))
+
+
+def test_split_toy_under_an_orthogonal_similarity(reference):
+    toy, lims, want, alphas = reference("split_toy")
+    o = np.linalg.qr(np.random.default_rng(4).standard_normal((toy.dim, toy.dim)))[0]
+    twin = rotated(toy, o)
+    assert _routes(twin.generator) == ["unitary"]
+    lims_twin = gf.estimate_limit_covariance(twin, horizon=CASES["split_toy"], grid_points=64)
+    assert_same_limits(lims_twin, lims, unrotated(o))
+    got, _ = observables(twin, lims_twin.d_plus, alphas=alphas)
+    assert_same_observables(got, want, unrotated(o))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -196,7 +229,7 @@ def test_forced_expm_fallback(monkeypatch, reference, name):
     model, lims, want, alphas = reference(name)
     # no block passes a gate at 0, and an empty cache decomposes each block again
     monkeypatch.setattr(_linalg, "MODAL_KAPPA_LIMIT", 0.0)
-    monkeypatch.setattr(_linalg, "_bases", OrderedDict())
+    monkeypatch.setattr(_linalg, "_cache", OrderedDict())
     twin = dataclasses.replace(model)  # a model of its own: no cached flow points
     lims_twin = gf.estimate_limit_covariance(twin, horizon=CASES[name], grid_points=64)
     assert set(_linalg.modal_basis_info()["routes"]) == {"expm"}
