@@ -1,21 +1,27 @@
 """Shared dense linear algebra helpers, on numpy's own LAPACK.
 
 Everything here takes float64 numpy arrays and returns new arrays.  The
-propagator e^{tL}, its increment e^{tL} - I, its action e^{tL} x and the
-window average of D_t are read from one cache entry per generator content:
-the index groups of its blocks, one basis per block and the norm bound that
-guards the horizon.  A block's route is read from its content.  A skew block
-and a block [[0, -J], [I, 0]] with J symmetric positive definite (the
-harmonic chains) are rotations: real mode pairs turn at the frequencies of
-eigh(iA) or eigh(J).  Any other block takes a folded eig basis, and a
-generator with such a block walks the grid for its window average.  A block
-that fails the conditioning gate takes scipy's expm, imported inside _expm
-alone.
+propagator e^{tL}, its increment e^{tL} - I, its action e^{tL} x, the mode
+frame and the window average of D_t are read from one cache entry per
+generator content: the index groups of its blocks, one basis per block and
+the norm bound that guards the horizon.  A block's route is read from its
+content.  A skew block and a block [[0, -J], [I, 0]] with J symmetric
+positive definite (the harmonic chains) are rotations: real mode pairs turn
+at the frequencies of eigh(iA) or eigh(J).  Any other block takes a folded
+eig basis, and a generator with such a block walks the grid for its window
+average.  A block that fails the conditioning gate takes scipy's expm,
+imported inside _expm alone.
+
+The mode frame writes e^{tL} = B R_t B^-1 with B the block-diagonal back map
+of frame_maps (the identity on eig and expm blocks) and R_t the turn of
+turner: real cos/sin on the mode pairs of a rotation block, O(n) per column,
+and a product with the block propagator elsewhere.
 """
 
 import hashlib
 import math
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -221,6 +227,24 @@ class RotationBasis:
         c, s = (f[:, None] for f in self._turn(t))
         return self.back(c * a - s * b, s * a + c * b)[:, 0]
 
+    def turn(self, t, z, increment=False):
+        """R_t z for the rows z = [a, b] of the square frame (R_t - I with increment), O(n) per column.
+
+        a holds the m = freq.size modes and b the n - m partners of the first
+        n - m of them; the others are flat (frequency 0) and stay put.  The
+        result has the memory layout of z, so a transposed view costs no copy.
+        """
+        c, s = (f[:, None] for f in self._turn(t, increment))
+        m = c.shape[0]
+        p = z.shape[0] - m
+        a, b = z[:m], z[m:]
+        out = np.empty_like(z)
+        np.multiply(c, a, out=out[:m])
+        out[:p] -= s[:p] * b
+        np.multiply(s[:p], a[:p], out=out[m:])
+        out[m:] += c[:p] * b
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class UnitaryBasis(RotationBasis):
@@ -250,6 +274,18 @@ class UnitaryBasis(RotationBasis):
         c, s = self._turn(t, increment)
         x, y = np.split(self.v, 2, axis=1)
         return np.concatenate([x * c + y * s, y * c - x * s], axis=1) @ self.v.T
+
+    def frame(self):
+        """(B, B^-1) = ([X N Y], [X N Y]'): the square, orthogonal part of v."""
+        b = self.v[:, :self.v.shape[0]]
+        return b, b.T
+
+    def twin(self):
+        """The basis of -A: x_k and y_k trade places, so v becomes [Y N | X 0]."""
+        m = self.freq.size
+        p = self.v.shape[0] - m
+        x, flat, y, zero = np.split(self.v, [p, m, m + p], axis=1)
+        return UnitaryBasis(freq=self.freq, v=np.concatenate([y, flat, x, zero], axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,6 +324,14 @@ class OscillatorBasis(RotationBasis):
         out[:h, h:] = (q * (-self.freq * s)) @ q.T
         out[h:, :h] = (q * (s / self.freq)) @ q.T
         return out
+
+    def frame(self):
+        """(B, B^-1) = ([[Q, 0], [0, Q W^-1]], [[Q', 0], [0, W Q']]): back and forward as matrices."""
+        q, h = self.q, self.freq.size
+        b, b_inv = np.zeros((2 * h, 2 * h)), np.zeros((2 * h, 2 * h))
+        b[:h, :h], b[h:, h:] = q, q / self.freq
+        b_inv[:h, :h], b_inv[h:, h:] = q.T, self.freq[:, None] * q.T
+        return b, b_inv
 
 
 def _norm2_estimate(a, iterations=20):
@@ -384,10 +428,50 @@ def _decompose(block):
 # block's basis (None past the gate) and gate kappa, and generator_norm_bound.
 # At most MODAL_CACHE_ENTRIES entries live (least recently used first out);
 # builds run under the lock, so concurrent callers decompose a generator once.
+# The key of a read-only array that owns its data (a Model's arrays) is kept
+# by identity while the array lives, so such a generator is hashed once; a
+# writable array, or a view that another array could change, is hashed on
+# every lookup.
 MODAL_CACHE_ENTRIES = 8
 _cache = OrderedDict()
 _lock = threading.Lock()
 _counts = {"hits": 0, "misses": 0, "fallbacks": 0}
+_keys = {}   # id of a read-only generator -> (weak reference to it, its key)
+
+
+def _content_key(generator):
+    """(shape, SHA-256 hex digest) of a C-contiguous float64 array.
+
+    Single dict reads and writes suffice: two threads that miss the memo at
+    once hash the same content and store the same key.
+    """
+    if generator.flags.writeable or generator.base is not None:
+        return generator.shape, hashlib.sha256(generator).hexdigest()
+    ident = id(generator)
+    known = _keys.get(ident)
+    if known is not None and known[0]() is generator:
+        return known[1]
+    key = generator.shape, hashlib.sha256(generator).hexdigest()
+    _keys[ident] = (weakref.ref(generator, lambda _, ident=ident: _keys.pop(ident, None)), key)
+    return key
+
+
+def _decompose_blocks(generator, groups):
+    """[(basis, kappa)] per index group.  A skew block A' = -A of an earlier
+    skew block A (the doubling L + L') takes the twin of A's basis, no eigh."""
+    built, skew = [], {}   # SHA-256 of a decomposed skew block -> its basis
+    for idx in groups:
+        block = generator if len(groups) == 1 else generator[np.ix_(idx, idx)]
+        twin = skew.get(_digest(block.T)) if np.array_equal(block.T, -block) else None
+        basis, kappa = (twin.twin(), twin.kappa) if twin is not None else _decompose(block)
+        if isinstance(basis, UnitaryBasis):
+            skew[_digest(block)] = basis
+        built.append((basis, kappa))
+    return built
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a)).digest()
 
 
 def _parts(generator, t):
@@ -398,14 +482,13 @@ def _parts(generator, t):
     ModalBasis, or None when it fails the gate.
     """
     generator = np.ascontiguousarray(generator, dtype=float)
-    key = (generator.shape, hashlib.sha256(generator).hexdigest())
+    key = _content_key(generator)
     with _lock:
         entry = _cache.get(key)
         if entry is None:
             n = generator.shape[0]
             groups = (_connected_components(generator) if n >= 256 else None) or [np.arange(n)]
-            built = [_decompose(generator if len(groups) == 1 else generator[np.ix_(idx, idx)])
-                     for idx in groups]
+            built = _decompose_blocks(generator, groups)
             parts = [(idx, basis) for idx, (basis, _) in zip(groups, built)]
             entry = _cache[key] = (parts, [kappa for _, kappa in built], generator_norm_bound(generator))
             _counts["misses"] += 1
@@ -422,6 +505,62 @@ def _parts(generator, t):
             f"|t|*||L|| = {reach:.3g} exceeds {EXPM_HORIZON_LIMIT:.0e}; use a smaller horizon"
         )
     return parts
+
+
+def frame_maps(generator):
+    """(B, B^-1, orthogonal) with e^{tL} = B R_t B^-1 for the R_t of turner, or None when B = I.
+
+    B is block diagonal in the generator's index groups: a rotation block's
+    square back map (orthogonal for a skew block, [[Q, 0], [0, Q W^-1]] for an
+    oscillator block), the identity on eig and expm blocks.  orthogonal says
+    that there is no oscillator block, and then B^-1 is the view B'.
+    """
+    parts = _parts(generator, 0.0)
+    if not any(isinstance(basis, RotationBasis) for _, basis in parts):
+        return None
+    orthogonal = not any(isinstance(basis, OscillatorBasis) for _, basis in parts)
+    n = generator.shape[0]
+    back, inverse = np.eye(n), None if orthogonal else np.eye(n)
+    for idx, basis in parts:
+        if isinstance(basis, RotationBasis):
+            ix = np.ix_(idx, idx)
+            back[ix], block_inverse = basis.frame()
+            if inverse is not None:
+                inverse[ix] = block_inverse
+    return back, (back.T if orthogonal else inverse), orthogonal
+
+
+def turner(generator, t, increment=False):
+    """The map (z, transpose) -> R_t z, or R_t' z with transpose, on the rows z of the mode frame.
+
+    R_t is e^{tL} in the coordinates of frame_maps: a rotation block turns
+    its mode pairs by real cos/sin (R_t' = R_{-t} there), an eig or expm block
+    multiplies by its propagator, built at most once per turner.  With
+    increment, R_t - I in place of R_t, from -2 sin^2 and the block increment.
+    A product from the right is a transposed view: z R_t = (R_t' z')'.  The
+    horizon is checked here, through _parts.
+    """
+    if t == 0.0:
+        return lambda z, transpose=False: np.zeros_like(z) if increment else z.copy()
+    parts = _parts(generator, t)
+    flows = {}
+
+    def block(k, idx, basis, z, transpose):
+        if isinstance(basis, RotationBasis):
+            return basis.turn(-t if transpose else t, z, increment)
+        if k not in flows:
+            flows[k] = _block_flow(generator, idx, basis, t, increment)
+        return (flows[k].T if transpose else flows[k]) @ z
+
+    def turn(z, transpose=False):
+        if len(parts) == 1:
+            return block(0, *parts[0], z, transpose)
+        out = np.empty_like(z)
+        for k, (idx, basis) in enumerate(parts):
+            rows = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
+            out[rows] = block(k, idx, basis, z[rows], transpose)
+        return out
+    return turn
 
 
 def modal_basis_info():

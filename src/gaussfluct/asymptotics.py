@@ -137,9 +137,10 @@ def steady_entropy_production(sigma, d_ref, d_plus, d_minus=None):
     exactly when D- is the theta conjugate of D+.
     """
     s = sigma.matrix
-    omega_plus = float(np.trace(s @ (d_plus - d_ref)))
+    # tr(S X) = sum_ij S_ij X_ij for a symmetric S: O(n^2), no product
+    omega_plus = float(np.vdot(s, d_plus - d_ref))
     if d_minus is not None:
-        omega_minus = float(np.trace(s @ (d_minus - d_ref)))
+        omega_minus = float(np.vdot(s, d_minus - d_ref))
         scale = max(abs(omega_plus), abs(omega_minus), 1e-300)
         if abs(omega_plus + omega_minus) > ANTISYM_RTOL * scale:
             raise AccuracyError(

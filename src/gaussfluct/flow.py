@@ -5,20 +5,24 @@ D_t = e^{tL} D e^{tL'} and T_t = D_t^-1 - D^-1, and the time integral
 B_t = int_0^t e^{sL'} sigma e^{sL} ds of the entropy production.  Since
 sigma = 1/2 (L'D^-1 + D^-1 L) is the derivative of 1/2 e^{sL'} D^-1 e^{sL}
 at s = 0, B_t = 1/2 (e^{tL'} D^-1 e^{tL} - D^-1) = 1/2 T_{-t}: no quadrature
-and no Gramian, just the propagator increment e^{tL} - I.  The same identity
-read at -t gives T_t = e^{-tL'} D^-1 e^{-tL} - D^-1 from the increment at -t,
-so neither D_t nor any Cholesky factor is inverted for T_t either.
+and no Gramian.  The same identity read at -t gives T_t = e^{-tL'} D^-1 e^{-tL}
+- D^-1, so neither D_t nor any Cholesky factor is inverted for T_t either.
 
-A flow point is built from the propagator alone.  With the whitened
-propagator M = D^{-1/2} e^{tL} D^{1/2}, S_t = M M' = D^{-1/2} D_t D^{-1/2} is
-the inverse of I + K_t = D^{1/2} D_t^-1 D^{1/2}, K_t = D^{1/2} T_t D^{1/2}.  So
-one eigvalsh of S_t gives mu, the spectrum of K_t is lambda = 1/mu - 1
-(1 + lambda = 1/mu) and 0.5*logdet(I + K_t) = -0.5*sum log(mu); no inverse
-of D_t is formed.  The propagator, that spectrum and the log-determinant are
-eager; D_t and T_t are computed on first access and then kept, T_t as
-2 B_{-t} from the increment at -t and D^-1 = D^{-1/2} D^{-1/2}.  S_t is
-positive by construction, so a nonpositive mu raises: it means an inaccurate
-matrix exponential.  No domain is decided here; renyi reads the finite-time
+Everything is read in the model's mode frame (model.mode_frame):
+e^{tL} = B R_t B^-1, with R_t real cos/sin turns on the mode pairs of the
+rotation blocks, and p = D^{-1/2} B, q = B^-1 D^{1/2} and h = B'D^-1 B
+multiplied once per model.  The whitened propagator is
+M = D^{-1/2} e^{tL} D^{1/2} = p R_t q, one product per flow point, and
+S_t = M M' = D^{-1/2} D_t D^{-1/2} is the inverse of I + K_t = D^{1/2} D_t^-1
+D^{1/2}, K_t = D^{1/2} T_t D^{1/2}.  So one eigvalsh of S_t gives mu, the
+spectrum of K_t is lambda = 1/mu - 1 (1 + lambda = 1/mu) and
+0.5*logdet(I + K_t) = -0.5*sum log(mu); no inverse of D_t is formed.  In
+modes T_t = B^-T T^_t B^-1 with T^_t = R'hR - h for R = R_{-t}, summed as
+F'hF + hF + F'h with F = R - I from the increment -2 sin^2: O(n^2) on
+rotation blocks.  That spectrum and the log-determinant are eager; e^{tL},
+D_t and T_t are computed on first access and then kept.  S_t is positive by
+construction, so a nonpositive mu raises: it means an inaccurate matrix
+exponential.  No domain is decided here; renyi reads the finite-time
 domains from the same spectrum.
 """
 
@@ -28,68 +32,44 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import (
-    AccuracyError,
-    propagator,
-    propagator_increment,
-    spd_inverse,
-    spd_sqrt,
-    symmetrize,
-)
-from .model import Model, covariance_roots, sigma_matrix
+from ._linalg import AccuracyError, propagator, spd_inverse, spd_sqrt, symmetrize
+from .model import Model, ModeFrame, mode_frame, sigma_matrix
 
 
 @dataclass(frozen=True, eq=False)
 class FlowPoint:
-    """Propagator, pencil spectrum and log-determinant at one time; D_t and T_t on demand.
+    """Pencil spectrum and log-determinant at one time; e^{tL}, D_t and T_t on demand.
 
     spectrum holds the ascending eigenvalues lambda_i of K_t = D^{1/2} T_t D^{1/2},
     which encode the finite-time positivity domain, read as 1/mu_i - 1 from the
     spectrum mu of S_t = D^{-1/2} D_t D^{-1/2}.  logdet_term is
     0.5*logdet(I + D T_t) = -0.5*sum log(mu_i), which vanishes identically for
-    time-reversal invariant models (det D_t = det D).  covariance_t (D_t) and
-    relative_T (T_t) are built on first access and kept.  They read the
-    model's arrays generator (L), reference (D) and whitener (D^{-1/2}),
-    never the model, so a flow point does not keep its model alive in the
-    weak caches.
+    time-reversal invariant models (det D_t = det D).  propagator (e^{tL}),
+    covariance_t (D_t) and relative_T (T_t) are built on first access and
+    kept.  They read the model's mode frame, never the model, so a flow point
+    does not keep its model alive in the weak caches.
     """
 
     time: float
-    propagator: np.ndarray
     spectrum: np.ndarray
     logdet_term: float
-    generator: np.ndarray = field(repr=False)
-    reference: np.ndarray = field(repr=False)
-    whitener: np.ndarray = field(repr=False)
+    frame: ModeFrame = field(repr=False)
+
+    @cached_property
+    def propagator(self):
+        """e^{tL}."""
+        return propagator(self.frame.generator, self.time)
 
     @cached_property
     def covariance_t(self):
-        """D_t = e^{tL} D e^{tL'}."""
-        return _flowed(self.propagator, self.reference)
+        """D_t = e^{tL} D e^{tL'} = Y Y' with Y = B R_t q."""
+        y = self.frame.flowed_root(self.time)
+        return symmetrize(y @ y.T)
 
     @cached_property
     def relative_T(self):
-        """T_t = D_t^-1 - D^-1 = e^{-tL'} D^-1 e^{-tL} - D^-1 = 2 B_{-t}, from the increment at -t."""
-        return _precision_change(self.generator, self.whitener, -self.time)
-
-
-def _flowed(e, d):
-    return symmetrize(e @ d @ e.T)
-
-
-def _precision_change(generator, whitener, t):
-    """e^{tL'} D^-1 e^{tL} - D^-1 = F'D^-1 + D^-1 F + F'D^-1 F, F = e^{tL} - I, D^-1 = W W.
-
-    W = D^{-1/2}.  With G = W F and P = W G = D^-1 F it is G'G + (P + P'),
-    summed in place and exactly symmetric; the plain difference of the two
-    terms loses digits like 1/|t| at small |t|.
-    """
-    g = whitener @ propagator_increment(generator, t)
-    p = whitener @ g
-    out = g.T @ g
-    np.add(p, p.T, out=g)
-    out += g
-    return out
+        """T_t = D_t^-1 - D^-1 = e^{-tL'} D^-1 e^{-tL} - D^-1 = B^-T T^_t B^-1, T^_t from the increment at -t."""
+        return self.frame.home(self.frame.change(-self.time))
 
 
 @dataclass(frozen=True)
@@ -121,9 +101,8 @@ def flow_point(model, t):
     if t in per_model:
         return per_model[t]
 
-    e = propagator(model.generator, t)
-    dsq, whitener = covariance_roots(model)
-    m = whitener @ e @ dsq
+    frame = mode_frame(model)
+    m = frame.p @ frame.turn(t, frame.q)
     mu = np.linalg.eigvalsh(m @ m.T)
     if not mu[0] > 0.0:
         # impossible for a genuine flow pair: S_t = D^{-1/2} D_t D^{-1/2} > 0
@@ -133,12 +112,9 @@ def flow_point(model, t):
         )
     fp = FlowPoint(
         time=t,
-        propagator=e,
         spectrum=1.0 / mu[::-1] - 1.0,
         logdet_term=-0.5 * float(np.sum(np.log(mu))),
-        generator=model.generator,
-        reference=model.covariance,
-        whitener=whitener,
+        frame=frame,
     )
     per_model[t] = fp
     return fp
@@ -166,10 +142,10 @@ def log_density(model, t, x):
 
 
 def mean_entropy_production(model, t):
-    """Mean entropy production tr(sigma (D_t - D)) at time t."""
+    """Mean entropy production tr(sigma (D_t - D)) at time t, as a vdot: sigma is symmetric."""
     sig = sigma_matrix(model).matrix
     fp = flow_point(model, t)
-    return float(np.trace(sig @ (fp.covariance_t - model.covariance)))
+    return float(np.vdot(sig, fp.covariance_t - model.covariance))
 
 
 def relative_entropy(pair):
@@ -203,11 +179,13 @@ class SigmaIntegral:
 def sigma_integral_matrix(model, t):
     """B_t = 1/2 (e^{tL'} D^-1 e^{tL} - D^-1) = 1/2 T_{-t}; for t < 0 the oriented integral.
 
-    Read from the propagator increment F = e^{tL} - I as
-    1/2 (F'D^-1 + D^-1 F + F'D^-1 F), which keeps its digits at small |t|.
+    Read in the mode frame as 1/2 B^-T (R_t'hR_t - h) B^-1, summed from the
+    increment F = R_t - I as 1/2 B^-T (F'h + hF + F'hF) B^-1, which keeps its
+    digits at small |t|.
     """
     t = float(t)
-    b = _precision_change(model.generator, covariance_roots(model)[1], t)
+    frame = mode_frame(model)
+    b = frame.home(frame.change(t))
     b *= 0.5
     return SigmaIntegral(time=t, matrix=b, offset=t * float(np.trace(model.generator)))
 
@@ -230,8 +208,8 @@ FLOW_SCAN_COLUMNS = ("t", "trace_Dt", "lambda_min_Dt", "lambda_max_Dt", "mean_si
 def flow_scan(model, times):
     """Rows of flow diagnostics over a list of times (see FLOW_SCAN_COLUMNS).
 
-    Each row reads the flow point at t; its balance defect adds one
-    propagator increment for B_t.
+    Each row reads the flow point at t and its D_t; its balance defect adds
+    B_t, one more change of the mode frame.
     """
     rows = []
     for t in times:

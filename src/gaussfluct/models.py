@@ -9,11 +9,11 @@ kappa = (sqrt(5)-1)/(2*pi).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import flow
+from ._linalg import propagator_apply
 from .model import DomainError, Model, StructuralError
 from .renyi import DomainInterval, EntropicFunctional
 
@@ -63,17 +63,22 @@ class ToyOracle:
     """Closed forms of the toy functionals, exact at finite n.
 
     All formulas are driven by the measured overlap c(t) = (phi, e^{tL} phi)
-    taken from the same finite propagator the generic code uses, so the
-    oracle and the generic route must agree to rounding.
+    taken from the same finite flow the generic code uses (the generator's
+    cached basis, through propagator_apply), so the oracle and the generic
+    route must agree to rounding.  Each overlap is computed once per time.
     """
 
     model: Model
     lam: float
     phi: np.ndarray
+    _overlaps: dict = field(default_factory=dict, repr=False, compare=False)
 
     def overlap(self, t):
-        e = flow.flow_point(self.model, t).propagator
-        return float(self.phi @ (e @ self.phi))
+        t = float(t)
+        if t not in self._overlaps:
+            e_phi = propagator_apply(self.model.generator, [t], self.phi)[0]
+            self._overlaps[t] = float(self.phi @ e_phi)
+        return self._overlaps[t]
 
     @property
     def delta(self):

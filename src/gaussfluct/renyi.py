@@ -6,9 +6,13 @@ e_{t+} is the same with alpha -> -alpha and K+_t = D+^{1/2} T_t D+^{1/2}.  Each
 is an EntropicFunctional, the log-potential alpha*c - sum_k w_k log(1 - alpha*q_k)
 with c = +-l_t, atoms q = -+lambda and w = 1/2, built from one spectrum: e_t
 from the spectrum of K_t that the flow point keeps, e_{t+} from a spectrum of
-K+_t computed once per flow point and D+.  The domain (the open interval
-where every 1 - alpha*q_k > 0), the value, e' and e'' at every alpha are
-read from it.  Outside that interval the value is IEEE +inf.
+K+_t computed once per flow point and D+.  K+_t is read in the mode frame as
+E'T^_tE with E = B^-1 D+^{1/2}, built once per model frame and D+, and T^_t
+the flow point's T_t in modes; when D+ = I and the frame is orthogonal, E is
+orthogonal and the spectrum is that of T^_t itself, with no n x n product.
+The domain (the open interval where every 1 - alpha*q_k > 0), the value, e'
+and e'' at every alpha are read from it.  Outside that interval the value is
+IEEE +inf.
 """
 
 import itertools
@@ -125,15 +129,18 @@ def _reference_functional(fp):
 # NESS functionals held weakly per flow point, then per D+.  A D+ is told
 # apart by exact comparison (np.array_equal) with private read-only copies of
 # the distinct D+ seen, at most D_PLUS_ENTRIES of them (least recently used
-# out, with their functionals); one copy serves every flow point.  An entry
-# holds n atoms, never an n x n matrix; builds run under the lock, so one key
-# is factorized once even by concurrent callers.
+# out, with their functionals); one copy serves every flow point.  Beside the
+# copies, E = B^-1 D+^{1/2} is kept weakly per mode frame and D+ (evicted with
+# its D+), so D+^{1/2} is taken once per model and D+, not once per time.  A
+# functional holds n atoms, never an n x n matrix; builds run under the lock,
+# so one key is factorized once even by concurrent callers.
 D_PLUS_ENTRIES = 4
 _spectra: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _spectra_lock = threading.Lock()
 _spectra_counts = {"hits": 0, "misses": 0}
 _d_plus_copies = OrderedDict()   # token -> read-only copy of a D+
 _d_plus_tokens = itertools.count()
+_ness_roots: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()   # frame -> {token: E}
 
 
 def _d_plus_token(d_plus):
@@ -148,9 +155,19 @@ def _d_plus_token(d_plus):
     _d_plus_copies[token] = copy
     while len(_d_plus_copies) > D_PLUS_ENTRIES:
         old, _ = _d_plus_copies.popitem(last=False)
-        for per_point in _spectra.values():
-            per_point.pop(old, None)
+        for per_key in itertools.chain(_spectra.values(), _ness_roots.values()):
+            per_key.pop(old, None)
     return token
+
+
+def _ness_root(token, frame):
+    """E = B^-1 D+^{1/2} for the D+ (not I) of a token in a mode frame, built once; call under _spectra_lock."""
+    per_frame = _ness_roots.setdefault(frame, {})
+    e = per_frame.get(token)
+    if e is None:
+        root = spd_sqrt(_d_plus_copies[token])
+        e = per_frame[token] = root if frame.inverse is None else frame.inverse @ root
+    return e
 
 
 def _ness_functional(fp, d_plus):
@@ -162,11 +179,15 @@ def _ness_functional(fp, d_plus):
         if efn is not None:
             _spectra_counts["hits"] += 1
             return efn
-        if is_identity(d_plus):
-            k = fp.relative_T
+        frame = fp.frame
+        k = frame.change(-fp.time)   # T_t = B^-T k B^-1, so K+_t = E'kE
+        if is_identity(_d_plus_copies[key]):
+            # E = B^-1; when it is orthogonal, k has the spectrum of K+_t
+            e = None if frame.orthogonal else frame.inverse
         else:
-            dpsq = spd_sqrt(d_plus)
-            k = symmetrize(dpsq @ fp.relative_T @ dpsq)
+            e = _ness_root(key, frame)
+        if e is not None:
+            k = symmetrize(e.T @ k @ e)
         efn = per_point[key] = _functional(fp.logdet_term, np.linalg.eigvalsh(k), -1.0,
                                            "finite-time-ness")
         _spectra_counts["misses"] += 1
@@ -174,10 +195,13 @@ def _ness_functional(fp, d_plus):
 
 
 def spectral_cache_info():
-    """Hits and misses of the NESS spectra since import; live entries, and bytes with the D+ copies."""
+    """Hits and misses of the NESS spectra since import; live entries, and bytes with the D+
+    copies and their frame roots E."""
     with _spectra_lock:
         efns = [f for per_point in _spectra.values() for f in per_point.values()]
-        nbytes = sum(f.q.nbytes for f in efns) + sum(c.nbytes for c in _d_plus_copies.values())
+        roots = [e for per_frame in _ness_roots.values() for token, e in per_frame.items()
+                 if token in _d_plus_copies]
+        nbytes = sum(a.nbytes for a in itertools.chain((f.q for f in efns), _d_plus_copies.values(), roots))
         return {**_spectra_counts, "entries": len(efns), "bytes": nbytes}
 
 

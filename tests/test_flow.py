@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.integrate import quad
 from scipy.stats import norm
 
 import gaussfluct as gf
-from gaussfluct import flow
+from gaussfluct import _linalg, flow
 from gaussfluct.flow import GaussianPair, flow_scan, write_flow_csv
 from gaussfluct._linalg import AccuracyError, spd_inverse, spd_sqrt, symmetrize
 
@@ -87,25 +88,27 @@ class TestLeanFlowPoint:
             assert abs(fp.logdet_term - logdet) <= tol * max(1.0, abs(logdet))
 
     def test_built_on_demand_once_and_match_old_formulas(self, monkeypatch):
+        from gaussfluct import model as model_module
+
         model = fresh_chain()
         fp = gf.flow_point(model, 3.0)
-        assert set(vars(fp)) == {"time", "propagator", "spectrum", "logdet_term",
-                                 "generator", "reference", "whitener"}
-        calls = {"flowed": 0, "spd_inverse": 0}
+        assert set(vars(fp)) == {"time", "spectrum", "logdet_term", "frame"}
+        calls = {"turner": 0, "spd_inverse": 0}
 
         def counted(name, fn):
-            def wrapped(*args):
+            def wrapped(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(flow, "_flowed", counted("flowed", flow._flowed))
+        monkeypatch.setattr(model_module, "turner", counted("turner", model_module.turner))
         monkeypatch.setattr(flow, "spd_inverse", counted("spd_inverse", flow.spd_inverse))
-        cov_t, rel = fp.covariance_t, fp.relative_T
-        assert fp.covariance_t is cov_t and fp.relative_T is rel
-        # T_t is read from the increment at -t: no D_t is inverted
-        assert calls == {"flowed": 1, "spd_inverse": 0}
-        old_cov_t, old_rel, _, _ = _old_flow_point(model, fp.propagator)
+        e, cov_t, rel = fp.propagator, fp.covariance_t, fp.relative_T
+        assert fp.propagator is e and fp.covariance_t is cov_t and fp.relative_T is rel
+        # D_t takes one turn of the frame and T_t one turner at -t: no D_t is inverted
+        assert calls == {"turner": 2, "spd_inverse": 0}
+        assert np.abs(e - sla.expm(3.0 * model.generator)).max() <= 1e-12 * np.abs(e).max()
+        old_cov_t, old_rel, _, _ = _old_flow_point(model, e)
         assert np.abs(cov_t - old_cov_t).max() <= 1e-12 * np.abs(old_cov_t).max()
         assert np.abs(rel - old_rel).max() <= 1e-12 * np.abs(old_rel).max()
 
@@ -165,6 +168,101 @@ class TestLeanFlowPoint:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) - eigvalsh(a)[0])
         with pytest.raises(AccuracyError, match="not positive definite"):
             gf.flow_point(model, 2.0)
+
+
+# Frames of the four kinds, each read against the dense formulas of
+# _old_flow_point from the same propagator.  FRAME_RTOL is pinned before
+# measuring, relative to the largest magnitude compared: the dense formulas
+# lose eps * cond(S_t) on the spectra (below 1e3 at these times) and the frame
+# carries the roundoff of B and B^-1 (kappa at most 2.3 here), so 1e-12 leaves
+# a margin of ten over eps * cond.
+FRAME_RTOL = 1e-12
+FRAME_TIMES = (-2.0, 0.7, 5.0)
+
+
+def _frame_models(name):
+    rng = np.random.default_rng(21)
+    n = 12
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, n))
+    return {
+        "doubled_toy": lambda: gf.build_toy(gf.ToySpec(n=128, lam=1.0))[0],
+        "chain": fresh_chain,
+        "odd_toy": lambda: gf.build_toy(gf.ToySpec(n=17, lam=0.7, doubled=False))[0],
+        "nonnormal": lambda: gf.Model(dim=n, generator=a - a.T - 0.8 * np.eye(n) - 0.2 * (a @ a.T) / n,
+                                      covariance=b @ b.T + n * np.eye(n)),
+    }[name]()
+
+
+FRAME_ROUTES = {"doubled_toy": ["unitary", "unitary"], "chain": ["oscillator"],
+                "odd_toy": ["unitary"], "nonnormal": ["eig"]}
+
+
+def _close(got, want, what):
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= FRAME_RTOL * scale, (what, np.abs(got - want).max(), scale)
+
+
+class TestModeFrame:
+    @pytest.mark.parametrize("name", sorted(FRAME_ROUTES))
+    def test_frame_matches_dense_formulas(self, name):
+        model = _frame_models(name)
+        parts = _linalg._parts(model.generator, 0.0)
+        assert [basis.route for _, basis in parts] == FRAME_ROUTES[name]
+        frame = gf.model.mode_frame(model)
+        assert frame.orthogonal == (name != "chain")
+        assert (frame.back is None) == (name == "nonnormal")
+        if name == "odd_toy":
+            assert np.count_nonzero(parts[0][1].freq == 0.0) == 1  # the flat mode
+        d_plus = gf.estimate_limit_covariance(model, horizon=10.0, grid_points=64).d_plus \
+            if name == "chain" else symmetrize(np.eye(model.dim) + 0.3 * np.diag(np.arange(model.dim) % 3))
+        for t in FRAME_TIMES:
+            fp = gf.flow_point(model, t)
+            e = _linalg.propagator(model.generator, t)
+            cov_t, rel, lam, logdet = _old_flow_point(model, e)
+            _close(fp.spectrum, lam, ("spectrum", t))
+            assert abs(fp.logdet_term - logdet) <= FRAME_RTOL * max(1.0, abs(logdet)), ("logdet", t)
+            _close(fp.relative_T, rel, ("T_t", t))
+            _close(fp.covariance_t, cov_t, ("D_t", t))
+            # B_t = 1/2 T_{-t}, from the dense formulas at -t
+            _, rel_minus, _, _ = _old_flow_point(model, _linalg.propagator(model.generator, -t))
+            _close(gf.sigma_integral_matrix(model, t).matrix, 0.5 * rel_minus, ("B_t", t))
+            # K+_t = D+^{1/2} T_t D+^{1/2}, for D+ = I and for a D+ that is not
+            for dp in (np.eye(model.dim), d_plus):
+                dpsq = spd_sqrt(dp)
+                want = np.linalg.eigvalsh(symmetrize(dpsq @ rel @ dpsq))
+                _close(np.sort(gf.ness_functional(model, t, dp).q), want, ("K+_t", t))
+
+    def test_ness_identity_on_an_orthogonal_frame_takes_no_propagator(self, monkeypatch):
+        model = _frame_models("doubled_toy")
+        gf.flow_point(model, 2.0)  # the frame and the spectrum of K_t
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("propagator built")
+
+        for name in ("propagator", "propagator_increment", "_by_blocks", "_block_flow"):
+            monkeypatch.setattr(_linalg, name, refuse)
+        eye = np.eye(model.dim)
+        assert math.isfinite(gf.renyi_entropy_ness(model, 2.0, 0.1, eye))
+        gf.domain_interval_ness(model, 5.0, eye)
+
+    def test_delta_series_flow_points_hold_no_propagator(self):
+        from gaussfluct import asymptotics
+
+        model = fresh_chain()
+        times = np.linspace(3.0, 6.0, 4)
+        asymptotics.delta_series(model, times)
+        for t in times:
+            fp = flow._flow_cache[model][float(t)]
+            assert not {"propagator", "covariance_t", "relative_T"} & set(vars(fp))
+
+    def test_horizon_refusal_through_the_frame(self):
+        model = fresh_chain()
+        gf.flow_point(model, 1.0)  # the frame is built and cached
+        for call in (lambda: gf.flow_point(model, 1e5), lambda: gf.sigma_integral_matrix(model, 1e5),
+                     lambda: gf.validate_model(model, [0.0, 1e5])):
+            with pytest.raises(AccuracyError):
+                call()
 
 
 class TestCocycle:

@@ -347,6 +347,53 @@ class TestBasisCache:
         assert np.abs(e - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.abs(inc - (ref - np.eye(gen.shape[0]))).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_read_only_generator_hashed_once(self, fresh_bases, monkeypatch, chain_model):
+        # a Model's generator is a read-only array that owns its data: its key is
+        # kept while it lives; a writable copy is hashed on every lookup
+        hashes = []
+        sha256 = _linalg.hashlib.sha256
+
+        def counted(*args):
+            hashes.append(1)
+            return sha256(*args)
+
+        monkeypatch.setattr(_linalg.hashlib, "sha256", counted)
+        model = dataclasses.replace(chain_model)  # generator arrays of its own
+        gen = model.generator
+        assert not gen.flags.writeable and gen.base is None
+        for t in (1.0, 2.0, 3.0):
+            propagator(gen, t)
+        assert len(hashes) == 1
+        writable = gen.copy()
+        for t in (1.0, 2.0, 3.0):
+            propagator(writable, t)
+        assert len(hashes) == 1 + 3
+        view = gen[:, :]  # read-only, but not the owner of its data
+        view.flags.writeable = False
+        propagator(view, 1.0)
+        assert len(hashes) == 1 + 3 + 1
+        assert modal_basis_info()["misses"] == 1  # one content: one entry
+
+    def test_twin_skew_block_takes_no_eigh(self, fresh_bases, monkeypatch):
+        # the doubled toy L + L' (dim 256) has blocks A and A' = -A: the second
+        # takes the first's basis with its halves swapped
+        eighs = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            eighs.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for n in (128, 129):  # the odd toy has one flat mode per block
+            gen = gf.build_toy(gf.ToySpec(n=n, lam=1.0))[0].generator
+            eighs.clear()
+            for t in (-3.0, 0.7, 5.0):
+                ref = sla.expm(t * gen)
+                assert np.abs(propagator(gen, t) - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert eighs == [(n, n)]
+            assert [basis.route for _, basis in _parts(gen, 0.0)] == ["unitary", "unitary"]
+
     def test_gate_uses_two_norm_kappa(self):
         # the 1-norm product reads 1165 here; the 2-norm kappa(V) is 2.236.  In
         # (q, p) order the chain is not an oscillator block and takes eig.
@@ -518,9 +565,10 @@ def test_basis_info_after_chain_pipeline(fresh_bases, chain_model):
     flow_scan(model, [1.0, 2.0])
     info = modal_basis_info()
     assert (info["misses"], info["fallbacks"], info["entries"]) == (1, 0, 1)
-    # the window average's lookup is the miss; each scanned time looks the basis
-    # up for its flow-point propagator and for the increment of its B_t
-    assert info["hits"] == 2 * 2
+    # the window average's lookup is the miss; the model's mode frame looks the
+    # basis up once, and each scanned time three times: for the turn of its
+    # flow point, of its D_t and of its B_t
+    assert info["hits"] == 1 + 3 * 2
     half = chain_model.dim // 2  # the oscillator basis keeps w and Q of the h x h stiffness J
     assert info["bytes"] == (half + half * half) * 8
     w = np.sqrt(np.linalg.eigvalsh(-chain_model.generator[:half, half:]))

@@ -277,8 +277,10 @@ class TestSpectralCache:
             before = renyi.spectral_cache_info()["bytes"]
             atoms = gf.ness_functional(model, t, d).q.nbytes
             grown.append(renyi.spectral_cache_info()["bytes"] - before - atoms)
-        # a new D+ adds its n x n copy; a seen one adds only the new entry's atoms
-        assert grown == [n * n * 8, 0, n * n * 8]
+        # a new D+ adds its n x n copy, and one that is not I its n x n root
+        # E = B^-1 D+^{1/2} in the model's frame; a seen one adds only the new
+        # entry's atoms
+        assert grown == [n * n * 8, 0, 2 * n * n * 8]
 
     def test_equal_arrays_share_one_entry(self):
         model, _ = fresh_toy()
@@ -347,7 +349,9 @@ class TestSpectralCache:
         assert info["misses"] - start["misses"] == 2
         assert info["hits"] - start["hits"] == 1
         assert info["entries"] - start["entries"] == 2
-        assert info["bytes"] - start["bytes"] == 2 * 8 * model.dim
+        # the atoms of two entries, and the root E = B^-1 D+^{1/2} of 2 D+ in
+        # this model's frame (D+ = I needs none: the toy's frame is orthogonal)
+        assert info["bytes"] - start["bytes"] == 2 * 8 * model.dim + 8 * model.dim ** 2
         del model, oracle
         gc.collect()
         end = renyi.spectral_cache_info()

@@ -19,6 +19,14 @@ components.  Four transforms change no physics but can change the route:
   toy's two components merge into one dense skew block, which takes the
   unitary route at dimension 256.
 
+The undoubled toy (one skew block, no time reversal, so D- is averaged at
+negative times) and nonnormal_model (one eig block; it decays to D_t -> 0,
+so it has no limits and its e_{t+} is read at D+ = I) take the permutation,
+the time rescaling and the forced fallback; their routes stay unitary and
+eig but for the fallback.  Measured under the tolerances below: at most
+1.4e-13 (the toy's e_{t+} under the permutation), except e_{t+} of the toy
+under the forced fallback, 2.1e-12, held to the matrix tolerance as below.
+
 Each route is thus an oracle for the other.  Tolerances are pinned at 100
 times the scale measured on the chain at horizon 60 under the permutation
 (D+ within 1.2e-13 max-abs, e(1/2) within 1.2e-15, e_10(1/2) within
@@ -143,6 +151,8 @@ def assert_same_observables(got, want, home=None, ness_rtol=VALUE_RTOL):
 
 
 def assert_same_limits(lims_got, lims_want, home=None):
+    if lims_want is None:
+        return
     d_plus = lims_got.d_plus if home is None else home(lims_got.d_plus)
     assert_close(d_plus, lims_want.d_plus, MATRIX_RTOL)
     assert_close(gf.q_operator(lims_got).spectrum, gf.q_operator(lims_want).spectrum, MATRIX_RTOL)
@@ -160,22 +170,39 @@ def chain_large():
     return gf.build_chain(gf.ChainSpec(n_left=128, n_right=128, temps=(2.0, 1.0, 1.0)))[0]
 
 
-# (model fixture, horizon of its window average)
-CASES = {"split_toy": 40.0, "chain_large": 60.0}
+@pytest.fixture(scope="module")
+def undoubled_toy():
+    """Undoubled toy n = 128: one skew block, no time reversal, so D- is averaged too."""
+    return gf.build_toy(gf.ToySpec(n=128, lam=1.0, doubled=False))[0]
+
+
+# (model fixture, horizon of its window average); nonnormal_model decays to
+# D_t -> 0, so it has no limits and its e_{t+} is read at D+ = I
+CASES = {"split_toy": 40.0, "chain_large": 60.0, "undoubled_toy": 40.0, "nonnormal_model": None}
+ROUTES = {"split_toy": ["unitary", "unitary"], "chain_large": ["oscillator"],
+          "undoubled_toy": ["unitary"], "nonnormal_model": ["eig"]}
 
 
 @pytest.fixture(scope="module")
 def reference(request):
-    """Per model: its limits at the case's horizon and its observables, through its own route."""
+    """Per model: its limits at the case's horizon (None without one) and its observables, through its own route."""
     cache = {}
 
     def get(name):
         if name not in cache:
             model = request.getfixturevalue(name)
-            lims = gf.estimate_limit_covariance(model, horizon=CASES[name], grid_points=64)
-            cache[name] = (model, lims, *observables(model, lims.d_plus))
+            lims = _limits(model, CASES[name])
+            cache[name] = (model, lims, *observables(model, _d_plus(model, lims)))
         return cache[name]
     return get
+
+
+def _limits(model, horizon):
+    return None if horizon is None else gf.estimate_limit_covariance(model, horizon=horizon, grid_points=64)
+
+
+def _d_plus(model, lims):
+    return np.eye(model.dim) if lims is None else lims.d_plus
 
 
 def test_split_toy_under_a_permutation(split_toy):
@@ -202,6 +229,18 @@ def test_chain_under_a_permutation(reference):
     assert_same_observables(got, want, unpermuted(perm))
 
 
+@pytest.mark.parametrize("name", ["undoubled_toy", "nonnormal_model"])
+def test_under_a_permutation(reference, name):
+    model, lims, want, alphas = reference(name)
+    perm = np.random.default_rng(6).permutation(model.dim)
+    twin = permuted(model, perm)
+    assert _routes(model.generator) == _routes(twin.generator) == ROUTES[name]
+    lims_twin = _limits(twin, CASES[name])
+    assert_same_limits(lims_twin, lims, unpermuted(perm))
+    got, _ = observables(twin, _d_plus(twin, lims_twin), alphas=alphas)
+    assert_same_observables(got, want, unpermuted(perm))
+
+
 def test_split_toy_under_an_orthogonal_similarity(reference):
     toy, lims, want, alphas = reference("split_toy")
     o = np.linalg.qr(np.random.default_rng(4).standard_normal((toy.dim, toy.dim)))[0]
@@ -217,10 +256,10 @@ def test_split_toy_under_an_orthogonal_similarity(reference):
 def test_time_rescaling(reference, name):
     model, lims, want, alphas = reference(name)
     twin = rescaled(model, SCALE)
-    assert _routes(twin.generator) == {"chain_large": ["eig"], "split_toy": ["unitary", "unitary"]}[name]
-    lims_twin = gf.estimate_limit_covariance(twin, horizon=CASES[name] / SCALE, grid_points=64)
+    assert _routes(twin.generator) == {**ROUTES, "chain_large": ["eig"]}[name]
+    lims_twin = _limits(twin, None if CASES[name] is None else CASES[name] / SCALE)
     assert_same_limits(lims_twin, lims)
-    got, _ = observables(twin, lims_twin.d_plus, scale=SCALE, alphas=alphas)
+    got, _ = observables(twin, _d_plus(twin, lims_twin), scale=SCALE, alphas=alphas)
     assert_same_observables(got, want)
 
 
@@ -231,8 +270,8 @@ def test_forced_expm_fallback(monkeypatch, reference, name):
     monkeypatch.setattr(_linalg, "MODAL_KAPPA_LIMIT", 0.0)
     monkeypatch.setattr(_linalg, "_cache", OrderedDict())
     twin = dataclasses.replace(model)  # a model of its own: no cached flow points
-    lims_twin = gf.estimate_limit_covariance(twin, horizon=CASES[name], grid_points=64)
+    lims_twin = _limits(twin, CASES[name])
+    got, _ = observables(twin, _d_plus(twin, lims_twin), alphas=alphas)
     assert set(_linalg.modal_basis_info()["routes"]) == {"expm"}
     assert_same_limits(lims_twin, lims)
-    got, _ = observables(twin, lims_twin.d_plus, alphas=alphas)
     assert_same_observables(got, want, ness_rtol=MATRIX_RTOL)
