@@ -1,21 +1,21 @@
 """Shared dense linear algebra helpers, on numpy's own LAPACK.
 
 Everything here takes float64 numpy arrays and returns new arrays.  The
-propagator e^{tL}, its increment e^{tL} - I, its action e^{tL} x, the mode
-frame and the window average of D_t are read from one cache entry per
-generator content: the index groups of its blocks, one basis per block and
-the norm bound that guards the horizon.  A block's route is read from its
-content.  A skew block and a block [[0, -J], [I, 0]] with J symmetric
-positive definite (the harmonic chains) are rotations: real mode pairs turn
-at the frequencies of eigh(iA) or eigh(J).  Any other block takes a folded
-eig basis, and a generator with such a block walks the grid for its window
-average.  A block that fails the conditioning gate takes scipy's expm,
-imported inside _expm alone.
+propagator e^{tL}, its action e^{tL} x, the mode frame and the window average
+of D_t are read from one cache entry per generator content: the index groups
+of its blocks, one basis per block and the norm bound that guards the
+horizon.  A block's route is read from its content.  A skew block and a block
+[[0, -J], [I, 0]] with J symmetric positive definite (the harmonic chains)
+are rotations: real mode pairs turn at the frequencies of eigh(iA) or
+eigh(J).  Any other block takes a folded eig basis, and a generator with such
+a block walks the grid for its window average.  A block that fails the
+conditioning gate takes scipy's expm, imported inside _expm alone.
 
-The mode frame writes e^{tL} = B R_t B^-1 with B the block-diagonal back map
-of frame_maps (the identity on eig and expm blocks) and R_t the turn of
-turner: real cos/sin on the mode pairs of a rotation block, O(n) per column,
-and a product with the block propagator elsewhere.
+Every flow of a rotation block is read from its frame: e^{tA} = B R_t B^-1
+with B the square back map of frame() and R_t its turn, real cos/sin on the
+mode pairs, O(n) per column.  frame_maps puts the blocks' B together (the
+identity on eig and expm blocks), and turner turns every block, by a product
+with the block propagator where it is no rotation.
 """
 
 import hashlib
@@ -81,56 +81,51 @@ def _connected_components(generator):
 def propagator(generator, t):
     """exp(t * generator), one connected component of the sparsity graph at a time.
 
-    A rotation block turns its mode pairs by real cos/sin factors, an eig
-    block takes Re(V e^{t Lambda} V^-1) (Moler and Van Loan, SIAM Rev. 45
-    (2003), method 14), and a block past the kappa gate scipy's expm.
-    Components are split from dimension 256 on, an exact identity that avoids
-    cubing the full dimension.  The result is real, C-contiguous and owned.
+    A rotation block is B R_t B^-1 from its frame and turn, an eig block
+    Re(V e^{t Lambda} V^-1) (Moler and Van Loan, SIAM Rev. 45 (2003), method
+    14), and a block past the kappa gate scipy's expm.  Components are split
+    from dimension 256 on, an exact identity that avoids cubing the full
+    dimension.  The result is real, C-contiguous and owned.
     """
-    return _by_blocks(generator, t, increment=False)
-
-
-def propagator_increment(generator, t):
-    """exp(t * generator) - I without the cancellation of that difference at small |t|.
-
-    An eig block sums expm1(t lambda_j) in place of e^{t lambda_j}, a rotation
-    block takes -2 sin^2(tw/2) in place of cos(tw), any other expm(tA) - I;
-    otherwise as propagator.
-    """
-    return _by_blocks(generator, t, increment=True)
+    n = generator.shape[0]
+    if t == 0.0:
+        return np.eye(n)
+    parts = _parts(generator, t)
+    if len(parts) == 1:
+        return _block_flow(generator, *parts[0], t)
+    out = np.zeros_like(generator)
+    for idx, basis in parts:
+        out[np.ix_(idx, idx)] = _block_flow(generator, idx, basis, t)
+    return out
 
 
 def propagator_apply(generator, times, x):
     """e^{tL} x for a vector x at each t in times, one row per time.
 
-    Blocks as in propagator; a block with a cached basis costs O(n^2) per
-    time and forms no n x n propagator, one past the gate multiplies x by its
-    expm.  The generator is hashed and its horizon checked once.
+    Blocks as in propagator; a rotation block maps x into its frame once and
+    an eig block sums its fold, O(n^2) per time with no n x n propagator, and
+    one past the gate multiplies x by its expm.  One hash, one horizon check.
     """
     times = [float(t) for t in times]
     x = np.asarray(x, dtype=float)
     out = np.empty((len(times), x.shape[0]))
     for idx, basis in _parts(generator, max(map(abs, times), default=0.0)):
-        for row, t in zip(out, times):
-            row[idx] = basis.apply(t, x[idx]) if basis is not None else _expm(generator, idx, t) @ x[idx]
+        if isinstance(basis, RotationBasis):
+            b, b_inv = basis.frame()
+            z = b_inv @ x[idx, None]
+            for row, t in zip(out, times):
+                row[idx] = b @ basis.turn(t, z)[:, 0]
+        else:
+            for row, t in zip(out, times):
+                row[idx] = basis.apply(t, x[idx]) if basis is not None else _expm(generator, idx, t) @ x[idx]
     return out
 
 
-def _by_blocks(generator, t, increment):
-    """e^{tL}, or e^{tL} - I when increment is set, assembled block by block."""
-    n = generator.shape[0]
-    if t == 0.0:
-        return np.zeros((n, n)) if increment else np.eye(n)
-    parts = _parts(generator, t)
-    if len(parts) == 1:
-        return _block_flow(generator, *parts[0], t, increment)
-    out = np.zeros_like(generator)
-    for idx, basis in parts:
-        out[np.ix_(idx, idx)] = _block_flow(generator, idx, basis, t, increment)
-    return out
-
-
-def _block_flow(generator, idx, basis, t, increment):
+def _block_flow(generator, idx, basis, t, increment=False):
+    """e^{tA} (e^{tA} - I with increment) of A = generator[idx, idx]: B R_t B^-1 from a rotation basis, else fold or expm."""
+    if isinstance(basis, RotationBasis):
+        b, b_inv = basis.frame()
+        return b @ basis.turn(t, b_inv, increment)
     if basis is not None:
         return basis.propagator(t, increment)
     e = _expm(generator, idx, t)
@@ -213,28 +208,21 @@ class RotationBasis:
 
     forward maps the columns of x (block coordinates) to the mode pairs, and
     back(a, b) maps them home; the columns x_k = back(e_k, 0) and
-    y_k = back(0, e_k) satisfy A x_k = w_k y_k and A y_k = -w_k x_k.
+    y_k = back(0, e_k) satisfy A x_k = w_k y_k and A y_k = -w_k x_k.  frame()
+    gives the same maps as the square matrices (B, B^-1), so that
+    e^{tA} = B R_t B^-1 with R_t the turn.
     """
-
-    def _turn(self, t, increment=False):
-        """(cos tw, sin tw), with -2 sin^2(tw/2) = cos tw - 1 in place of cos tw for the increment."""
-        tw = t * self.freq
-        return -2.0 * np.sin(0.5 * tw) ** 2 if increment else np.cos(tw), np.sin(tw)
-
-    def apply(self, t, x):
-        """e^{tA} x: each pair (a_k, b_k) turned by the angle t w_k, O(n^2) for a vector x."""
-        a, b = self.forward(x[:, None])
-        c, s = (f[:, None] for f in self._turn(t))
-        return self.back(c * a - s * b, s * a + c * b)[:, 0]
 
     def turn(self, t, z, increment=False):
         """R_t z for the rows z = [a, b] of the square frame (R_t - I with increment), O(n) per column.
 
         a holds the m = freq.size modes and b the n - m partners of the first
         n - m of them; the others are flat (frequency 0) and stay put.  The
+        increment takes -2 sin^2(tw/2) = cos tw - 1 in place of cos tw.  The
         result has the memory layout of z, so a transposed view costs no copy.
         """
-        c, s = (f[:, None] for f in self._turn(t, increment))
+        tw = t * self.freq[:, None]
+        c, s = -2.0 * np.sin(0.5 * tw) ** 2 if increment else np.cos(tw), np.sin(tw)
         m = c.shape[0]
         p = z.shape[0] - m
         a, b = z[:m], z[m:]
@@ -269,12 +257,6 @@ class UnitaryBasis(RotationBasis):
     def back(self, a, b):
         return self.v @ np.concatenate([a, b])
 
-    def propagator(self, t, increment=False):
-        """e^{tA} = [X C + Y S, Y C - X S] [X Y]' (C - I in place of C gives e^{tA} - I)."""
-        c, s = self._turn(t, increment)
-        x, y = np.split(self.v, 2, axis=1)
-        return np.concatenate([x * c + y * s, y * c - x * s], axis=1) @ self.v.T
-
     def frame(self):
         """(B, B^-1) = ([X N Y], [X N Y]'): the square, orthogonal part of v."""
         b = self.v[:, :self.v.shape[0]]
@@ -293,9 +275,7 @@ class OscillatorBasis(RotationBasis):
     """Real rotation basis of a second-order block A = [[0, -J], [I, 0]] from eigh(J) = Q diag(w^2) Q'.
 
     A conserves G = diag(I, J).  Its mode pairs are a = Q'p and b = W Q'q
-    with W = diag(w), and with C = cos tW and S = sin tW,
-    e^{tA} = [[Q C Q', -Q W S Q'], [Q W^-1 S Q', Q C Q']] is three products of
-    size h^3 for h = n/2; only w and Q are stored.  The back map
+    with W = diag(w) and h = n/2; only w and Q are stored.  The back map
     [[Q, 0], [0, Q W^-1]] has singular values 1 and 1/w_k, so its 2-norm kappa
     is exactly max(1, w_max)/min(1, w_min), which is sqrt(cond G).
     """
@@ -314,16 +294,6 @@ class OscillatorBasis(RotationBasis):
 
     def back(self, a, b):
         return np.concatenate([self.q @ a, self.q @ (b / self.freq[:, None])])
-
-    def propagator(self, t, increment=False):
-        """e^{tA} in real cos/sin blocks (C - I in place of C gives e^{tA} - I)."""
-        c, s = self._turn(t, increment)
-        q, h = self.q, self.freq.size
-        out = np.empty((2 * h, 2 * h))
-        out[:h, :h] = out[h:, h:] = (q * c) @ q.T
-        out[:h, h:] = (q * (-self.freq * s)) @ q.T
-        out[h:, :h] = (q * (s / self.freq)) @ q.T
-        return out
 
     def frame(self):
         """(B, B^-1) = ([[Q, 0], [0, Q W^-1]], [[Q', 0], [0, W Q']]): back and forward as matrices."""

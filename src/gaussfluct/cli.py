@@ -304,7 +304,11 @@ def cmd_oracle_compare(args):
 def build_parser():
     parser = _Parser(prog="gaussfluct", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    default_workers = int(os.environ.get("GAUSS_FLUCT_THREADS", "1"))
+    threads = os.environ.get("GAUSS_FLUCT_THREADS", "1")
+    try:
+        default_workers = int(threads)
+    except ValueError:
+        raise CliError(f"GAUSS_FLUCT_THREADS must be an integer, got {threads!r}") from None
 
     def common(p, model=True):
         if model:
@@ -377,9 +381,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

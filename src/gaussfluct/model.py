@@ -100,14 +100,18 @@ def covariance_inverse(model):
 
 
 def covariance_roots(model):
-    """(D^{1/2}, D^{-1/2}), both from one eigendecomposition of D."""
+    """(D^{1/2}, D^{-1/2}), both from one eigendecomposition D = V diag(w) V'.
+
+    Each is U U' with U = V diag(w^{+-1/4}); numpy forms a product with its
+    own transpose by syrk, so both come out exactly symmetric.
+    """
     d = _cache(model)
     if "roots" not in d:
         w, v = np.linalg.eigh(model.covariance)
         if w[0] <= 0.0:
             raise SingularCovarianceError(f"covariance has lambda_min = {w[0]:.3e}")
-        root = np.sqrt(w)
-        d["roots"] = (symmetrize((v * root) @ v.T), symmetrize((v / root) @ v.T))
+        quarter = w ** 0.25
+        d["roots"] = tuple(u @ u.T for u in (v * quarter, v / quarter))
     return d["roots"]
 
 

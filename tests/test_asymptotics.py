@@ -77,7 +77,7 @@ class TestEstimateLimitCovariance:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(_linalg, "_by_blocks", counted("propagator", _linalg._by_blocks))
+        monkeypatch.setattr(_linalg, "_block_flow", counted("propagator", _linalg._block_flow))
         for name in ("eigvalsh", "eigh"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         assert all(basis is not None for _, basis in _parts(chain_model.generator, 0.0))

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -172,6 +173,15 @@ def test_env_var_sets_default_workers(monkeypatch):
     monkeypatch.setenv("GAUSS_FLUCT_THREADS", "5")
     args = build_parser().parse_args(["validate", "--model", "x.json"])
     assert args.workers == 5
+
+
+def test_bad_env_var_is_a_named_error(monkeypatch, capsys):
+    monkeypatch.setenv("GAUSS_FLUCT_THREADS", "two")
+    before = threading.active_count()
+    assert main(["validate", "--model", "x.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "GAUSS_FLUCT_THREADS" in err and "'two'" in err
+    assert threading.active_count() == before
 
 
 def test_oracle_compare_toy(tmp_path):

@@ -240,7 +240,7 @@ class TestModeFrame:
         def refuse(*args, **kwargs):
             raise AssertionError("propagator built")
 
-        for name in ("propagator", "propagator_increment", "_by_blocks", "_block_flow"):
+        for name in ("propagator", "_block_flow"):
             monkeypatch.setattr(_linalg, name, refuse)
         eye = np.eye(model.dim)
         assert math.isfinite(gf.renyi_entropy_ness(model, 2.0, 0.1, eye))

@@ -19,7 +19,6 @@ from gaussfluct._linalg import (
     modal_basis_info,
     propagator,
     propagator_apply,
-    propagator_increment,
 )
 
 JORDAN = np.array([[-1.0, 1.0], [0.0, -1.0]])
@@ -36,6 +35,17 @@ def _long_double_propagator(gen, t, halvings=12, terms=25):
     for _ in range(halvings):
         e = e @ e
     return e.astype(float)
+
+
+def _increment(gen, t):
+    """e^{tL} - I from _block_flow over the blocks of one cache lookup."""
+    parts = _parts(gen, t)
+    if len(parts) == 1:
+        return _linalg._block_flow(gen, *parts[0], t, increment=True)
+    out = np.zeros(gen.shape)
+    for idx, basis in parts:
+        out[np.ix_(idx, idx)] = _linalg._block_flow(gen, idx, basis, t, increment=True)
+    return out
 
 
 def _one_basis(gen):
@@ -91,7 +101,7 @@ class TestModalPropagator:
     def test_kernels_return_owned_real_arrays(self, chain_model, split_toy):
         for model in (chain_model, split_toy):
             outs = flow_averages(model.generator, model.covariance, 1.0, 0.25, [2, 4])
-            outs += [propagator_increment(model.generator, t) for t in (1.0, 3.0)]
+            outs += [_increment(model.generator, t) for t in (1.0, 3.0)]
             for a in outs:
                 assert a.dtype == np.float64 and a.flags.c_contiguous and a.base is None
 
@@ -125,7 +135,7 @@ class TestOneByOneBlocks:
         times = [-2.0, 0.5, 3.0]
         for t in times:
             assert propagator(gen, t)[0, 0] == pytest.approx(np.exp(value * t), rel=1e-15, abs=0.0)
-            assert propagator_increment(gen, t)[0, 0] == pytest.approx(np.expm1(value * t), rel=1e-15, abs=0.0)
+            assert _increment(gen, t)[0, 0] == pytest.approx(np.expm1(value * t), rel=1e-15, abs=0.0)
         rows = propagator_apply(gen, times, [2.0])
         assert rows[:, 0] == pytest.approx(2.0 * np.exp(value * np.array(times)), rel=1e-15, abs=0.0)
         x = np.array([[1.5]])
@@ -147,7 +157,7 @@ class TestOneByOneBlocks:
         for t in (-2.0, 1.0, 5.0):
             ref = sla.expm(t * gen)
             assert np.abs(propagator(gen, t) - ref).max() <= 1e-12 * np.abs(ref).max()
-            inc = propagator_increment(gen, t)
+            inc = _increment(gen, t)
             assert np.abs(inc - (ref - np.eye(300))).max() <= 1e-12 * np.abs(ref).max()
         assert [idx.size for idx, _ in _parts(gen, 0.0)] == [150, 149, 1]
         assert modal_basis_info()["routes"] == ["unitary", "eig", "unitary" if value == 0.0 else "eig"]
@@ -196,7 +206,7 @@ class TestSkewBlocks:
         for t in (-6.0, 2.0, 10.0):
             ref = sla.expm(t * gen)
             assert np.abs(propagator(gen, t) - ref).max() <= 1e-13 * np.abs(ref).max()
-            inc = propagator_increment(gen, t)
+            inc = _increment(gen, t)
             assert np.abs(inc - (ref - np.eye(n))).max() <= 1e-13 * np.abs(ref).max()
         x = np.eye(n) + np.outer(np.arange(n), np.arange(n)) / n**2
         for avg, walked in zip(flow_averages(gen, x, 1.0, 0.25, [4, 16]),
@@ -255,7 +265,7 @@ class TestOscillatorBlocks:
             assert np.abs(propagator(gen, t) - ref).max() <= 1e-12 * np.abs(ref).max()
         t = 1e-6
         taylor = t * gen + (t**2 / 2) * gen @ gen + (t**3 / 6) * gen @ gen @ gen
-        inc = propagator_increment(gen, t)
+        inc = _increment(gen, t)
         assert np.abs(inc - taylor).max() <= 1e-12 * np.abs(taylor).max()
         energy = sla.block_diag(np.eye(h), j)
         e = propagator(gen, 60.0)
@@ -303,6 +313,31 @@ class TestOscillatorBlocks:
         assert len(fresh_bases) == len(cases) + 1
 
 
+class TestRotationViews:
+    @pytest.mark.parametrize("name", ["chain 128", "odd toy", "doubled toy twin"])
+    def test_frame_agrees_with_back(self, fresh_bases, name):
+        # the frame B is the square back map: its columns are x_k = back(e_k, 0)
+        # and the partners y_k = back(0, e_k) of the first n - m modes, whose
+        # last m - (n - m) columns (the flat modes) are zero
+        if name == "doubled toy twin":
+            gen = gf.build_toy(gf.ToySpec(n=128, lam=1.0))[0].generator
+            (first, _), (idx, basis) = _parts(gen, 0.0)
+            assert np.array_equal(gen[np.ix_(idx, idx)], gen[np.ix_(first, first)].T)
+            assert fresh_bases == [] and modal_basis_info()["routes"] == ["unitary", "unitary"]
+        else:
+            gen = (_oscillator_generators()["chain 128"] if name == "chain 128"
+                   else _skew_generators()["odd toy"])
+            basis = _one_basis(gen)
+        b, b_inv = basis.frame()
+        n, m = b.shape[0], basis.freq.size
+        x, y = _rotation_maps(basis)
+        np.testing.assert_allclose(b, np.concatenate([x, y[:, :n - m]], axis=1), rtol=1e-15, atol=0.0)
+        assert not y[:, n - m:].any()
+        assert np.count_nonzero(basis.freq == 0.0) == 2 * m - n
+        assert np.abs(b_inv @ b - np.eye(n)).max() <= 1e-13 * basis.kappa
+        assert basis.route == ("oscillator" if name == "chain 128" else "unitary")
+
+
 class TestBasisCache:
     def test_in_place_change_gives_fresh_basis(self, chain_model):
         gen = chain_model.generator.copy()
@@ -339,7 +374,7 @@ class TestBasisCache:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         propagator(gen, 1.0)
         assert (modal_basis_info()["misses"], len(eighs)) == (1, count)
-        e, inc = propagator(gen, 2.0), propagator_increment(gen, 2.0)
+        e, inc = propagator(gen, 2.0), _increment(gen, 2.0)
         info = modal_basis_info()
         assert (info["misses"], info["hits"], len(eighs)) == (1, 2, count)
         assert info["entries"] == 1 and info["routes"] == ["unitary"] * count

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import gaussfluct as gf
-from gaussfluct.model import DomainError, SingularCovarianceError, StructuralError, covariance_inverse
+from gaussfluct.model import (DomainError, SingularCovarianceError, StructuralError, covariance_inverse,
+                              covariance_roots)
 
 
 def skew_identity_model(n=16):
@@ -68,6 +69,17 @@ class TestValidateModel:
     def test_builders_all_pass(self, toy_model, chain_model):
         for model in (toy_model, chain_model):
             assert gf.validate_model(model, [0.0, 0.5, 2.0]).g4_ok
+
+
+class TestCovarianceRoots:
+    def test_roots_are_exactly_symmetric(self, toy_model, chain_model):
+        for model in (toy_model, chain_model):
+            root, whitener = covariance_roots(model)
+            d = model.covariance
+            for a in (root, whitener):
+                assert np.array_equal(a, a.T)
+            assert np.abs(root @ root - d).max() <= 1e-13 * np.abs(d).max()
+            assert np.abs(whitener @ root - np.eye(model.dim)).max() <= 1e-13
 
 
 class TestSigmaMatrix:

@@ -43,6 +43,7 @@ from the end of its domain amplifies its T_t about twentyfold, reads 3.7e-12
 against the reference on both models, while T_t and B_t agree within 7e-14.
 """
 
+import contextlib
 import dataclasses
 from collections import OrderedDict
 
@@ -116,24 +117,28 @@ def _alphas(dom, count=9):
     return np.linspace(lo + pad, hi - pad, count)
 
 
-def observables(model, d_plus, scale=1.0, alphas=None):
+def observables(model, d_plus, scale=1.0, alphas=None, asymmetric=False):
     """T_t, spec(K_t), B_t, e_t and e_{t+} at t/scale for each t in TIMES.
 
     The alphas default to points inside the model's own domains; pass the
-    reference's to read a transformed copy at the same points.
+    reference's to read a transformed copy at the same points.  asymmetric
+    says that J_t is not symmetric about 1/2, so that reading e_t at each t
+    must warn so.
     """
     alphas = {} if alphas is None else alphas
     out = {}
     for t in TIMES:
         s = t / scale
         fp = flow_point(model, s)
-        a = alphas.setdefault(("e", t), _alphas(gf.domain_interval(model, s)))
+        with pytest.warns(UserWarning, match="not symmetric") if asymmetric else contextlib.nullcontext():
+            a = alphas.setdefault(("e", t), _alphas(gf.domain_interval(model, s)))
+            e = [gf.renyi_entropy(model, s, x) for x in a]
         a_plus = alphas.setdefault(("e+", t), _alphas(gf.domain_interval_ness(model, s, d_plus)))
         out[t] = {
             "T": fp.relative_T,
             "spec K": fp.spectrum,
             "B": sigma_integral_matrix(model, s).matrix,
-            "e": [gf.renyi_entropy(model, s, x) for x in a],
+            "e": e,
             "e+": [gf.renyi_entropy_ness(model, s, x, d_plus) for x in a_plus],
         }
     return out, alphas
@@ -179,6 +184,9 @@ def undoubled_toy():
 # (model fixture, horizon of its window average); nonnormal_model decays to
 # D_t -> 0, so it has no limits and its e_{t+} is read at D+ = I
 CASES = {"split_toy": 40.0, "chain_large": 60.0, "undoubled_toy": 40.0, "nonnormal_model": None}
+# nonnormal_model has no time reversal and its J_t is not symmetric about 1/2;
+# the undoubled toy has none either, but its skew flow keeps J_t symmetric
+ASYMMETRIC = {"nonnormal_model"}
 ROUTES = {"split_toy": ["unitary", "unitary"], "chain_large": ["oscillator"],
           "undoubled_toy": ["unitary"], "nonnormal_model": ["eig"]}
 
@@ -192,7 +200,7 @@ def reference(request):
         if name not in cache:
             model = request.getfixturevalue(name)
             lims = _limits(model, CASES[name])
-            cache[name] = (model, lims, *observables(model, _d_plus(model, lims)))
+            cache[name] = (model, lims, *observables(model, _d_plus(model, lims), asymmetric=name in ASYMMETRIC))
         return cache[name]
     return get
 
@@ -237,7 +245,7 @@ def test_under_a_permutation(reference, name):
     assert _routes(model.generator) == _routes(twin.generator) == ROUTES[name]
     lims_twin = _limits(twin, CASES[name])
     assert_same_limits(lims_twin, lims, unpermuted(perm))
-    got, _ = observables(twin, _d_plus(twin, lims_twin), alphas=alphas)
+    got, _ = observables(twin, _d_plus(twin, lims_twin), alphas=alphas, asymmetric=name in ASYMMETRIC)
     assert_same_observables(got, want, unpermuted(perm))
 
 
@@ -259,7 +267,8 @@ def test_time_rescaling(reference, name):
     assert _routes(twin.generator) == {**ROUTES, "chain_large": ["eig"]}[name]
     lims_twin = _limits(twin, None if CASES[name] is None else CASES[name] / SCALE)
     assert_same_limits(lims_twin, lims)
-    got, _ = observables(twin, _d_plus(twin, lims_twin), scale=SCALE, alphas=alphas)
+    got, _ = observables(twin, _d_plus(twin, lims_twin), scale=SCALE, alphas=alphas,
+                         asymmetric=name in ASYMMETRIC)
     assert_same_observables(got, want)
 
 
@@ -271,7 +280,7 @@ def test_forced_expm_fallback(monkeypatch, reference, name):
     monkeypatch.setattr(_linalg, "_cache", OrderedDict())
     twin = dataclasses.replace(model)  # a model of its own: no cached flow points
     lims_twin = _limits(twin, CASES[name])
-    got, _ = observables(twin, _d_plus(twin, lims_twin), alphas=alphas)
+    got, _ = observables(twin, _d_plus(twin, lims_twin), alphas=alphas, asymmetric=name in ASYMMETRIC)
     assert set(_linalg.modal_basis_info()["routes"]) == {"expm"}
     assert_same_limits(lims_twin, lims)
     assert_same_observables(got, want, ness_rtol=MATRIX_RTOL)
