@@ -137,9 +137,16 @@ def symmetrize(a):
 
 
 def is_identity(a):
-    """np.array_equal(a, np.eye(n)) for an n x n array a, without forming the identity."""
+    """np.array_equal(a, np.eye(n)) for an n x n array a, without forming the identity.
+
+    The diagonal is checked first, in O(n).  In C order the n^2 - 1 entries
+    after a[0, 0] fall into n - 1 rows of n + 1 that each end on the next
+    diagonal entry, so the first n of each row are the off-diagonal entries.
+    """
     n = a.shape[0]
-    return a.shape == (n, n) and np.count_nonzero(a) == n and bool((np.diagonal(a) == 1.0).all())
+    if a.shape != (n, n) or not (np.diagonal(a) == 1.0).all():
+        return False
+    return not a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any()
 
 
 def spd_inverse(mat):

@@ -103,7 +103,9 @@ def flow_point(model, t):
 
     frame = mode_frame(model)
     m = frame.p @ frame.turn(t, frame.q)
-    mu = np.linalg.eigvalsh(m @ m.T)
+    s_t = m @ m.T
+    del m   # eigvalsh works on a copy of S_t; M is not read again
+    mu = np.linalg.eigvalsh(s_t)
     if not mu[0] > 0.0:
         # impossible for a genuine flow pair: S_t = D^{-1/2} D_t D^{-1/2} > 0
         raise AccuracyError(

@@ -103,16 +103,14 @@ def covariance_roots(model):
     """(D^{1/2}, D^{-1/2}), both from one eigendecomposition D = V diag(w) V'.
 
     Each is U U' with U = V diag(w^{+-1/4}); numpy forms a product with its
-    own transpose by syrk, so both come out exactly symmetric.
+    own transpose by syrk, so both come out exactly symmetric.  Not cached:
+    mode_frame keeps what it reads of them.
     """
-    d = _cache(model)
-    if "roots" not in d:
-        w, v = np.linalg.eigh(model.covariance)
-        if w[0] <= 0.0:
-            raise SingularCovarianceError(f"covariance has lambda_min = {w[0]:.3e}")
-        quarter = w ** 0.25
-        d["roots"] = tuple(u @ u.T for u in (v * quarter, v / quarter))
-    return d["roots"]
+    w, v = np.linalg.eigh(model.covariance)
+    if w[0] <= 0.0:
+        raise SingularCovarianceError(f"covariance has lambda_min = {w[0]:.3e}")
+    quarter = w ** 0.25
+    return tuple(u @ u.T for u in (v * quarter, v / quarter))
 
 
 @dataclass(frozen=True, eq=False)

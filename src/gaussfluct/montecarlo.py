@@ -8,7 +8,7 @@ costs O(n^2) after one propagator increment per call.  Each form W = C'MC
 upper triangle T with z'Tz = z'Wz, so a chunk of draws takes one in-place
 triangular product (BLAS dtrmm, n^2 flops per draw) and a row dot per form,
 half the work of a general product.  A single trajectory reads
-(x, B_t x) = 1/2 (|D^{-1/2} e^{tL} x|^2 - |D^{-1/2} x|^2), with e^{tL} x
+(x, B_t x) = 1/2 ((e^{tL} x)' D^-1 e^{tL} x - x' D^-1 x), with e^{tL} x
 applied from the cached eigenbasis of each generator block, also O(n^2) per
 time and without building a flow point.
 
@@ -16,6 +16,14 @@ Reproducibility contract: draw i is generated from a counter-based stream
 keyed by (seed, i) alone, chunks have a fixed size, and reductions combine
 fixed-order per-chunk partials, so results are bit-identical for any worker
 count.
+
+Working set of one call, in floats, beside its inputs and outputs:
+quad_form_samples with k forms keeps the Cholesky factor and the k folds,
+(k+1) n^2, and per worker one block of TRMM_ROWS draws with its work copy,
+2 TRMM_ROWS n; while folding it holds one M more, and trace_identity_report
+makes each M only when it is folded.  propagated_sample_cov_defect keeps one
+n x n partial per chunk, and per worker the CHUNK x n draws of a chunk with
+their image.
 
 The stream is Philox (Salmon et al., SC'11): one bit generator per call of
 _draw_rows, keyed by the seed, whose counter is reset to i * 2**64 with an
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import propagator, propagator_apply, symmetrize
-from .model import DomainError, covariance_roots
+from .model import DomainError, covariance_inverse
 from .flow import flow_point, sigma_integral_matrix
 from .renyi import domain_interval
 
@@ -99,9 +107,10 @@ def quad_form_samples(cov, mats, seed, count, workers=1):
     Covariance factorization: x = C z with C the lower Cholesky factor, so
     (x, M x) = (z, C'MC z).  Each conjugated form W = C'MC is folded once
     into the triangle T_ij = W_ij + W_ji (i < j), T_ii = W_ii, so that
-    z'Tz = z'Wz for any M, symmetric or not.  Each form then takes one
-    in-place dtrmm per TRMM_ROWS draws of a chunk, on a reused copy of
-    those draws (n^2 flops per draw against 2n^2 for a general product),
+    z'Tz = z'Wz for any M, symmetric or not.  mats may be any iterable; each
+    M is released once folded.  The draws of a chunk are made TRMM_ROWS rows
+    at a time, and each form takes one in-place dtrmm per block, on a reused
+    copy of its rows (n^2 flops per draw against 2n^2 for a general product),
     and a row dot.  It is one of the three places that load scipy, here for
     its BLAS dtrmm, which numpy does not expose.
     """
@@ -111,20 +120,21 @@ def quad_form_samples(cov, mats, seed, count, workers=1):
     cov = np.asarray(cov, dtype=float)
     chol = _cov_factor(cov)
     dim = cov.shape[0]
-    folds = [_triangular_fold(chol.T @ np.asarray(m, float) @ chol) for m in mats]
+    # map drops each M after its fold; a comprehension would keep it while the next one is made
+    folds = list(map(lambda m: _triangular_fold(chol.T @ np.asarray(m, float) @ chol), mats))
     out = np.empty((count, len(folds)))
 
     def work(a, b, _slot):
-        z = _draw_rows(seed, a, b, dim)
         buf = np.empty((min(TRMM_ROWS, b - a), dim))
-        for r in range(0, b - a, TRMM_ROWS):
-            rows = z[r:r + TRMM_ROWS]
+        for r in range(a, b, TRMM_ROWS):
+            rows = _draw_rows(seed, r, min(r + TRMM_ROWS, b), dim)
             y = buf[:len(rows)]
             for j, s in enumerate(folds):
                 np.copyto(y, rows)
                 # y.T is the F-order z'; the lower triangle of s.T is the upper one of s
                 tz = dtrmm(1.0, s.T, y.T, lower=1, overwrite_b=1).T
-                out[a + r:a + r + len(rows), j] = np.einsum("ij,ij->i", tz, rows)
+                out[r:r + len(rows), j] = np.einsum("ij,ij->i", tz, rows)
+            del rows    # so that the next block is drawn with this one freed
 
     _run_chunks(work, count, workers)
     return out
@@ -226,7 +236,7 @@ def slln_trajectory(model, measure, horizon, seed, d_plus=None, n_points=24):
     Returns a list of (t, Sigma_t) with Sigma_t = (x, B_t x)/t - tr(D sigma)
     for a single x drawn from the reference measure or from the stationary
     covariance d_plus, at n_points times from min(horizon/16, 1/2) to horizon.
-    (x, B_t x) = 1/2 (|D^{-1/2} e^{tL} x|^2 - |D^{-1/2} x|^2) reads e^{tL} x
+    (x, B_t x) = 1/2 ((e^{tL} x)' D^-1 e^{tL} x - x' D^-1 x) reads e^{tL} x
     from the cached eigenbasis of each generator block, O(n^2) per time
     (_linalg.propagator_apply), and tr(D sigma) = tr L.
     """
@@ -236,15 +246,13 @@ def slln_trajectory(model, measure, horizon, seed, d_plus=None, n_points=24):
         raise ValueError("measure='ness' needs the stationary covariance d_plus")
     cov = model.covariance if measure == "reference" else np.asarray(d_plus, float)
     x = (_draw_rows(seed, 0, 1, model.dim) @ _cov_factor(cov).T)[0]
-    whitener = covariance_roots(model)[1]
-    v = whitener @ x
-    start = float(v @ v)
+    dinv = covariance_inverse(model)
+    start = float(x @ (dinv @ x))
     tr_term = float(np.trace(model.generator))
     times = np.geomspace(min(horizon / 16.0, 0.5), horizon, n_points).tolist()
     series = []
     for t, e_x in zip(times, propagator_apply(model.generator, times, x)):
-        y = whitener @ e_x
-        series.append((t, 0.5 * (float(y @ y) - start) / t - tr_term))
+        series.append((t, 0.5 * (float(e_x @ (dinv @ e_x)) - start) / t - tr_term))
     return series
 
 
@@ -309,11 +317,17 @@ def trace_identity_report(cov, seed, count, n_mats=10, workers=1):
     cov = np.asarray(cov, dtype=float)
     dim = cov.shape[0]
     rng = np.random.default_rng(int(seed) ^ 0x5EED)
-    mats = [symmetrize(rng.standard_normal((dim, dim))) for _ in range(n_mats)]
-    vals = quad_form_samples(cov, mats, seed, count, workers)
+    oracles = []
+
+    def seeded(_):
+        a = symmetrize(rng.standard_normal((dim, dim)))
+        oracles.append(float(np.vdot(cov, a)))    # tr(cov A) for symmetric cov and A
+        return a
+
+    # each A is made when quad_form_samples folds it and dropped after its fold
+    vals = quad_form_samples(cov, map(seeded, range(n_mats)), seed, count, workers)
     rows = []
-    for j, a in enumerate(mats):
-        oracle = float(np.vdot(cov, a))           # tr(cov A) for symmetric cov and A
+    for j, oracle in enumerate(oracles):
         est = float(vals[:, j].mean())
         se = float(vals[:, j].std()) / math.sqrt(count)
         rows.append({"estimate": est, "oracle": oracle, "std_error": se,

@@ -126,15 +126,19 @@ def _reference_functional(fp):
     return _functional(fp.logdet_term, fp.spectrum, 1.0, "finite-time-reference")
 
 
-# NESS functionals held weakly per flow point, then per D+.  A D+ is told
-# apart by exact comparison (np.array_equal) with private read-only copies of
-# the distinct D+ seen, at most D_PLUS_ENTRIES of them (least recently used
-# out, with their functionals); one copy serves every flow point.  Beside the
-# copies, E = B^-1 D+^{1/2} is kept weakly per mode frame and D+ (evicted with
-# its D+), so D+^{1/2} is taken once per model and D+, not once per time.  A
+# NESS functionals held weakly per flow point, then per D+.  A D+ equal to the
+# identity (is_identity, the np.array_equal test against I) has the fixed
+# token IDENTITY, which no copy keys and no eviction drops: its functionals
+# go with their flow points.  Any other D+ is told apart by exact comparison
+# (np.array_equal) with private read-only copies of the distinct D+ seen, at
+# most D_PLUS_ENTRIES of them (least recently used out, with their
+# functionals); one copy serves every flow point.  Beside the copies,
+# E = B^-1 D+^{1/2} is kept weakly per mode frame and D+ (evicted with its
+# D+), so D+^{1/2} is taken once per model and D+, not once per time.  A
 # functional holds n atoms, never an n x n matrix; builds run under the lock,
 # so one key is factorized once even by concurrent callers.
 D_PLUS_ENTRIES = 4
+IDENTITY = "identity"
 _spectra: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _spectra_lock = threading.Lock()
 _spectra_counts = {"hits": 0, "misses": 0}
@@ -144,7 +148,9 @@ _ness_roots: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()   # frame
 
 
 def _d_plus_token(d_plus):
-    """The token of D+'s content, storing a copy if it is new; call under _spectra_lock."""
+    """The token of D+'s content, storing a copy if it is new and not I; call under _spectra_lock."""
+    if is_identity(d_plus):
+        return IDENTITY
     for token, copy in reversed(_d_plus_copies.items()):
         if np.array_equal(copy, d_plus):
             _d_plus_copies.move_to_end(token)
@@ -181,7 +187,7 @@ def _ness_functional(fp, d_plus):
             return efn
         frame = fp.frame
         k = frame.change(-fp.time)   # T_t = B^-T k B^-1, so K+_t = E'kE
-        if is_identity(_d_plus_copies[key]):
+        if key == IDENTITY:
             # E = B^-1; when it is orthogonal, k has the spectrum of K+_t
             e = None if frame.orthogonal else frame.inverse
         else:

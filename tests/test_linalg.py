@@ -570,9 +570,13 @@ class TestComponentSearch:
 
 class TestIdentityAndInverse:
     @pytest.mark.parametrize("case", ["eye", "negative_zero", "two_on_diagonal", "nan_off_diagonal",
-                                      "nan_on_diagonal", "off_diagonal", "wide"])
+                                      "nan_on_diagonal", "off_diagonal", "wide", "tall",
+                                      "first_off_diagonal", "last_off_diagonal", "one_by_one",
+                                      "one_by_one_negative_zero", "one_by_one_nan", "fortran_order",
+                                      "strided_view"])
     def test_is_identity_decides_as_array_equal(self, case):
-        a = np.eye(5) if case != "wide" else np.eye(5, 6)
+        shapes = {"wide": (5, 6), "tall": (6, 5)}
+        a = np.eye(*shapes.get(case, (1, 1) if case.startswith("one_by_one") else (5, 5)))
         if case == "negative_zero":
             a[1, 2] = -0.0
         elif case == "two_on_diagonal":
@@ -583,7 +587,24 @@ class TestIdentityAndInverse:
             a[2, 2] = np.nan
         elif case == "off_diagonal":
             a[4, 0] = 1e-300
+        elif case == "first_off_diagonal":
+            a[0, 1] = 1.0
+        elif case == "last_off_diagonal":
+            a[4, 3] = -1e-300
+        elif case == "one_by_one_negative_zero":
+            a[0, 0] = -0.0
+        elif case == "one_by_one_nan":
+            a[0, 0] = np.nan
+        elif case == "fortran_order":
+            a = np.asfortranarray(a)
+            a[3, 1] = 0.5
+        elif case == "strided_view":
+            big = np.zeros((7, 7))
+            big[1:6, 1:6] = a
+            a = big[1:6, 1:6]
         assert _linalg.is_identity(a) == np.array_equal(a, np.eye(a.shape[0]))
+        if case in ("eye", "negative_zero", "one_by_one", "strided_view"):
+            assert _linalg.is_identity(a)
 
     def test_spd_inverse_inverts_and_refuses_an_indefinite_matrix(self, chain_model):
         cov = chain_model.covariance

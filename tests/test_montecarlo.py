@@ -171,6 +171,66 @@ class TestTriangularQuadForms:
         assert abs(got - ref) <= 1e-12 * np.abs(cov).max()
 
 
+def _whole_chunk_quad_forms(cov, mats, seed, count):
+    """quad_form_samples as it was with whole-chunk draws: all CHUNK rows drawn at once, then
+    one dtrmm and row dot per TRMM_ROWS sub-block and form, chunk after chunk."""
+    from scipy.linalg.blas import dtrmm
+
+    chol = np.linalg.cholesky(cov)
+    dim = cov.shape[0]
+    folds = [mc._triangular_fold(chol.T @ m @ chol) for m in mats]
+    out = np.empty((count, len(folds)))
+    for a in range(0, count, mc.CHUNK):
+        b = min(a + mc.CHUNK, count)
+        z = mc._draw_rows(seed, a, b, dim)
+        buf = np.empty((min(mc.TRMM_ROWS, b - a), dim))
+        for r in range(0, b - a, mc.TRMM_ROWS):
+            rows = z[r:r + mc.TRMM_ROWS]
+            y = buf[:len(rows)]
+            for j, s in enumerate(folds):
+                np.copyto(y, rows)
+                tz = dtrmm(1.0, s.T, y.T, lower=1, overwrite_b=1).T
+                out[a + r:a + r + len(rows), j] = np.einsum("ij,ij->i", tz, rows)
+    return out
+
+
+class TestDrawBlocks:
+    @pytest.mark.parametrize("count", [1, mc.CHUNK - 1, 3 * mc.CHUNK + 1000])
+    def test_matches_whole_chunk_draws(self, chain_model, count):
+        cov = chain_model.covariance
+        mats = [gf.sigma_matrix(chain_model).matrix,
+                np.random.default_rng(4).standard_normal(cov.shape)]
+        ref = _whole_chunk_quad_forms(cov, mats, 13, count)
+        for workers in (1, 2, 3, 4):
+            got = mc.quad_form_samples(cov, mats, seed=13, count=count, workers=workers)
+            assert got.tobytes() == ref.tobytes()
+
+    def test_generator_of_mats_equals_list(self, chain_model):
+        cov = chain_model.covariance
+        rng = np.random.default_rng(5)
+        mats = [symmetrize(rng.standard_normal(cov.shape)) for _ in range(3)]
+        listed = mc.quad_form_samples(cov, mats, seed=2, count=mc.CHUNK + 3, workers=2)
+        streamed = mc.quad_form_samples(cov, (m for m in mats), seed=2, count=mc.CHUNK + 3,
+                                        workers=2)
+        assert streamed.tobytes() == listed.tobytes()
+
+    def test_trace_identity_rows_match_listed_mats(self, chain_model):
+        # the report as it was: every A made first, the oracles read after the forms
+        cov, seed, count = chain_model.covariance, 11, mc.CHUNK + 700
+        rng = np.random.default_rng(seed ^ 0x5EED)
+        mats = [symmetrize(rng.standard_normal(cov.shape)) for _ in range(4)]
+        vals = _whole_chunk_quad_forms(cov, mats, seed, count)
+        ref = []
+        for j, a in enumerate(mats):
+            oracle = float(np.vdot(cov, a))
+            est = float(vals[:, j].mean())
+            se = float(vals[:, j].std()) / math.sqrt(count)
+            ref.append({"estimate": est, "oracle": oracle, "std_error": se,
+                        "z_score": (est - oracle) / se})
+        for workers in (1, 3):
+            assert mc.trace_identity_report(cov, seed, count, n_mats=4, workers=workers) == ref
+
+
 def _jordan_model():
     """2x2 Jordan block: eig returns two nearly parallel eigenvectors, kappa(V) ~ 9e15."""
     return gf.Model(dim=2, generator=np.array([[-1.0, 1.0], [0.0, -1.0]]), covariance=np.eye(2))

@@ -277,10 +277,11 @@ class TestSpectralCache:
             before = renyi.spectral_cache_info()["bytes"]
             atoms = gf.ness_functional(model, t, d).q.nbytes
             grown.append(renyi.spectral_cache_info()["bytes"] - before - atoms)
-        # a new D+ adds its n x n copy, and one that is not I its n x n root
+        # the toy's D+ is I, which keys its entries by a fixed token with no
+        # copy; a new D+ that is not I adds its n x n copy and its n x n root
         # E = B^-1 D+^{1/2} in the model's frame; a seen one adds only the new
         # entry's atoms
-        assert grown == [n * n * 8, 0, 2 * n * n * 8]
+        assert grown == [0, 0, 2 * n * n * 8]
 
     def test_equal_arrays_share_one_entry(self):
         model, _ = fresh_toy()
