@@ -5,12 +5,14 @@ Time-integrated entropy production is evaluated as a single quadratic form
 = 1/2 (e^{tL'} D^-1 e^{tL} - D^-1) (flow.sigma_integral_matrix), so a draw
 costs O(n^2) after one propagator increment per call.  Each form W = C'MC
 (C the Cholesky factor of the sampling covariance) is folded once into an
-upper triangle T with z'Tz = z'Wz, so a chunk of draws takes one in-place
-triangular product (BLAS dtrmm, n^2 flops per draw) and a row dot per form,
-half the work of a general product.  A single trajectory reads
-(x, B_t x) = 1/2 ((e^{tL} x)' D^-1 e^{tL} x - x' D^-1 x), with e^{tL} x
-applied from the cached eigenbasis of each generator block, also O(n^2) per
-time and without building a flow point.
+upper triangle T with z'Tz = z'Wz, and T is cut into row panels of PANEL
+rows.  A block Z of drawn rows then takes, per panel [p0, p1), one product
+Z[:, p0:] T[p0:p1, p0:]' for all forms of a group at once and a row dot with
+Z[:, p0:p1]: n^2/2 (1 + PANEL/n) multiply-adds per draw and form, about half
+the work of a general product, all of it in numpy's BLAS.  A single
+trajectory reads (x, B_t x) = 1/2 ((e^{tL} x)' D^-1 e^{tL} x - x' D^-1 x),
+with e^{tL} x applied from the cached eigenbasis of each generator block,
+also O(n^2) per time and without building a flow point.
 
 Reproducibility contract: draw i is generated from a counter-based stream
 keyed by (seed, i) alone, chunks have a fixed size, and reductions combine
@@ -18,12 +20,13 @@ fixed-order per-chunk partials, so results are bit-identical for any worker
 count.
 
 Working set of one call, in floats, beside its inputs and outputs:
-quad_form_samples with k forms keeps the Cholesky factor and the k folds,
-(k+1) n^2, and per worker one block of TRMM_ROWS draws with its work copy,
-2 TRMM_ROWS n; while folding it holds one M more, and trace_identity_report
-makes each M only when it is folded.  propagated_sample_cov_defect keeps one
-n x n partial per chunk, and per worker the CHUNK x n draws of a chunk with
-their image.
+quad_form_samples with k forms keeps the Cholesky factor and the panels of
+the k folds, n^2 + k n^2/2 (1 + PANEL/n), and per worker one block of
+BLOCK_ROWS draws with its product, 2 BLOCK_ROWS n; while folding it holds
+one M and its fold more, and trace_identity_report makes each M only when it
+is folded.  propagated_sample_cov_defect keeps one n x n partial per chunk,
+and per worker one block of BLOCK_ROWS draws with its image and their n x n
+product.
 
 The stream is Philox (Salmon et al., SC'11): one bit generator per call of
 _draw_rows, keyed by the seed, whose counter is reset to i * 2**64 with an
@@ -43,7 +46,8 @@ from .flow import flow_point, sigma_integral_matrix
 from .renyi import domain_interval
 
 CHUNK = 4096                    # fixed chunk size; part of the determinism contract
-TRMM_ROWS = 1024                # draws per triangular product: the work copy stays in cache
+BLOCK_ROWS = 1024               # draws per block: the block and its product stay in cache
+PANEL = 64                      # rows of the upper triangle per product of the quadratic forms
 
 MGF_DOMAIN_MARGIN = 0.05        # required relative distance of alpha from the J_t boundary
 
@@ -101,6 +105,50 @@ def _triangular_fold(w):
     return s
 
 
+def _form_panels(chol, mats):
+    """Panel edges and, per group of forms (j0, j1), the stacked panels G_p of the group.
+
+    Each form W = C'MC is folded into S (_triangular_fold); its upper triangle
+    T is cut into row panels [p0, p1) of PANEL rows, and panel p keeps
+    T[p0:p1, p0:]' = tril(S[p0:, p0:p1]) (S is symmetric).  G_p holds these
+    blocks of forms j0, ..., j1 - 1 side by side, in that order.  A group
+    takes at most dim // PANEL forms, so that one product writes at most
+    BLOCK_ROWS x dim floats.  Each M and each fold is released once cut.
+    """
+    dim = chol.shape[0]
+    edges = [(p0, min(p0 + PANEL, dim)) for p0 in range(0, dim, PANEL)]
+    pieces = [[] for _ in edges]    # pieces[p][j]: panel p of form j
+    for m in mats:
+        s = _triangular_fold(chol.T @ np.asarray(m, float) @ chol)
+        del m    # so that the next M is made with this one freed
+        for col, (p0, p1) in zip(pieces, edges):
+            col.append(np.tril(s[p0:, p0:p1]))
+        del s
+    k, size = len(pieces[0]), max(1, dim // PANEL)
+    groups = []
+    for j0 in range(0, k, size):
+        j1 = min(j0 + size, k)
+        stacked = []
+        for col in pieces:
+            stacked.append(np.hstack(col[j0:j1]))
+            col[j0:j1] = [None] * (j1 - j0)    # each piece is freed once stacked
+        groups.append((j0, j1, stacked))
+    return edges, groups
+
+
+def _panel_forms(z, edges, groups, out, buf):
+    """out[:, j] += z'T_j z for the rows z of one block, by one product per panel and group.
+
+    buf is a flat work array of at least len(z) * dim floats for the products.
+    """
+    rows = len(z)
+    for j0, j1, stacked in groups:
+        for (p0, p1), g in zip(edges, stacked):
+            y = np.matmul(z[:, p0:], g, out=buf[:rows * g.shape[1]].reshape(rows, -1))
+            out[:, j0:j1] += np.einsum("rkw,rw->rk", y.reshape(rows, j1 - j0, p1 - p0),
+                                       z[:, p0:p1])
+
+
 def quad_form_samples(cov, mats, seed, count, workers=1):
     """Per-draw quadratic forms (x, M x) for x ~ N(0, cov), one column per M.
 
@@ -108,33 +156,32 @@ def quad_form_samples(cov, mats, seed, count, workers=1):
     (x, M x) = (z, C'MC z).  Each conjugated form W = C'MC is folded once
     into the triangle T_ij = W_ij + W_ji (i < j), T_ii = W_ii, so that
     z'Tz = z'Wz for any M, symmetric or not.  mats may be any iterable; each
-    M is released once folded.  The draws of a chunk are made TRMM_ROWS rows
-    at a time, and each form takes one in-place dtrmm per block, on a reused
-    copy of its rows (n^2 flops per draw against 2n^2 for a general product),
-    and a row dot.  It is one of the three places that load scipy, here for
-    its BLAS dtrmm, which numpy does not expose.
-    """
-    from scipy.linalg.blas import dtrmm
+    M is released once folded, and each fold once it is cut into panels of
+    PANEL rows (_form_panels).  The draws of a chunk are made BLOCK_ROWS rows
+    at a time; for each panel [p0, p1) and group of forms, a block Z takes
+    one product Z[:, p0:] G_p in numpy's BLAS and a row dot with
+    Z[:, p0:p1], n^2/2 (1 + PANEL/n) multiply-adds per draw and form.
 
+    Working set, in floats, beside the inputs and the count x k output: the
+    Cholesky factor and the panels, n^2 + k n^2/2 (1 + PANEL/n), and per
+    worker one block of draws and its product, 2 BLOCK_ROWS n; while folding,
+    one M, its fold and their product temporaries more.
+    """
     _check_count(count, 1)
     cov = np.asarray(cov, dtype=float)
     chol = _cov_factor(cov)
     dim = cov.shape[0]
-    # map drops each M after its fold; a comprehension would keep it while the next one is made
-    folds = list(map(lambda m: _triangular_fold(chol.T @ np.asarray(m, float) @ chol), mats))
-    out = np.empty((count, len(folds)))
+    edges, groups = _form_panels(chol, mats)
+    if not groups:
+        return np.zeros((count, 0))
+    out = np.zeros((count, groups[-1][1]))
 
     def work(a, b, _slot):
-        buf = np.empty((min(TRMM_ROWS, b - a), dim))
-        for r in range(a, b, TRMM_ROWS):
-            rows = _draw_rows(seed, r, min(r + TRMM_ROWS, b), dim)
-            y = buf[:len(rows)]
-            for j, s in enumerate(folds):
-                np.copyto(y, rows)
-                # y.T is the F-order z'; the lower triangle of s.T is the upper one of s
-                tz = dtrmm(1.0, s.T, y.T, lower=1, overwrite_b=1).T
-                out[r:r + len(rows), j] = np.einsum("ij,ij->i", tz, rows)
-            del rows    # so that the next block is drawn with this one freed
+        buf = np.empty(min(BLOCK_ROWS, b - a) * dim)
+        for r in range(a, b, BLOCK_ROWS):
+            z = _draw_rows(seed, r, min(r + BLOCK_ROWS, b), dim)
+            _panel_forms(z, edges, groups, out[r:r + len(z)], buf)
+            del z    # so that the next block is drawn with this one freed
 
     _run_chunks(work, count, workers)
     return out
@@ -363,8 +410,10 @@ def propagated_sample_cov_defect(model, cov, t, seed, count, workers=1):
     partials = np.zeros((nchunks, dim, dim))
 
     def work(a, b, slot):
-        y = _draw_rows(seed, a, b, dim) @ factor
-        partials[slot] = y.T @ y
+        for r in range(a, b, BLOCK_ROWS):
+            y = _draw_rows(seed, r, min(r + BLOCK_ROWS, b), dim) @ factor
+            partials[slot] += y.T @ y
+            del y    # so that the next block is drawn with this one freed
 
     _run_chunks(work, count, workers)
     total = np.zeros((dim, dim))

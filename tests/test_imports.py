@@ -1,8 +1,10 @@
-"""Start-up contract: the package and every finite-time, limit and rate pipeline load numpy only.
+"""Start-up contract: the package and every finite-time, limit, rate and Monte Carlo pipeline
+load numpy only.
 
-scipy is imported by three leaves alone, inside the functions that use it:
-the expm fallback for a block that fails the conditioning gate, the BLAS
-dtrmm of the Monte Carlo quadratic forms, and the KS test of the CLT check.
+scipy is imported by two leaves alone, inside the functions that use it:
+the expm fallback for a block that fails the conditioning gate, and the KS
+test of the CLT check.  The Monte Carlo quadratic forms (criteria 5a and 5b:
+the trace identity, the change of measure and the MGF) run on numpy's BLAS.
 Each check runs in a fresh interpreter, since this test process has scipy
 loaded already.
 """
@@ -57,10 +59,18 @@ with tempfile.TemporaryDirectory() as tmp:
     loaded["cli_validate_exit"] = cli.main(["validate", "--model", path, "--out", tmp])
 loaded["cli_validate"] = scipy_modules()
 
-from gaussfluct.montecarlo import quad_form_samples
+from gaussfluct import montecarlo as mc
 
-quad_form_samples(chain.covariance, [sig.matrix], seed=1, count=8)
-loaded["quad_form_samples"] = scipy_modules()
+mc.quad_form_samples(chain.covariance, [sig.matrix], seed=1, count=8)
+mc.trace_identity_report(chain.covariance, seed=1, count=8)
+mc.change_of_measure_report(chain, 1.0, seed=1, count=8)
+mc.empirical_mgf(chain, 10.0, 0.25, seed=1, count=8)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "chain.json")
+    save_model(chain, path)
+    loaded["cli_mc_exit"] = cli.main(["mc", "--checks", "trace,com,mgf", "--model", path,
+                                      "--n", "8", "--out", tmp])
+loaded["monte_carlo"] = scipy_modules()
 sys.stdout.write(json.dumps(loaded) + "\n")
 """
 
@@ -75,10 +85,9 @@ def _run(script):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_pipelines_load_no_scipy_until_the_quadratic_forms():
+def test_pipelines_and_monte_carlo_checks_load_no_scipy():
     loaded = _run(PIPELINES)
     assert loaded.pop("cli_validate_exit") == 0
-    forms = loaded.pop("quad_form_samples")
-    assert loaded == {stage: [] for stage in
-                      ("import", "build", "finite_time", "limits_and_rates", "cli_validate")}
-    assert "scipy.linalg" in forms
+    assert loaded.pop("cli_mc_exit") == 0
+    assert loaded == {stage: [] for stage in ("import", "build", "finite_time", "limits_and_rates",
+                                              "cli_validate", "monte_carlo")}

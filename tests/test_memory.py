@@ -34,9 +34,9 @@ def _traced(fn):
 
 
 def _quad_form_bound(n, k, workers, count):
-    """The Cholesky factor and k folds, two TRMM_ROWS x n blocks per worker, the count x k
+    """The Cholesky factor and k folds, two BLOCK_ROWS x n blocks per worker, the count x k
     output; slack: the two n x n products of one fold, and the bookkeeping."""
-    floats = (k + 1) * n * n + 2 * mc.TRMM_ROWS * n * workers + count * k
+    floats = (k + 1) * n * n + 2 * mc.BLOCK_ROWS * n * workers + count * k
     return FLOAT * (floats + 2 * n * n) + BOOKKEEPING
 
 
@@ -64,6 +64,25 @@ def test_trace_identity_report_makes_each_matrix_at_its_fold(cov_200):
     mc.trace_identity_report(cov_200, seed=3, count=5, n_mats=1)
     peak, _ = _traced(lambda: mc.trace_identity_report(cov_200, seed=3, count=count, n_mats=k))
     assert peak <= _quad_form_bound(n, k, 1, count)
+
+
+def _defect_bound(n, workers, count):
+    """The Cholesky factor, the factor C'e^{tL'}, one n x n partial per chunk and their total,
+    per worker a BLOCK_ROWS x n block of draws, its image and their n x n product; slack: four
+    n x n temporaries (those of the propagator, or the two of the final difference), and the
+    bookkeeping."""
+    floats = (len(mc._chunks(count)) + 3) * n * n + workers * (2 * mc.BLOCK_ROWS * n + n * n)
+    return FLOAT * (floats + 4 * n * n) + BOOKKEEPING
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_propagated_defect_draws_one_block_at_a_time(chain_mid, chain_mid_limits, workers):
+    model, _ = chain_mid
+    d_plus, count = chain_mid_limits.d_plus, 2 * mc.CHUNK + 17
+    mc.propagated_sample_cov_defect(model, d_plus, 10.0, seed=7, count=5, workers=workers)
+    peak, _ = _traced(lambda: mc.propagated_sample_cov_defect(model, d_plus, 10.0, seed=7,
+                                                              count=count, workers=workers))
+    assert peak <= _defect_bound(model.dim, workers, count)
 
 
 def test_model_keeps_no_covariance_roots_or_identity_copy(monkeypatch):

@@ -139,18 +139,35 @@ def _dense_quad_forms(cov, mats, seed, count):
 
 
 class TestTriangularQuadForms:
-    @pytest.mark.parametrize("dim,count", [(1, 50), (66, 2 * mc.CHUNK + 17)])
+    @pytest.mark.parametrize("dim,count", [(1, 50), (66, 2 * mc.CHUNK + 17), (mc.PANEL - 1, 300),
+                                           (mc.PANEL, 300), (mc.PANEL + 1, 300),
+                                           (2 * mc.PANEL + 3, mc.CHUNK + 5)])
     def test_matches_dense_product(self, dim, count):
-        # a non-symmetric M: the fold W_ij + W_ji keeps its form exactly
+        # non-symmetric M: the fold W_ij + W_ji keeps its form exactly; k = dim // PANEL + 2
+        # forms are more than one product group holds
         rng = np.random.default_rng(dim)
         a = rng.standard_normal((dim, dim))
         cov = a @ a.T + dim * np.eye(dim)
-        mats = [rng.standard_normal((dim, dim)), symmetrize(rng.standard_normal((dim, dim)))]
-        got = mc.quad_form_samples(cov, mats, seed=9, count=count, workers=2)
+        k = dim // mc.PANEL + 2
+        mats = [rng.standard_normal((dim, dim)) for _ in range(k - 1)]
+        mats.append(symmetrize(rng.standard_normal((dim, dim))))
         ref = _dense_quad_forms(cov, mats, 9, count)
-        assert got.shape == (count, 2)
-        for j in range(2):
+        got = mc.quad_form_samples(cov, mats, seed=9, count=count, workers=1)
+        assert got.shape == (count, k)
+        for j in range(k):
             assert np.abs(got[:, j] - ref[:, j]).max() <= 1e-13 * np.abs(ref[:, j]).max()
+        for workers in (2, 3, 4):
+            assert mc.quad_form_samples(cov, mats, seed=9, count=count,
+                                        workers=workers).tobytes() == got.tobytes()
+
+    def test_no_forms_draws_nothing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("rows drawn for no form")
+
+        monkeypatch.setattr(mc, "_draw_rows", no_draws)
+        cov = np.eye(3)
+        assert mc.quad_form_samples(cov, [], seed=0, count=10).shape == (10, 0)
+        assert mc.trace_identity_report(cov, seed=0, count=10, n_mats=0) == []
 
     def test_inputs_unmodified(self, chain_model):
         cov = chain_model.covariance.copy()
@@ -173,24 +190,18 @@ class TestTriangularQuadForms:
 
 def _whole_chunk_quad_forms(cov, mats, seed, count):
     """quad_form_samples as it was with whole-chunk draws: all CHUNK rows drawn at once, then
-    one dtrmm and row dot per TRMM_ROWS sub-block and form, chunk after chunk."""
-    from scipy.linalg.blas import dtrmm
-
+    the panel products per BLOCK_ROWS sub-block, chunk after chunk."""
     chol = np.linalg.cholesky(cov)
     dim = cov.shape[0]
-    folds = [mc._triangular_fold(chol.T @ m @ chol) for m in mats]
-    out = np.empty((count, len(folds)))
+    edges, groups = mc._form_panels(chol, mats)
+    out = np.zeros((count, len(mats)))
+    buf = np.empty(mc.BLOCK_ROWS * dim)
     for a in range(0, count, mc.CHUNK):
         b = min(a + mc.CHUNK, count)
         z = mc._draw_rows(seed, a, b, dim)
-        buf = np.empty((min(mc.TRMM_ROWS, b - a), dim))
-        for r in range(0, b - a, mc.TRMM_ROWS):
-            rows = z[r:r + mc.TRMM_ROWS]
-            y = buf[:len(rows)]
-            for j, s in enumerate(folds):
-                np.copyto(y, rows)
-                tz = dtrmm(1.0, s.T, y.T, lower=1, overwrite_b=1).T
-                out[a + r:a + r + len(rows), j] = np.einsum("ij,ij->i", tz, rows)
+        for r in range(0, b - a, mc.BLOCK_ROWS):
+            rows = z[r:r + mc.BLOCK_ROWS]
+            mc._panel_forms(rows, edges, groups, out[a + r:a + r + len(rows)], buf)
     return out
 
 
