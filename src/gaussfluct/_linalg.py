@@ -6,16 +6,10 @@ of D_t are read from one cache entry per generator content: the index groups
 of its blocks, one basis per block and the norm bound that guards the
 horizon.  A block's route is read from its content.  A skew block and a block
 [[0, -J], [I, 0]] with J symmetric positive definite (the harmonic chains)
-are rotations: real mode pairs turn at the frequencies of eigh(iA) or
-eigh(J).  Any other block takes a folded eig basis, and a generator with such
-a block walks the grid for its window average.  A block that fails the
-conditioning gate takes scipy's expm, imported inside _expm alone.
-
-Every flow of a rotation block is read from its frame: e^{tA} = B R_t B^-1
-with B the square back map of frame() and R_t its turn, real cos/sin on the
-mode pairs, O(n) per column.  frame_maps puts the blocks' B together (the
-identity on eig and expm blocks), and turner turns every block, by a product
-with the block propagator where it is no rotation.
+are rotations, e^{tA} = B R_t B^-1 with B = O S^-1 (RotationBasis,
+frame_map).  Any other block takes a folded eig basis and walks the grid for
+its window average; one that fails the conditioning gate takes scipy's expm,
+imported inside _expm alone.
 """
 
 import hashlib
@@ -87,9 +81,8 @@ def propagator(generator, t):
     from dimension 256 on, an exact identity that avoids cubing the full
     dimension.  The result is real, C-contiguous and owned.
     """
-    n = generator.shape[0]
     if t == 0.0:
-        return np.eye(n)
+        return np.eye(generator.shape[0])
     parts = _parts(generator, t)
     if len(parts) == 1:
         return _block_flow(generator, *parts[0], t)
@@ -102,19 +95,17 @@ def propagator(generator, t):
 def propagator_apply(generator, times, x):
     """e^{tL} x for a vector x at each t in times, one row per time.
 
-    Blocks as in propagator; a rotation block maps x into its frame once and
-    an eig block sums its fold, O(n^2) per time with no n x n propagator, and
-    one past the gate multiplies x by its expm.  One hash, one horizon check.
+    Blocks as in propagator: a rotation block maps x into its frame and home once
+    for all times, an eig block sums its fold (O(n^2) per time, no n x n
+    propagator), one past the gate multiplies x by its expm.  One hash, one horizon check.
     """
     times = [float(t) for t in times]
     x = np.asarray(x, dtype=float)
     out = np.empty((len(times), x.shape[0]))
     for idx, basis in _parts(generator, max(map(abs, times), default=0.0)):
         if isinstance(basis, RotationBasis):
-            b, b_inv = basis.frame()
-            z = b_inv @ x[idx, None]
-            for row, t in zip(out, times):
-                row[idx] = b @ basis.turn(t, z)[:, 0]
+            z = np.repeat(frame_map(basis.blocks, x[idx, None], inverse=True), len(times), axis=1)
+            out[:, idx] = frame_map(basis.blocks, basis.turn(np.array(times), z)).T
         else:
             for row, t in zip(out, times):
                 row[idx] = basis.apply(t, x[idx]) if basis is not None else _expm(generator, idx, t) @ x[idx]
@@ -124,8 +115,7 @@ def propagator_apply(generator, times, x):
 def _block_flow(generator, idx, basis, t, increment=False):
     """e^{tA} (e^{tA} - I with increment) of A = generator[idx, idx]: B R_t B^-1 from a rotation basis, else fold or expm."""
     if isinstance(basis, RotationBasis):
-        b, b_inv = basis.frame()
-        return b @ basis.turn(t, b_inv, increment)
+        return frame_map(basis.blocks, basis.turn(t, basis.inverse(idx.size), increment))
     if basis is not None:
         return basis.propagator(t, increment)
     e = _expm(generator, idx, t)
@@ -210,22 +200,27 @@ class ModalBasis:
         return self.v_re @ c.real - self.v_im @ c.imag
 
 
+@dataclass(frozen=True, eq=False)
 class RotationBasis:
-    """A block whose modes turn in real pairs: (a, b) = forward(x) and c = a + i b give d/dt c = i w c.
+    """A block whose modes turn in real pairs: e^{tA} = B R_t B^-1 with B = O S^-1 the frame of blocks.
 
-    forward maps the columns of x (block coordinates) to the mode pairs, and
-    back(a, b) maps them home; the columns x_k = back(e_k, 0) and
-    y_k = back(0, e_k) satisfy A x_k = w_k y_k and A y_k = -w_k x_k.  frame()
-    gives the same maps as the square matrices (B, B^-1), so that
-    e^{tA} = B R_t B^-1 with R_t the turn.
+    blocks are (rows, O_k, s_k) for frame_map: [X N Y] for a skew block, and
+    (Q, None), (Q, w) on the halves of an oscillator block.  The frame rows
+    z = [a, b] hold the m = freq.size modes and the partners of the first
+    n - m; the columns of B = [X Y] satisfy A x_k = w_k y_k, A y_k = -w_k x_k,
+    and the last 2m - n modes are flat (w = 0, no partner).
     """
 
-    def turn(self, t, z, increment=False):
-        """R_t z for the rows z = [a, b] of the square frame (R_t - I with increment), O(n) per column.
+    freq: np.ndarray
+    blocks: tuple
+    kappa: float
+    route: str
 
-        a holds the m = freq.size modes and b the n - m partners of the first
-        n - m of them; the others are flat (frequency 0) and stay put.  The
-        increment takes -2 sin^2(tw/2) = cos tw - 1 in place of cos tw.  The
+    def turn(self, t, z, increment=False):
+        """R_t z for the rows z = [a, b] of the frame (R_t - I with increment), O(n) per column.
+
+        The flat modes stay put.  The increment takes -2 sin^2(tw/2) = cos tw - 1
+        in place of cos tw.  t may be an array, one time per column of z.  The
         result has the memory layout of z, so a transposed view costs no copy.
         """
         tw = t * self.freq[:, None]
@@ -240,75 +235,43 @@ class RotationBasis:
         out[m:] += c[:p] * b
         return out
 
-
-@dataclass(frozen=True, eq=False)
-class UnitaryBasis(RotationBasis):
-    """Real rotation basis of a skew block A from the Hermitian eigh(iA) = U diag(w) U^H.
-
-    Each u_k with w_k > 0 gives x_k = sqrt(2) Re u_k and y_k = sqrt(2) Im u_k,
-    with A x_k = w_k y_k and A y_k = -w_k x_k (the real normal form of a
-    normal matrix: Horn and Johnson, Matrix Analysis, 2nd ed., section 2.5).
-    Exact null modes are kept apart as flat modes N of frequency 0.  v holds
-    [X N | Y 0]: [X N Y] is real orthogonal (so kappa is exactly 1), and the
-    zero columns give both halves the width m of freq = (w, 0).
-    """
-
-    freq: np.ndarray
-    v: np.ndarray
-    kappa = 1.0
-    route = "unitary"
-
-    def forward(self, x):
-        return np.split(self.v.T @ x, 2)
-
-    def back(self, a, b):
-        return self.v @ np.concatenate([a, b])
-
-    def frame(self):
-        """(B, B^-1) = ([X N Y], [X N Y]'): the square, orthogonal part of v."""
-        b = self.v[:, :self.v.shape[0]]
-        return b, b.T
+    def inverse(self, n):
+        """B^-1 as an n x n array: the view O' of a single unscaled block, else its blocks S O' scattered."""
+        if len(self.blocks) == 1 and self.blocks[0][2] is None:
+            return self.blocks[0][1].T
+        out = np.zeros((n, n))
+        for rows, o, s in self.blocks:
+            out[rows, rows] = (o if s is None else o * s).T
+        return out
 
     def twin(self):
-        """The basis of -A: x_k and y_k trade places, so v becomes [Y N | X 0]."""
-        m = self.freq.size
-        p = self.v.shape[0] - m
-        x, flat, y, zero = np.split(self.v, [p, m, m + p], axis=1)
-        return UnitaryBasis(freq=self.freq, v=np.concatenate([y, flat, x, zero], axis=1))
+        """The basis of -A for a skew block: x_k and y_k trade places, [X N Y] becomes [Y N X]."""
+        (rows, o, _), = self.blocks
+        m, p = self.freq.size, o.shape[0] - self.freq.size
+        o = np.concatenate([o[:, m:], o[:, p:m], o[:, :p]], axis=1)
+        return RotationBasis(freq=self.freq, blocks=((rows, o, None),), kappa=1.0, route="unitary")
 
 
-@dataclass(frozen=True, eq=False)
-class OscillatorBasis(RotationBasis):
-    """Real rotation basis of a second-order block A = [[0, -J], [I, 0]] from eigh(J) = Q diag(w^2) Q'.
+def frame_map(blocks, z, inverse=False, transpose=False):
+    """B z for the frame B = O_k S_k^-1 on the rows of each of blocks (rows, O_k, s_k), S_k = diag(s_k).
 
-    A conserves G = diag(I, J).  Its mode pairs are a = Q'p and b = W Q'q
-    with W = diag(w) and h = n/2; only w and Q are stored.  The back map
-    [[Q, 0], [0, Q W^-1]] has singular values 1 and 1/w_k, so its 2-norm kappa
-    is exactly max(1, w_max)/min(1, w_min), which is sqrt(cond G).
+    With inverse B^-1 z = S O'z, with transpose B'z = S^-1 O'z, with both B^-T z = O S z; s_k None
+    means S_k = I, and B = I outside the blocks.  z has two axes; each product is written straight
+    into its output rows of a new C-contiguous array.
     """
-
-    freq: np.ndarray
-    q: np.ndarray
-    route = "oscillator"
-
-    @property
-    def kappa(self):
-        return max(1.0, float(self.freq[-1])) / min(1.0, float(self.freq[0]))
-
-    def forward(self, x):
-        h = self.freq.size
-        return self.q.T @ x[:h], self.freq[:, None] * (self.q.T @ x[h:])
-
-    def back(self, a, b):
-        return np.concatenate([self.q @ a, self.q @ (b / self.freq[:, None])])
-
-    def frame(self):
-        """(B, B^-1) = ([[Q, 0], [0, Q W^-1]], [[Q', 0], [0, W Q']]): back and forward as matrices."""
-        q, h = self.q, self.freq.size
-        b, b_inv = np.zeros((2 * h, 2 * h)), np.zeros((2 * h, 2 * h))
-        b[:h, :h], b[h:, h:] = q, q / self.freq
-        b_inv[:h, :h], b_inv[h:, h:] = q.T, self.freq[:, None] * q.T
-        return b, b_inv
+    covered = sum(r.stop - r.start if isinstance(r, slice) else r.size for r, _, _ in blocks)
+    out = np.empty(z.shape) if covered == z.shape[0] else z.copy()
+    first = inverse == transpose   # O acts after the scale (B, B^-T), else O' before it
+    for rows, o, s in blocks:
+        scale = None if s is None else (s if inverse else 1.0 / s)[:, None]
+        x = z[rows] * scale if first and scale is not None else z[rows]
+        view = isinstance(rows, slice)
+        y = np.matmul(o if first else o.T, x, out=out[rows] if view else None)
+        if scale is not None and not first:
+            y *= scale
+        if not view:
+            out[rows] = y
+    return out
 
 
 def _norm2_estimate(a, iterations=20):
@@ -328,26 +291,32 @@ def _norm2_estimate(a, iterations=20):
 
 
 def _oscillator_basis(block):
-    """The OscillatorBasis of a block that is exactly [[0, -J], [I, 0]] with J symmetric positive definite, else None."""
+    """The rotation basis of a block that is exactly [[0, -J], [I, 0]] with J symmetric positive definite, else None.
+
+    Its pairs a = Q'p, b = W Q'q give B = diag(Q, Q W^-1), with singular values 1 and 1/w_k, so kappa
+    is exactly max(1, w_max)/min(1, w_min): sqrt(cond G) for the energy form G = diag(I, J) that A keeps.
+    """
     n = block.shape[0]
     h = n // 2
-    if n % 2 or block[:h, :h].any() or block[h:, h:].any() or not is_identity(block[h:, :h]):
+    if (n % 2 or block[:h, :h].any() or block[h:, h:].any() or not is_identity(block[h:, :h])
+            or not np.array_equal(block[:h, h:], block[:h, h:].T)):
         return None
-    j = -block[:h, h:]
-    if not np.array_equal(j, j.T):
-        return None
-    w2, q = np.linalg.eigh(j)
+    w2, q = np.linalg.eigh(-block[:h, h:])
     if not w2[0] > 0.0:
         return None
-    return OscillatorBasis(freq=np.sqrt(w2), q=q)
+    w = np.sqrt(w2)
+    return RotationBasis(freq=w, blocks=((slice(0, h), q, None), (slice(h, n), q, w)),
+                         kappa=max(1.0, float(w[-1])) / min(1.0, float(w[0])), route="oscillator")
 
 
 def _skew_basis(block):
-    """The UnitaryBasis of a skew block, or None when eigh(iA) does not pair its frequencies.
+    """The rotation basis of a skew block, or None when eigh(iA) does not pair its frequencies.
 
     Frequencies within n eps max|w| of zero are roundoff, whatever their
     sign: their eigenvectors U0 span a subspace closed under conjugation, and
     the leading left singular vectors of [Re U0, Im U0] give the flat modes.
+    x_k = sqrt(2) Re u_k and y_k = sqrt(2) Im u_k for w_k > 0 complete the real
+    normal form (Horn and Johnson, Matrix Analysis, 2nd ed., 2.5): [X N Y] is orthogonal.
     """
     w, u = np.linalg.eigh(1j * block)
     tol = block.shape[0] * np.finfo(float).eps * max(-w[0], w[-1])
@@ -357,13 +326,14 @@ def _skew_basis(block):
     x = math.sqrt(2.0) * u[:, pos]
     u0 = u[:, null]
     flat = np.linalg.svd(np.concatenate([u0.real, u0.imag], axis=1), full_matrices=False)[0][:, :u0.shape[1]]
-    v = np.concatenate([x.real, flat, x.imag, np.zeros_like(flat)], axis=1)
-    return UnitaryBasis(freq=np.concatenate([w[pos], np.zeros(flat.shape[1])]), v=v)
+    o = np.concatenate([x.real, flat, x.imag], axis=1)
+    return RotationBasis(freq=np.concatenate([w[pos], np.zeros(flat.shape[1])]),
+                         blocks=((slice(0, block.shape[0]), o, None),), kappa=1.0, route="unitary")
 
 
 def _decompose(block):
-    """(basis or None, kappa): a UnitaryBasis for a skew block, an OscillatorBasis for an
-    oscillator block within the gate, else a ModalBasis, or None past the gate.
+    """(basis or None, kappa): a RotationBasis for a skew block or an oscillator block
+    within the gate, else a ModalBasis, or None past the gate.
 
     LAPACK returns a conjugate pair as adjacent eigenvalues, positive imaginary
     part first, with v_j = x_j + i x_{j+1} for two real columns of X.  X is V
@@ -441,7 +411,7 @@ def _decompose_blocks(generator, groups):
         block = generator if len(groups) == 1 else generator[np.ix_(idx, idx)]
         twin = skew.get(_digest(block.T)) if np.array_equal(block.T, -block) else None
         basis, kappa = (twin.twin(), twin.kappa) if twin is not None else _decompose(block)
-        if isinstance(basis, UnitaryBasis):
+        if basis is not None and basis.route == "unitary":
             skew[_digest(block)] = basis
         built.append((basis, kappa))
     return built
@@ -455,8 +425,8 @@ def _parts(generator, t):
     """[(idx, basis)] for the blocks of a generator, after refusing |t| * generator_norm_bound past the horizon limit.
 
     The blocks are the connected components from dimension 256 on, else the
-    whole generator; basis is a block's UnitaryBasis, OscillatorBasis or
-    ModalBasis, or None when it fails the gate.
+    whole generator; basis is a block's RotationBasis or ModalBasis, or None
+    when it fails the gate.
     """
     generator = np.ascontiguousarray(generator, dtype=float)
     key = _content_key(generator)
@@ -484,27 +454,16 @@ def _parts(generator, t):
     return parts
 
 
-def frame_maps(generator):
-    """(B, B^-1, orthogonal) with e^{tL} = B R_t B^-1 for the R_t of turner, or None when B = I.
+def _rows(idx):
+    """A slice for ascending indices without gaps, else the index array itself."""
+    return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
 
-    B is block diagonal in the generator's index groups: a rotation block's
-    square back map (orthogonal for a skew block, [[Q, 0], [0, Q W^-1]] for an
-    oscillator block), the identity on eig and expm blocks.  orthogonal says
-    that there is no oscillator block, and then B^-1 is the view B'.
-    """
-    parts = _parts(generator, 0.0)
-    if not any(isinstance(basis, RotationBasis) for _, basis in parts):
-        return None
-    orthogonal = not any(isinstance(basis, OscillatorBasis) for _, basis in parts)
-    n = generator.shape[0]
-    back, inverse = np.eye(n), None if orthogonal else np.eye(n)
-    for idx, basis in parts:
-        if isinstance(basis, RotationBasis):
-            ix = np.ix_(idx, idx)
-            back[ix], block_inverse = basis.frame()
-            if inverse is not None:
-                inverse[ix] = block_inverse
-    return back, (back.T if orthogonal else inverse), orthogonal
+
+def frame_maps(generator):
+    """The blocks of frame_map's B with e^{tL} = B R_t B^-1 for the R_t of turner: the rotation
+    bases' blocks in the generator's rows, B = I on eig and expm blocks ([] for B = I)."""
+    return [(_rows(idx[rows]), o, s) for idx, basis in _parts(generator, 0.0)
+            if isinstance(basis, RotationBasis) for rows, o, s in basis.blocks]
 
 
 def turner(generator, t, increment=False):
@@ -534,7 +493,7 @@ def turner(generator, t, increment=False):
             return block(0, *parts[0], z, transpose)
         out = np.empty_like(z)
         for k, (idx, basis) in enumerate(parts):
-            rows = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
+            rows = _rows(idx)
             out[rows] = block(k, idx, basis, z[rows], transpose)
         return out
     return turn
@@ -554,11 +513,16 @@ def modal_basis_info():
         return {
             **_counts,
             "entries": len(entries),
-            "bytes": sum(a.nbytes for basis in bases if basis is not None
-                         for a in vars(basis).values() if isinstance(a, np.ndarray)),
+            "bytes": sum(a.nbytes for basis in bases if basis is not None for a in _arrays(basis)),
             "kappa": [kappa for _, kappas, _ in entries for kappa in kappas],
             "routes": [basis.route if basis is not None else "expm" for basis in bases],
         }
+
+
+def _arrays(basis):
+    """The distinct arrays a basis holds: its fields and the factors of its rotation blocks."""
+    held = [*vars(basis).values(), *(a for _, o, s in getattr(basis, "blocks", ()) for a in (o, s))]
+    return {id(a): a for a in held if isinstance(a, np.ndarray)}.values()
 
 
 def _expm1i(x):
@@ -609,10 +573,17 @@ def flow_averages(generator, x, t0, step, counts):
 
 def _rotation_averages(left, right, x, t0, step, counts):
     """flow_averages of e^{t_i A} X e^{t_i B'} for blocks A and B with rotation bases left and right."""
+    def pairs(basis, y):   # (a, b) = B^-1 y, b with a zero row per flat mode (it has no partner)
+        z, m = frame_map(basis.blocks, y, inverse=True), basis.freq.size
+        return z[:m], np.pad(z[m:], ((0, 2 * m - len(z)), (0, 0))) if 2 * m > len(z) else z[m:]
+
+    def home(basis, a, b, n):
+        return frame_map(basis.blocks, np.concatenate([a, b[:n - basis.freq.size]]))
+
     # the mode moments, transposed: aa = (F_a X F_a')', ab = (F_a X F_b')' and so on
-    pa, pb = left.forward(x)
-    aa, ab = right.forward(pa.T)
-    ba, bb = right.forward(pb.T)
+    pa, pb = pairs(left, x)
+    aa, ab = pairs(right, pa.T)
+    ba, bb = pairs(right, pb.T)
     h = (aa + bb) + 1j * (ba - ab)   # H'
     s = (aa - bb) + 1j * (ab + ba)   # S'
     w_left, w_right = left.freq, right.freq[:, None]
@@ -622,9 +593,9 @@ def _rotation_averages(left, right, x, t0, step, counts):
         hk, sk = h * diff(m), s * total(m)
         p, q = hk + sk, sk - hk
         # the averaged moments: (p.real, q.imag) / 2 on the a side, (p.imag, -q.real) / 2 on the b side
-        u = right.back(0.5 * p.real, 0.5 * q.imag)
-        v = right.back(0.5 * p.imag, -0.5 * q.real)
-        outs.append(left.back(u.T, v.T))
+        u = home(right, 0.5 * p.real, 0.5 * q.imag, x.shape[1])
+        v = home(right, 0.5 * p.imag, -0.5 * q.real, x.shape[1])
+        outs.append(home(left, u.T, v.T, x.shape[0]))
     return outs
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import frame_maps, spd_inverse, symmetrize, turner
+from ._linalg import frame_map, frame_maps, spd_inverse, symmetrize, turner
 
 SYMMETRY_RTOL = 1e-12       # relative max-abs symmetry defect allowed for D
 THETA_ATOL = 1e-10          # max-abs tolerance on the time-reversal relations
@@ -117,22 +117,25 @@ def covariance_roots(model):
 class ModeFrame:
     """A model's flow in the mode frame of its generator: e^{tL} = B R_t B^-1.
 
-    B (back) and B^-1 (inverse) are _linalg.frame_maps, both None when B = I
-    (no rotation block), and R_t turns the rows of a matrix in O(n) per
-    column on rotation blocks (_linalg.turner).  The constant ends are
-    multiplied once: p = D^{-1/2} B, q = B^-1 D^{1/2} and h = p'p = B'D^-1 B,
-    so D^{-1/2} e^{tL} D^{1/2} = p R_t q and e^{tL} D^{1/2} = B R_t q.
-    orthogonal says that B^-1 = B'.  The frame holds the model's generator
+    B = O S^-1 is read through _linalg.frame_map from the blocks of frame_maps,
+    which alias the cached bases (none: B = I), and R_t turns the rows of a
+    matrix in O(n) per column on rotation blocks (_linalg.turner).  The
+    constant ends are multiplied once: p = D^{-1/2} B = (B'D^{-1/2})',
+    q = B^-1 D^{1/2} and h = p'p, so D^{-1/2} e^{tL} D^{1/2} = p R_t q; these
+    three are the frame's only n x n arrays.  It holds the model's generator
     array, not the model.
     """
 
     generator: np.ndarray
-    back: np.ndarray | None
-    inverse: np.ndarray | None
+    blocks: list
     p: np.ndarray
     q: np.ndarray
     h: np.ndarray
-    orthogonal: bool
+
+    @property
+    def orthogonal(self):
+        """B^-1 = B': no block has a scale."""
+        return all(s is None for _, _, s in self.blocks)
 
     def turn(self, t, z, increment=False):
         """R_t z (R_t - I with increment) for the rows z of the frame."""
@@ -140,8 +143,7 @@ class ModeFrame:
 
     def flowed_root(self, t):
         """Y = e^{tL} D^{1/2} = B R_t q, so that D_t = Y Y'."""
-        y = self.turn(t, self.q)
-        return y if self.back is None else self.back @ y
+        return frame_map(self.blocks, self.turn(t, self.q))
 
     def change(self, t):
         """R_t' h R_t - h = F'hF + hF + F'h with F = R_t - I, summed as (K + h)F + K for K = F'h.
@@ -158,8 +160,9 @@ class ModeFrame:
         return out
 
     def home(self, x):
-        """B^-T x B^-1, symmetrized: a form on mode coordinates, read in the model's coordinates."""
-        return symmetrize(x if self.inverse is None else self.inverse.T @ x @ self.inverse)
+        """B^-T x B^-1 = (B^-T (B^-T x)')', symmetrized: a form on mode coordinates, read in the model's."""
+        y = frame_map(self.blocks, x, inverse=True, transpose=True)
+        return symmetrize(frame_map(self.blocks, y.T, inverse=True, transpose=True).T)
 
 
 def mode_frame(model):
@@ -167,15 +170,11 @@ def mode_frame(model):
     d = _cache(model)
     if "frame" not in d:
         dsq, whitener = covariance_roots(model)
-        maps = frame_maps(model.generator)
-        if maps is None:
-            back = inverse = None
-            p, q, orthogonal = whitener, dsq, True
-        else:
-            back, inverse, orthogonal = maps
-            p, q = whitener @ back, inverse @ dsq
-        d["frame"] = ModeFrame(generator=model.generator, back=back, inverse=inverse,
-                               p=p, q=q, h=p.T @ p, orthogonal=orthogonal)
+        blocks = frame_maps(model.generator)
+        # p = (B'D^{-1/2})' in C order: p R_t q, a GEMM per flow point, is slower with a transposed p
+        p = np.ascontiguousarray(frame_map(blocks, whitener, transpose=True).T)
+        q = frame_map(blocks, dsq, inverse=True)
+        d["frame"] = ModeFrame(generator=model.generator, blocks=blocks, p=p, q=q, h=p.T @ p)
     return d["frame"]
 
 

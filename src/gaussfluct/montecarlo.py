@@ -2,17 +2,17 @@
 
 Time-integrated entropy production is evaluated as a single quadratic form
 (x, B_t x) per draw against the operator B_t = int_0^t e^{sL'} sigma e^{sL} ds
-= 1/2 (e^{tL'} D^-1 e^{tL} - D^-1) (flow.sigma_integral_matrix), so a draw
-costs O(n^2) after one propagator increment per call.  Each form W = C'MC
-(C the Cholesky factor of the sampling covariance) is folded once into an
-upper triangle T with z'Tz = z'Wz, and T is cut into row panels of PANEL
-rows.  A block Z of drawn rows then takes, per panel [p0, p1), one product
-Z[:, p0:] T[p0:p1, p0:]' for all forms of a group at once and a row dot with
-Z[:, p0:p1]: n^2/2 (1 + PANEL/n) multiply-adds per draw and form, about half
-the work of a general product, all of it in numpy's BLAS.  A single
-trajectory reads (x, B_t x) = 1/2 ((e^{tL} x)' D^-1 e^{tL} x - x' D^-1 x),
-with e^{tL} x applied from the cached eigenbasis of each generator block,
-also O(n^2) per time and without building a flow point.
+= 1/2 (e^{tL'} D^-1 e^{tL} - D^-1), read once per call from the mode frame
+(flow.sigma_integral_matrix, no propagator), so a draw costs O(n^2).  Each
+form W = C'MC (C the Cholesky factor of the sampling covariance) is folded
+once into an upper triangle T with z'Tz = z'Wz, and T is cut into row panels
+of PANEL rows.  A block Z of drawn rows then takes, per panel [p0, p1), one
+product Z[:, p0:] T[p0:p1, p0:]' for all forms of a group at once and a row
+dot with Z[:, p0:p1]: n^2/2 (1 + PANEL/n) multiply-adds per draw and form,
+about half the work of a general product, all of it in numpy's BLAS.  A
+single trajectory reads (x, B_t x) = 1/2 ((e^{tL} x)' D^-1 e^{tL} x -
+x' D^-1 x), with e^{tL} x from the cached basis of each generator block
+(propagator_apply), also O(n^2) per time and without building a flow point.
 
 Reproducibility contract: draw i is generated from a counter-based stream
 keyed by (seed, i) alone, chunks have a fixed size, and reductions combine

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import AccuracyError, is_identity, spd_sqrt, symmetrize
+from ._linalg import AccuracyError, frame_map, is_identity, spd_sqrt, symmetrize
 from .flow import flow_point
 from .model import DomainError
 
@@ -171,8 +171,7 @@ def _ness_root(token, frame):
     per_frame = _ness_roots.setdefault(frame, {})
     e = per_frame.get(token)
     if e is None:
-        root = spd_sqrt(_d_plus_copies[token])
-        e = per_frame[token] = root if frame.inverse is None else frame.inverse @ root
+        e = per_frame[token] = frame_map(frame.blocks, spd_sqrt(_d_plus_copies[token]), inverse=True)
     return e
 
 
@@ -187,13 +186,11 @@ def _ness_functional(fp, d_plus):
             return efn
         frame = fp.frame
         k = frame.change(-fp.time)   # T_t = B^-T k B^-1, so K+_t = E'kE
-        if key == IDENTITY:
-            # E = B^-1; when it is orthogonal, k has the spectrum of K+_t
-            e = None if frame.orthogonal else frame.inverse
-        else:
+        if key != IDENTITY:
             e = _ness_root(key, frame)
-        if e is not None:
             k = symmetrize(e.T @ k @ e)
+        elif not frame.orthogonal:
+            k = frame.home(k)   # E = B^-1; when it is orthogonal, k has the spectrum of K+_t
         efn = per_point[key] = _functional(fp.logdet_term, np.linalg.eigvalsh(k), -1.0,
                                            "finite-time-ness")
         _spectra_counts["misses"] += 1

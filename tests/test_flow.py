@@ -211,7 +211,7 @@ class TestModeFrame:
         assert [basis.route for _, basis in parts] == FRAME_ROUTES[name]
         frame = gf.model.mode_frame(model)
         assert frame.orthogonal == (name != "chain")
-        assert (frame.back is None) == (name == "nonnormal")
+        assert (not frame.blocks) == (name == "nonnormal")   # no rotation block: B = I
         if name == "odd_toy":
             assert np.count_nonzero(parts[0][1].freq == 0.0) == 1  # the flat mode
         d_plus = gf.estimate_limit_covariance(model, horizon=10.0, grid_points=64).d_plus \

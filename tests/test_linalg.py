@@ -16,6 +16,8 @@ from gaussfluct._linalg import (
     _parts,
     _walked_averages,
     flow_averages,
+    frame_map,
+    frame_maps,
     modal_basis_info,
     propagator,
     propagator_apply,
@@ -173,16 +175,17 @@ def _skew_generators():
     }
 
 
-def _rotation_maps(basis):
-    """The columns x_k = back(e_k, 0) and y_k = back(0, e_k) of a rotation basis."""
+def _rotation_maps(basis, n):
+    """The columns x_k and y_k of the frame B = [X Y] of a rotation basis of size n, read as
+    frame_map(I); y takes a zero column per flat mode, which has no partner."""
     m = basis.freq.size
-    eye, zero = np.eye(m), np.zeros((m, m))
-    return basis.back(eye, zero), basis.back(zero, eye)
+    b = frame_map(basis.blocks, np.eye(n))
+    return b[:, :m], np.concatenate([b[:, m:], np.zeros((n, 2 * m - n))], axis=1)
 
 
 def assert_rotation_maps(gen, basis):
     """A x = w y and A y = -w x for the columns of the rotation basis of gen."""
-    x, y = _rotation_maps(basis)
+    x, y = _rotation_maps(basis, gen.shape[0])
     scale = np.abs(gen).max() * max(1.0, np.abs(x).max(), np.abs(y).max())
     assert np.abs(gen @ x - y * basis.freq).max() <= 1e-13 * scale
     assert np.abs(gen @ y + x * basis.freq).max() <= 1e-13 * scale
@@ -313,29 +316,77 @@ class TestOscillatorBlocks:
         assert len(fresh_bases) == len(cases) + 1
 
 
+def _frame_generators():
+    """Generators of the frame-map checks: an oscillator block, the odd toy's flat mode, the
+    doubled toy (its second block the twin of the first), the same under a permutation (the
+    blocks' rows are index arrays, not slices), and a skew block beside an eig block."""
+    toy = gf.build_toy(gf.ToySpec(n=128, lam=1.0))[0].generator
+    perm = np.random.default_rng(3).permutation(toy.shape[0])
+    a = np.random.default_rng(4).standard_normal((254, 254))
+    return {
+        "chain 128": _oscillator_generators()["chain 128"],
+        "odd toy": _skew_generators()["odd toy"],
+        "doubled toy twin": toy,
+        "permuted split toy": toy[np.ix_(perm, perm)],
+        "skew and eig": sla.block_diag(a - a.T, np.array([[-1.0, 0.5], [0.0, -2.0]])),
+    }
+
+
 class TestRotationViews:
-    @pytest.mark.parametrize("name", ["chain 128", "odd toy", "doubled toy twin"])
+    @pytest.mark.parametrize("name", ["chain 128", "doubled toy twin", "odd toy", "permuted split toy",
+                                      "skew and eig"])
     def test_frame_agrees_with_back(self, fresh_bases, name):
-        # the frame B is the square back map: its columns are x_k = back(e_k, 0)
-        # and the partners y_k = back(0, e_k) of the first n - m modes, whose
-        # last m - (n - m) columns (the flat modes) are zero
+        # frame_map's B, B^-1, B' and B^-T against the dense B assembled from the blocks of
+        # frame_maps, which is O_k S_k^-1 on each block and the identity elsewhere
+        gen = _frame_generators()[name]
+        n = gen.shape[0]
+        parts = _parts(gen, 0.0)
+        blocks = frame_maps(gen)
+        b = np.eye(n)
+        for rows, o, s in blocks:
+            r = np.arange(n)[rows]
+            b[np.ix_(r, r)] = o if s is None else o / s
+        kappa = max(basis.kappa for _, basis in parts)
+        routes = modal_basis_info()["routes"]
         if name == "doubled toy twin":
-            gen = gf.build_toy(gf.ToySpec(n=128, lam=1.0))[0].generator
-            (first, _), (idx, basis) = _parts(gen, 0.0)
+            (first, _), (idx, _) = parts
             assert np.array_equal(gen[np.ix_(idx, idx)], gen[np.ix_(first, first)].T)
-            assert fresh_bases == [] and modal_basis_info()["routes"] == ["unitary", "unitary"]
-        else:
-            gen = (_oscillator_generators()["chain 128"] if name == "chain 128"
-                   else _skew_generators()["odd toy"])
-            basis = _one_basis(gen)
-        b, b_inv = basis.frame()
-        n, m = b.shape[0], basis.freq.size
-        x, y = _rotation_maps(basis)
-        np.testing.assert_allclose(b, np.concatenate([x, y[:, :n - m]], axis=1), rtol=1e-15, atol=0.0)
-        assert not y[:, n - m:].any()
-        assert np.count_nonzero(basis.freq == 0.0) == 2 * m - n
-        assert np.abs(b_inv @ b - np.eye(n)).max() <= 1e-13 * basis.kappa
-        assert basis.route == ("oscillator" if name == "chain 128" else "unitary")
+            assert fresh_bases == [] and routes == ["unitary", "unitary"]
+            (_, o, _), (_, twin, _) = blocks
+            m = parts[0][1].freq.size
+            p = idx.size - m
+            assert np.array_equal(twin, np.concatenate([o[:, m:], o[:, p:m], o[:, :p]], axis=1))
+        if name == "permuted split toy":
+            assert routes == ["unitary", "unitary"]
+            assert not any(isinstance(rows, slice) for rows, _, _ in blocks)
+        if name == "skew and eig":
+            assert routes == ["unitary", "eig"] and len(blocks) == 1
+        if name == "odd toy":
+            assert np.count_nonzero(parts[0][1].freq == 0.0) == 1
+        if name == "chain 128":
+            assert routes == ["oscillator"] and [s is None for _, _, s in blocks] == [True, False]
+        rng = np.random.default_rng(9)
+        for z in (rng.standard_normal((n, 5)), rng.standard_normal((5, n)).T):
+            tol = 1e-12 * kappa * np.abs(z).max()
+            assert np.abs(frame_map(blocks, z) - b @ z).max() <= tol
+            assert np.abs(frame_map(blocks, z, transpose=True) - b.T @ z).max() <= tol
+            assert np.abs(b @ frame_map(blocks, z, inverse=True) - z).max() <= tol
+            assert np.abs(b.T @ frame_map(blocks, z, inverse=True, transpose=True) - z).max() <= tol
+        eye = np.eye(n)
+        assert np.abs(frame_map(blocks, frame_map(blocks, eye, inverse=True)) - eye).max() <= 1e-13 * kappa
+        # the columns of B on a rotation block: A x_k = w_k y_k and A y_k = -w_k x_k, A x_k = 0
+        # for a flat mode
+        for idx, basis in parts:
+            if basis.route == "eig":
+                continue
+            m, w = basis.freq.size, basis.freq
+            p = idx.size - m
+            x, y = b[:, idx[:m]], b[:, idx[m:]]
+            scale = np.abs(gen).max() * max(1.0, np.abs(x).max(), np.abs(y).max())
+            assert np.abs(gen @ x[:, :p] - y * w[:p]).max() <= 1e-13 * scale
+            assert np.abs(gen @ y + x[:, :p] * w[:p]).max() <= 1e-13 * scale
+            assert np.abs(gen @ x[:, p:]).max(initial=0.0) <= 1e-13 * scale
+            assert not w[p:].any()
 
 
 class TestBasisCache:

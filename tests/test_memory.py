@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import gaussfluct as gf
+from gaussfluct import _linalg
 from gaussfluct import montecarlo as mc
 from gaussfluct import renyi
 from gaussfluct.model import _derived, mode_frame
@@ -95,8 +96,18 @@ def test_model_keeps_no_covariance_roots_or_identity_copy(monkeypatch):
     assert list(_derived[model]) == ["frame"]
     assert not renyi._d_plus_copies
     frame = mode_frame(model)
-    held = [a for a in (frame.back, frame.inverse, frame.p, frame.q, frame.h)
-            if a is not None and a.base is None]
     # the frame's own arrays, n atoms per functional, and the bookkeeping: no n x n root of D
     # and no copy of D+ = I
-    assert retained <= sum(a.nbytes for a in held) + BOOKKEEPING
+    assert retained <= sum(a.nbytes for a in (frame.p, frame.q, frame.h)) + BOOKKEEPING
+
+
+@pytest.mark.parametrize("build", [lambda: gf.build_chain(gf.ChainSpec(n_left=128, n_right=128))[0],
+                                   lambda: gf.build_toy(gf.ToySpec(n=256, lam=1.0))[0]],
+                         ids=["chain 128+1+128", "doubled toy"])
+def test_mode_frame_keeps_three_arrays(build):
+    # p, q and h, 3 n^2 floats, and the bookkeeping: the frame B and B^-1 are read from the
+    # blocks of the cached bases, so no n x n copy of them is kept
+    model = build()
+    _linalg._parts(model.generator, 0.0)   # caches the generator's basis
+    _, retained = _traced(lambda: mode_frame(model))
+    assert retained <= FLOAT * 3 * model.dim ** 2 + BOOKKEEPING
