@@ -76,7 +76,7 @@ def estimate_limit_covariance(model, horizon, tol=math.inf, grid_points=64):
     when an average still drifts by more than tol over the last half-window,
     and AccuracyError when it is not positive definite.
     """
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValueError("horizon must be positive")
     if grid_points < 64:
         raise ValueError("use at least 64 grid points for the Cesaro average")
@@ -88,6 +88,7 @@ def estimate_limit_covariance(model, horizon, tol=math.inf, grid_points=64):
     else:
         d_minus, res_m = _window_average(model, -horizon, grid_points, tol)
         residual = max(residual, res_m)
+    d_plus.flags.writeable = d_minus.flags.writeable = False   # so renyi hashes D+ once per key
 
     gen = model.generator
     stationarity = float(np.abs(gen @ d_plus + d_plus @ gen.T).max())

@@ -26,6 +26,7 @@ exponential.  No domain is decided here; renyi reads the finite-time
 domains from the same spectrum.
 """
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -33,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import AccuracyError, propagator, spd_inverse, spd_sqrt, symmetrize
-from .model import Model, ModeFrame, mode_frame, sigma_matrix
+from .model import DomainError, Model, ModeFrame, mode_frame, sigma_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +101,8 @@ def flow_point(model, t):
         _flow_cache[model] = per_model
     if t in per_model:
         return per_model[t]
+    if math.isnan(t):
+        raise DomainError("t is NaN")
 
     frame = mode_frame(model)
     m = frame.p @ frame.turn(t, frame.q)

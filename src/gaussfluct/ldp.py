@@ -129,6 +129,8 @@ def rate_function(efn, kind):
             return -lo * s - e_lo
         if s < -d_hi:  # ... and at alpha -> upper
             return -hi * s - e_hi
+        if math.isnan(s):
+            raise DomainError("s is NaN")
         a = _slope_root(efn, -s)
         # alpha = 0 is in the domain and e(0) = 0, so I(s) >= 0
         return max(-a * s - efn(a), 0.0)

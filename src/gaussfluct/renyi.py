@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import AccuracyError, frame_map, is_identity, spd_sqrt, symmetrize
+from ._linalg import AccuracyError, _content_key, frame_map, is_identity, spd_sqrt, symmetrize
 from .flow import flow_point
-from .model import DomainError
+from .model import DomainError, SingularCovarianceError, StructuralError
 
 LOGDET_G4_TOL = 1e-8        # |0.5 logdet(I + D T_t)| cap under time reversal
 SYMMETRY_RTOL = 1e-6        # relative agreement of delta_t from both spectrum ends
@@ -86,6 +86,8 @@ class EntropicFunctional:
     def __call__(self, alpha):
         alpha = float(alpha)
         if not self.domain.lower < alpha < self.domain.upper:
+            if math.isnan(alpha):
+                raise DomainError("alpha is NaN")
             return math.inf
         # inside, even one float from an atom, every rounded alpha*q_k < 1
         return alpha * self.c - float(np.sum(self.w * np.log1p(-alpha * self.q)))
@@ -126,85 +128,71 @@ def _reference_functional(fp):
     return _functional(fp.logdet_term, fp.spectrum, 1.0, "finite-time-reference")
 
 
-# NESS functionals held weakly per flow point, then per D+.  A D+ equal to the
-# identity (is_identity, the np.array_equal test against I) has the fixed
-# token IDENTITY, which no copy keys and no eviction drops: its functionals
-# go with their flow points.  Any other D+ is told apart by exact comparison
-# (np.array_equal) with private read-only copies of the distinct D+ seen, at
-# most D_PLUS_ENTRIES of them (least recently used out, with their
-# functionals); one copy serves every flow point.  Beside the copies,
-# E = B^-1 D+^{1/2} is kept weakly per mode frame and D+ (evicted with its
-# D+), so D+^{1/2} is taken once per model and D+, not once per time.  A
-# functional holds n atoms, never an n x n matrix; builds run under the lock,
-# so one key is factorized once even by concurrent callers.
+# NESS functionals per key of D+: each key holds its functionals weakly per
+# flow point and its roots E = B^-1 D+^{1/2} weakly per mode frame, so D+^{1/2}
+# is taken once per model and D+, not once per time.  D+ = I (is_identity) has
+# the key IDENTITY, needs no root, and nothing evicts it.  Any other D+ is keyed
+# by content like the generator (_linalg._content_key), with no copy kept;
+# -0.0 and 0.0 make two keys for the same values.  At most D_PLUS_ENTRIES such
+# keys, least recently used out; a functional holds n atoms, and builds run
+# under the lock, so one key is factorized once even by concurrent callers.
 D_PLUS_ENTRIES = 4
 IDENTITY = "identity"
-_spectra: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _spectra_lock = threading.Lock()
 _spectra_counts = {"hits": 0, "misses": 0}
-_d_plus_copies = OrderedDict()   # token -> read-only copy of a D+
-_d_plus_tokens = itertools.count()
-_ness_roots: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()   # frame -> {token: E}
-
-
-def _d_plus_token(d_plus):
-    """The token of D+'s content, storing a copy if it is new and not I; call under _spectra_lock."""
-    if is_identity(d_plus):
-        return IDENTITY
-    for token, copy in reversed(_d_plus_copies.items()):
-        if np.array_equal(copy, d_plus):
-            _d_plus_copies.move_to_end(token)
-            return token
-    token = next(_d_plus_tokens)
-    copy = np.array(d_plus, dtype=float)
-    copy.flags.writeable = False
-    _d_plus_copies[token] = copy
-    while len(_d_plus_copies) > D_PLUS_ENTRIES:
-        old, _ = _d_plus_copies.popitem(last=False)
-        for per_key in itertools.chain(_spectra.values(), _ness_roots.values()):
-            per_key.pop(old, None)
-    return token
-
-
-def _ness_root(token, frame):
-    """E = B^-1 D+^{1/2} for the D+ (not I) of a token in a mode frame, built once; call under _spectra_lock."""
-    per_frame = _ness_roots.setdefault(frame, {})
-    e = per_frame.get(token)
-    if e is None:
-        e = per_frame[token] = frame_map(frame.blocks, spd_sqrt(_d_plus_copies[token]), inverse=True)
-    return e
+_identity = (weakref.WeakKeyDictionary(), {})   # (flow point -> functional, frame -> E)
+_stores = OrderedDict()   # content key of a D+ that is not I -> (functionals, roots) as above
 
 
 def _ness_functional(fp, d_plus):
-    d_plus = np.asarray(d_plus, dtype=float)
+    d_plus = np.ascontiguousarray(d_plus, dtype=float)
+    n = fp.spectrum.size
+    if d_plus.shape != (n, n):
+        raise StructuralError(f"D+ must be {n}x{n} like the model, got {d_plus.shape}")
+    # is_identity before the hash: it reads I (the toy's D+) in O(n^2) compares, not SHA-256
+    key = IDENTITY if is_identity(d_plus) else _content_key(d_plus)
     with _spectra_lock:
-        key = _d_plus_token(d_plus)
-        per_point = _spectra.setdefault(fp, {})
-        efn = per_point.get(key)
+        if key == IDENTITY:
+            points, roots = _identity
+        elif key in _stores:
+            _stores.move_to_end(key)
+            points, roots = _stores[key]
+        elif not np.isfinite(d_plus).all():
+            raise StructuralError("D+ contains non-finite entries")   # so a stored key is finite
+        else:
+            points, roots = weakref.WeakKeyDictionary(), weakref.WeakKeyDictionary()
+        efn = points.get(fp)
         if efn is not None:
             _spectra_counts["hits"] += 1
             return efn
         frame = fp.frame
         k = frame.change(-fp.time)   # T_t = B^-T k B^-1, so K+_t = E'kE
         if key != IDENTITY:
-            e = _ness_root(key, frame)
+            e = roots.get(frame)
+            if e is None:
+                try:
+                    e = roots[frame] = frame_map(frame.blocks, spd_sqrt(d_plus), inverse=True)
+                except np.linalg.LinAlgError as err:
+                    raise SingularCovarianceError(f"D+: {err}") from None
             k = symmetrize(e.T @ k @ e)
         elif not frame.orthogonal:
             k = frame.home(k)   # E = B^-1; when it is orthogonal, k has the spectrum of K+_t
-        efn = per_point[key] = _functional(fp.logdet_term, np.linalg.eigvalsh(k), -1.0,
-                                           "finite-time-ness")
+        efn = points[fp] = _functional(fp.logdet_term, np.linalg.eigvalsh(k), -1.0, "finite-time-ness")
         _spectra_counts["misses"] += 1
+        if key != IDENTITY and key not in _stores:   # a new key is stored once it has built
+            _stores[key] = points, roots
+            if len(_stores) > D_PLUS_ENTRIES:
+                _stores.popitem(last=False)
         return efn
 
 
 def spectral_cache_info():
-    """Hits and misses of the NESS spectra since import; live entries, and bytes with the D+
-    copies and their frame roots E."""
+    """Hits and misses of the NESS spectra since import; live entries, and bytes with the roots E."""
     with _spectra_lock:
-        efns = [f for per_point in _spectra.values() for f in per_point.values()]
-        roots = [e for per_frame in _ness_roots.values() for token, e in per_frame.items()
-                 if token in _d_plus_copies]
-        nbytes = sum(a.nbytes for a in itertools.chain((f.q for f in efns), _d_plus_copies.values(), roots))
+        stores = (_identity, *_stores.values())
+        efns = [f for points, _ in stores for f in points.values()]
+        roots = [e for _, per_frame in stores for e in per_frame.values()]
+        nbytes = sum(a.nbytes for a in itertools.chain((f.q for f in efns), roots))
         return {**_spectra_counts, "entries": len(efns), "bytes": nbytes}
 
 

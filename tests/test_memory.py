@@ -87,18 +87,29 @@ def test_propagated_defect_draws_one_block_at_a_time(chain_mid, chain_mid_limits
 
 
 def test_model_keeps_no_covariance_roots_or_identity_copy(monkeypatch):
-    monkeypatch.setattr(renyi, "_d_plus_copies", OrderedDict())
+    monkeypatch.setattr(renyi, "_stores", OrderedDict())
     model, oracle = gf.build_toy(gf.ToySpec(n=256, lam=1.0))
     n, d_plus = model.dim, oracle.d_plus()
     mode_frame(gf.build_toy(gf.ToySpec(n=256, lam=1.0))[0])   # caches the generator's basis
     _, retained = _traced(lambda: (gf.flow_point(model, 2.0),
                                    gf.ness_functional(model, 2.0, d_plus)))
     assert list(_derived[model]) == ["frame"]
-    assert not renyi._d_plus_copies
+    assert not renyi._stores   # D+ = I makes no content key
     frame = mode_frame(model)
     # the frame's own arrays, n atoms per functional, and the bookkeeping: no n x n root of D
     # and no copy of D+ = I
     assert retained <= sum(a.nbytes for a in (frame.p, frame.q, frame.h)) + BOOKKEEPING
+
+
+def test_ness_call_keeps_its_root_and_atoms():
+    # a read-only D+ that is not I, on the doubled toy (dim 512): the call keeps the root
+    # E = B^-1 D+^{1/2} (n^2 floats), n atoms and the bookkeeping, and no copy of D+
+    model, oracle = gf.build_toy(gf.ToySpec(n=256, lam=1.0))
+    n, d_plus = model.dim, 2.0 * oracle.d_plus()
+    d_plus.flags.writeable = False
+    gf.flow_point(model, 2.0)   # the flow point, its frame and the generator's basis
+    _, retained = _traced(lambda: gf.ness_functional(model, 2.0, d_plus))
+    assert retained <= FLOAT * (n * n + n) + BOOKKEEPING
 
 
 @pytest.mark.parametrize("build", [lambda: gf.build_chain(gf.ChainSpec(n_left=128, n_right=128))[0],

@@ -238,37 +238,38 @@ class TestSpectralCache:
         assert after == pytest.approx(0.0394, abs=1e-4)
         assert after == gf.renyi_entropy_ness(model, 2.0, 0.3, d.copy())
 
-    def test_d_plus_keyed_by_a_private_copy_of_its_content(self):
+    def test_d_plus_keyed_by_its_content(self):
         model, oracle = fresh_toy()
-        d = oracle.d_plus()
+        d = 2.0 * oracle.d_plus()
         gf.renyi_entropy_ness(model, 2.0, 0.3, d)
         start = renyi.spectral_cache_info()
-        d[0, 0] = 3.0  # changed in place: the stored copy keeps the old content
+        d[0, 0] = 3.0  # changed in place: a new content, so a new key
         changed = gf.renyi_entropy_ness(model, 2.0, 0.3, d)
         info = renyi.spectral_cache_info()
         assert (info["misses"], info["hits"]) == (start["misses"] + 1, start["hits"])
         assert changed == gf.renyi_entropy_ness(model, 2.0, 0.3, d.copy())
-        d[0, 0] = 1.0  # back to the first content: its entry is still there
-        assert gf.renyi_entropy_ness(model, 2.0, 0.3, d) == gf.renyi_entropy_ness(
-            model, 2.0, 0.3, oracle.d_plus())
+        d[0, 0] = 2.0  # back to the first content: its entry is still there
+        first = gf.renyi_entropy_ness(model, 2.0, 0.3, d)
+        frozen = d.copy()
+        frozen.flags.writeable = False  # a read-only array of the same content shares the key
+        assert first == gf.renyi_entropy_ness(model, 2.0, 0.3, frozen)
         assert renyi.spectral_cache_info()["misses"] == info["misses"]
-        assert all(not c.flags.writeable for c in renyi._d_plus_copies.values())
 
-    def test_d_plus_copies_bounded_with_their_entries(self):
+    def test_d_plus_keys_bounded_with_their_entries(self):
         model, oracle = fresh_toy()
         start = renyi.spectral_cache_info()
         scales = 1.0 + np.arange(renyi.D_PLUS_ENTRIES + 2)
         for s in scales:
             gf.domain_interval_ness(model, 2.0, s * oracle.d_plus())
-            assert len(renyi._d_plus_copies) <= renyi.D_PLUS_ENTRIES
+            assert len(renyi._stores) <= renyi.D_PLUS_ENTRIES
         info = renyi.spectral_cache_info()
         assert info["misses"] - start["misses"] == len(scales)
-        # the two evicted copies took their functionals with them
+        # the two evicted keys took their functionals with them
         assert info["entries"] - start["entries"] <= renyi.D_PLUS_ENTRIES
 
-    def test_bytes_count_the_d_plus_copies(self, monkeypatch):
-        monkeypatch.setattr(renyi, "_spectra", weakref.WeakKeyDictionary())
-        monkeypatch.setattr(renyi, "_d_plus_copies", OrderedDict())
+    def test_bytes_count_the_d_plus_roots(self, monkeypatch):
+        monkeypatch.setattr(renyi, "_identity", (weakref.WeakKeyDictionary(), {}))
+        monkeypatch.setattr(renyi, "_stores", OrderedDict())
         model, oracle = fresh_toy()
         n = model.dim
         assert renyi.spectral_cache_info()["bytes"] == 0
@@ -277,11 +278,10 @@ class TestSpectralCache:
             before = renyi.spectral_cache_info()["bytes"]
             atoms = gf.ness_functional(model, t, d).q.nbytes
             grown.append(renyi.spectral_cache_info()["bytes"] - before - atoms)
-        # the toy's D+ is I, which keys its entries by a fixed token with no
-        # copy; a new D+ that is not I adds its n x n copy and its n x n root
-        # E = B^-1 D+^{1/2} in the model's frame; a seen one adds only the new
-        # entry's atoms
-        assert grown == [0, 0, 2 * n * n * 8]
+        # the toy's D+ is I, whose key IDENTITY needs no root; a new D+ that
+        # is not I adds only its n x n root E = B^-1 D+^{1/2} in the model's
+        # frame, with no copy of D+; a seen one adds only the new entry's atoms
+        assert grown == [0, 0, n * n * 8]
 
     def test_equal_arrays_share_one_entry(self):
         model, _ = fresh_toy()
@@ -333,9 +333,12 @@ class TestSpectralCache:
             gf.renyi_entropy_ness(model, 4.0, a, d_plus)
         assert factorizations == {"eigvalsh": 1, "eigh": 1, "cholesky": 0}
 
-    def test_cache_info_counts_and_releases(self):
+    def test_cache_info_counts_and_releases(self, monkeypatch):
         import gc
 
+        # a store of its own, so that no earlier test's key is evicted between the counts
+        monkeypatch.setattr(renyi, "_identity", (weakref.WeakKeyDictionary(), {}))
+        monkeypatch.setattr(renyi, "_stores", OrderedDict())
         model, oracle = fresh_toy()
         start = renyi.spectral_cache_info()
         assert set(start) == {"hits", "misses", "entries", "bytes"}
