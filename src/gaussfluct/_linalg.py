@@ -139,6 +139,13 @@ def is_identity(a):
     return not a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any()
 
 
+def frozen(a):
+    """A C-contiguous float64 copy of a whose data live in a bytes object, so that no one can make
+    it writable again: _content_key keeps the key of such an array while it lives."""
+    a = np.ascontiguousarray(a, dtype=float)
+    return np.frombuffer(a.tobytes(), dtype=float).reshape(a.shape)
+
+
 def spd_inverse(mat):
     """Inverse of an SPD matrix as C^-T C^-1 from its Cholesky factor C (numpy's cholesky).
 
@@ -375,15 +382,23 @@ def _decompose(block):
 # block's basis (None past the gate) and gate kappa, and generator_norm_bound.
 # At most MODAL_CACHE_ENTRIES entries live (least recently used first out);
 # builds run under the lock, so concurrent callers decompose a generator once.
-# The key of a read-only array that owns its data (a Model's arrays) is kept
-# by identity while the array lives, so such a generator is hashed once; a
-# writable array, or a view that another array could change, is hashed on
-# every lookup.
+# The key of an array whose data no one can change (frozen: a Model's arrays,
+# the D+ and D- of estimate_limit_covariance) is kept by identity while the
+# array lives, so such a generator is hashed once.  Any other array is hashed
+# on every lookup: one that is read-only but owns its data, or is a view of
+# one, can be made writable again and changed.
 MODAL_CACHE_ENTRIES = 8
 _cache = OrderedDict()
 _lock = threading.Lock()
 _counts = {"hits": 0, "misses": 0, "fallbacks": 0}
-_keys = {}   # id of a read-only generator -> (weak reference to it, its key)
+_keys = {}   # id of an immutable array -> (weak reference to it, its key)
+
+
+def _immutable(a):
+    """The root of a's base chain is a bytes object, so a's data can never be written."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return isinstance(a, bytes)
 
 
 def _content_key(generator):
@@ -392,7 +407,7 @@ def _content_key(generator):
     Single dict reads and writes suffice: two threads that miss the memo at
     once hash the same content and store the same key.
     """
-    if generator.flags.writeable or generator.base is not None:
+    if not _immutable(generator):
         return generator.shape, hashlib.sha256(generator).hexdigest()
     ident = id(generator)
     known = _keys.get(ident)
@@ -546,15 +561,20 @@ def _kernel(theta, t0, step):
 
 
 def flow_averages(generator, x, t0, step, counts):
-    """A_m = (1/m) sum_{i<m} e^{t_i A} X e^{t_i A'} on t_i = t0 + i*step, for each m in counts.
+    """A_m = (1/m) sum_{i<m} e^{t_i A} X e^{t_i A'} on t_i = t0 + i*step for each m in counts,
+    as an iterator that yields them in the order of counts.
 
-    When every block is a rotation basis, each pair of blocks (a block with
-    itself included) is averaged in mode coordinates by _rotation_averages:
-    with c = a + i b, X has the mode moments H = E[c c^*], turning as
-    e^{i(w_j - w_k)t}, and S = E[c c^T], turning as e^{i(w_j + w_k)t}, so each
-    average multiplies them by the kernels of _kernel and maps the averaged
-    moments of (a, b) home by real products: no complex n x n array.  A
-    generator with an eig block, or one past the gate, walks the grid.
+    The horizon is checked when it is called; each average is made when it
+    is asked for and the iterator keeps no reference to one it has yielded,
+    so a caller that drops each average before asking for the next holds one
+    n x n average at a time.  When every block is a rotation basis, each pair
+    of blocks (a block with itself included) is averaged in mode coordinates
+    by _rotation_averages: with c = a + i b, X has the mode moments
+    H = E[c c^*], turning as e^{i(w_j - w_k)t}, and S = E[c c^T], turning as
+    e^{i(w_j + w_k)t}, so each average multiplies them by the kernels of
+    _kernel and maps the averaged moments of (a, b) home by real products: no
+    complex n x n array.  A generator with an eig block, or one past the gate,
+    walks the grid once and then yields (_walked_averages).
     """
     counts = [int(m) for m in counts]
     parts = _parts(generator, t0)
@@ -562,17 +582,30 @@ def flow_averages(generator, x, t0, step, counts):
         return _walked_averages(generator, x, t0, step, counts)
     if len(parts) == 1:
         return _rotation_averages(parts[0][1], parts[0][1], x, t0, step, counts)
-    outs = [np.empty(x.shape) for _ in counts]
-    for ia, left in parts:
-        for ib, right in parts:
-            ix = np.ix_(ia, ib)
-            for out, avg in zip(outs, _rotation_averages(left, right, x[ix], t0, step, counts)):
-                out[ix] = avg
-    return outs
+    return _assembled_averages(parts, x, t0, step, counts)
+
+
+def _assembled_averages(parts, x, t0, step, counts):
+    """flow_averages over several rotation blocks: one _rotation_averages per pair of blocks,
+    and per count one array assembled from the next average of each pair."""
+    pairs = [(np.ix_(ia, ib), _rotation_averages(left, right, x[np.ix_(ia, ib)], t0, step, counts))
+             for ia, left in parts for ib, right in parts]
+    for _ in counts:
+        out = np.empty(x.shape)
+        for ix, averages in pairs:
+            out[ix] = next(averages)
+        yield out
+        del out   # so that the caller's drop frees it before the next count
 
 
 def _rotation_averages(left, right, x, t0, step, counts):
-    """flow_averages of e^{t_i A} X e^{t_i B'} for blocks A and B with rotation bases left and right."""
+    """flow_averages of e^{t_i A} X e^{t_i B'} for blocks A and B with rotation bases left and right.
+
+    It keeps the moments H' and S' of X (m_b x m_a complex, m the mode
+    counts) and, per count, makes the kernel products, their sum and
+    difference and the two half-way maps home inside average(m), so that
+    all of them are freed before the average is yielded.
+    """
     def pairs(basis, y):   # (a, b) = B^-1 y, b with a zero row per flat mode (it has no partner)
         z, m = frame_map(basis.blocks, y, inverse=True), basis.freq.size
         return z[:m], np.pad(z[m:], ((0, 2 * m - len(z)), (0, 0))) if 2 * m > len(z) else z[m:]
@@ -581,26 +614,35 @@ def _rotation_averages(left, right, x, t0, step, counts):
         return frame_map(basis.blocks, np.concatenate([a, b[:n - basis.freq.size]]))
 
     # the mode moments, transposed: aa = (F_a X F_a')', ab = (F_a X F_b')' and so on
+    rows, cols = x.shape
     pa, pb = pairs(left, x)
+    del x   # a block of the multi-block route is a copy: not kept for the counts
     aa, ab = pairs(right, pa.T)
     ba, bb = pairs(right, pb.T)
+    del pa, pb
     h = (aa + bb) + 1j * (ba - ab)   # H'
     s = (aa - bb) + 1j * (ab + ba)   # S'
+    del aa, ab, ba, bb
     w_left, w_right = left.freq, right.freq[:, None]
     diff, total = _kernel(w_left - w_right, t0, step), _kernel(w_left + w_right, t0, step)
-    outs = []
-    for m in counts:
+
+    def average(m):
         hk, sk = h * diff(m), s * total(m)
         p, q = hk + sk, sk - hk
+        del hk, sk
         # the averaged moments: (p.real, q.imag) / 2 on the a side, (p.imag, -q.real) / 2 on the b side
-        u = home(right, 0.5 * p.real, 0.5 * q.imag, x.shape[1])
-        v = home(right, 0.5 * p.imag, -0.5 * q.real, x.shape[1])
-        outs.append(home(left, u.T, v.T, x.shape[0]))
-    return outs
+        u = home(right, 0.5 * p.real, 0.5 * q.imag, cols)
+        v = home(right, 0.5 * p.imag, -0.5 * q.real, cols)
+        del p, q
+        return home(left, u.T, v.T, rows)
+
+    for m in counts:
+        yield average(m)
 
 
 def _walked_averages(generator, x, t0, step, counts):
-    """flow_averages by walking the grid with two propagators: any generator, defective too."""
+    """flow_averages by walking the grid with two propagators: any generator, defective too.
+    The walk comes first, so every average of counts is kept until it is yielded."""
     e_step = propagator(generator, step)
     e_0 = propagator(generator, t0)
     d = e_0 @ x @ e_0.T
@@ -613,7 +655,9 @@ def _walked_averages(generator, x, t0, step, counts):
             sums[i] = acc / i
         if i < last:
             d = e_step @ d @ e_step.T
-    return [sums[m] for m in counts]
+    del d, acc
+    for k, m in enumerate(counts):
+        yield sums[m] if m in counts[k + 1:] else sums.pop(m)
 
 
 def parse_grid(text):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import AccuracyError, flow_averages, spd_inverse, spd_sqrt, symmetrize
+from ._linalg import AccuracyError, flow_averages, frozen, spd_inverse, spd_sqrt, symmetrize
 from .renyi import EntropicFunctional
 
 PLATEAU_CHECKPOINTS = 8   # running averages compared with the final one in _window_average
@@ -72,9 +72,17 @@ def estimate_limit_covariance(model, horizon, tol=math.inf, grid_points=64):
     its average is closed form in the rotation modes of the generator, or a
     walk of the grid (see _window_average).  D- is the time-reversal conjugate
     theta D+ theta when the model has a time reversal, and is otherwise
-    averaged over [-horizon, -horizon/2] the same way.  Raises PlateauError
-    when an average still drifts by more than tol over the last half-window,
-    and AccuracyError when it is not positive definite.
+    averaged over [-horizon, -horizon/2] the same way.  D+ and D- are frozen
+    (_linalg.frozen), so renyi hashes each D+ once.  The stationarity defect
+    max|L D+ + D+ L'| is read from the one product F = L D+ as |F + F'|,
+    since D+ is exactly symmetric.  Raises PlateauError when an average still
+    drifts by more than tol over the last half-window, and AccuracyError when
+    it is not positive definite.
+
+    Working set beside the model, in n x n float arrays: two averages (the
+    final one and one running average) and the mode temporaries of one count
+    (_linalg._rotation_averages), or every average of the window on a walked
+    generator.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
@@ -88,13 +96,11 @@ def estimate_limit_covariance(model, horizon, tol=math.inf, grid_points=64):
     else:
         d_minus, res_m = _window_average(model, -horizon, grid_points, tol)
         residual = max(residual, res_m)
-    d_plus.flags.writeable = d_minus.flags.writeable = False   # so renyi hashes D+ once per key
-
-    gen = model.generator
-    stationarity = float(np.abs(gen @ d_plus + d_plus @ gen.T).max())
+    flux = model.generator @ d_plus
+    stationarity = float(np.abs(flux + flux.T).max())
     return LimitCovariances(
-        d_plus=d_plus,
-        d_minus=d_minus,
+        d_plus=frozen(d_plus),
+        d_minus=frozen(d_minus),
         window=(horizon / 2.0, horizon),
         plateau_residual=residual,
         stationarity_defect=stationarity,
@@ -107,16 +113,24 @@ def _window_average(model, horizon, grid_points, tol):
     Returns (average, plateau residual).  The plateau residual is the
     max-abs distance between the final average and the running averages
     after grid points m at PLATEAU_CHECKPOINTS positions in the last half
-    of the window.  All averages come from one flow_averages call.
-    Raises PlateauError when the residual exceeds tol, and AccuracyError
-    when the average has no Cholesky factor.
+    of the window.  All averages come from one flow_averages call, the final
+    one first; each running average is turned into its distance in place
+    and dropped before the next is made, so two n x n averages are alive at
+    a time.  Raises PlateauError when the residual exceeds tol, and
+    AccuracyError when the average has no Cholesky factor.
     """
     t0 = horizon / 2.0
     step = t0 / grid_points
     stride = max(1, grid_points // (2 * PLATEAU_CHECKPOINTS))
     marks = [grid_points // 2 + k * stride for k in range(PLATEAU_CHECKPOINTS)]
-    *running, final = flow_averages(model.generator, model.covariance, t0, step, marks + [grid_points])
-    residual = max((float(np.abs(s - final).max()) for s in running), default=0.0)
+    averages = flow_averages(model.generator, model.covariance, t0, step, [grid_points] + marks)
+    final = next(averages)
+    drifts = []
+    for running in averages:
+        running -= final
+        drifts.append(float(np.abs(running, out=running).max()))
+        del running   # freed before the next average is made
+    residual = max(drifts, default=0.0)
     if residual > tol:
         raise PlateauError(residual, tol)
     average = symmetrize(final)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import frame_map, frame_maps, spd_inverse, symmetrize, turner
+from ._linalg import frame_map, frame_maps, frozen, spd_inverse, symmetrize, turner
 
 SYMMETRY_RTOL = 1e-12       # relative max-abs symmetry defect allowed for D
 THETA_ATOL = 1e-10          # max-abs tolerance on the time-reversal relations
@@ -32,14 +32,13 @@ class DomainError(ValueError):
     """An operation was asked for outside its mathematical domain."""
 
 
-def _as_square(a, dim, name):
+def checked_square(a, dim, name):
+    """a as a float array, after refusing a shape other than dim x dim or a non-finite entry."""
     m = np.asarray(a, dtype=float)
     if m.shape != (dim, dim):
         raise StructuralError(f"{name} must be {dim}x{dim}, got {m.shape}")
     if not np.isfinite(m).all():
         raise StructuralError(f"{name} contains non-finite entries")
-    m = m.copy()
-    m.flags.writeable = False
     return m
 
 
@@ -62,8 +61,9 @@ class Model:
     def __post_init__(self):
         if self.dim <= 0:
             raise StructuralError(f"dim must be positive, got {self.dim}")
-        object.__setattr__(self, "generator", _as_square(self.generator, self.dim, "generator"))
-        cov = _as_square(self.covariance, self.dim, "covariance")
+        object.__setattr__(self, "generator",
+                           frozen(checked_square(self.generator, self.dim, "generator")))
+        cov = frozen(checked_square(self.covariance, self.dim, "covariance"))
         scale = max(np.abs(cov).max(), 1e-300)
         if np.abs(cov - cov.T).max() > SYMMETRY_RTOL * scale:
             raise StructuralError("covariance is not symmetric to 1e-12 relative")
@@ -74,7 +74,8 @@ class Model:
         object.__setattr__(self, "covariance", cov)
         if self.time_reversal is not None:
             object.__setattr__(
-                self, "time_reversal", _as_square(self.time_reversal, self.dim, "time_reversal")
+                self, "time_reversal",
+                frozen(checked_square(self.time_reversal, self.dim, "time_reversal"))
             )
 
 

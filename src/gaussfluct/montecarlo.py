@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import propagator, propagator_apply, symmetrize
-from .model import DomainError, covariance_inverse
+from .model import DomainError, checked_square, covariance_inverse
 from .flow import flow_point, sigma_integral_matrix
 from .renyi import domain_interval
 
@@ -70,6 +70,17 @@ def _draw_rows(seed, start, stop, dim):
 def _check_count(count, least):
     if count < least:
         raise ValueError(f"count = {count} is below the minimum of {least} draws")
+
+
+def _sampling_cov(model, measure, d_plus):
+    """The covariance a trajectory is drawn from: the model's, or d_plus checked against the model."""
+    if measure not in ("reference", "ness"):
+        raise ValueError("measure must be 'reference' or 'ness'")
+    if measure == "reference":
+        return model.covariance
+    if d_plus is None:
+        raise ValueError("measure='ness' needs the stationary covariance d_plus")
+    return checked_square(d_plus, model.dim, "D+")
 
 
 def _cov_factor(cov):
@@ -287,11 +298,9 @@ def slln_trajectory(model, measure, horizon, seed, d_plus=None, n_points=24):
     from the cached eigenbasis of each generator block, O(n^2) per time
     (_linalg.propagator_apply), and tr(D sigma) = tr L.
     """
-    if measure not in ("reference", "ness"):
-        raise ValueError("measure must be 'reference' or 'ness'")
-    if measure == "ness" and d_plus is None:
-        raise ValueError("measure='ness' needs the stationary covariance d_plus")
-    cov = model.covariance if measure == "reference" else np.asarray(d_plus, float)
+    cov = _sampling_cov(model, measure, d_plus)
+    if not horizon > 0:
+        raise ValueError("horizon must be positive")
     x = (_draw_rows(seed, 0, 1, model.dim) @ _cov_factor(cov).T)[0]
     dinv = covariance_inverse(model)
     start = float(x @ (dinv @ x))
@@ -322,8 +331,7 @@ def clt_sample(model, measure, t, seed, count, variance, omega_bar, d_plus=None,
     limiting functional); when it vanishes the check is skipped with a
     report, as the limit law is degenerate.
     """
-    if measure not in ("reference", "ness"):
-        raise ValueError("measure must be 'reference' or 'ness'")
+    cov = _sampling_cov(model, measure, d_plus)
     if variance < 0.0:
         raise ValueError("variance must be nonnegative")
     if variance <= 1e-12:
@@ -334,10 +342,7 @@ def clt_sample(model, measure, t, seed, count, variance, omega_bar, d_plus=None,
             skipped=True,
             note="predicted variance is zero; degenerate limit law, check skipped",
         )
-    if measure == "ness" and d_plus is None:
-        raise ValueError("measure='ness' needs the stationary covariance d_plus")
     b = sigma_integral_matrix(model, t)
-    cov = model.covariance if measure == "reference" else np.asarray(d_plus, float)
     vals = quad_form_samples(cov, [b.matrix], seed, count, workers)[:, 0]
     u = (vals - b.offset - t * omega_bar) / math.sqrt(t)
     from scipy.stats import kstest, norm
@@ -401,7 +406,9 @@ def propagated_sample_cov_defect(model, cov, t, seed, count, workers=1):
     invariance of the flow.
     """
     _check_count(count, 1)
-    cov = np.asarray(cov, dtype=float)
+    cov = checked_square(cov, model.dim, "cov")
+    if math.isnan(t):
+        raise DomainError("t is NaN")
     chol = _cov_factor(cov)
     # rows z of the draws map to rows y = z C' e^{tL'} by one right-multiplication
     factor = chol.T @ propagator(model.generator, t).T

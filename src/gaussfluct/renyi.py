@@ -7,9 +7,14 @@ is an EntropicFunctional, the log-potential alpha*c - sum_k w_k log(1 - alpha*q_
 with c = +-l_t, atoms q = -+lambda and w = 1/2, built from one spectrum: e_t
 from the spectrum of K_t that the flow point keeps, e_{t+} from a spectrum of
 K+_t computed once per flow point and D+.  K+_t is read in the mode frame as
-E'T^_tE with E = B^-1 D+^{1/2}, built once per model frame and D+, and T^_t
-the flow point's T_t in modes; when D+ = I and the frame is orthogonal, E is
-orthogonal and the spectrum is that of T^_t itself, with no n x n product.
+E'T^_tE with E = B^-1 C+, C+ the Cholesky factor of D+ (C+ C+' = D+), built
+once per model frame and D+, and T^_t the flow point's T_t in modes:
+E'T^_tE = C+'T_tC+ has the spectrum of T_t D+, so any factor of D+ gives that
+of D+^{1/2} T_t D+^{1/2}, and one Cholesky replaces an eigendecomposition.
+When D+ = I and the frame is orthogonal, E is orthogonal and the spectrum is
+that of T^_t itself, with no n x n product.  A new root holds numpy's copy
+of D+ and C+ beside E while it is made; a new spectrum holds T^_t, E'T^_t and
+E'T^_tE with its symmetrization: beside E, at most four n x n arrays at once.
 The domain (the open interval where every 1 - alpha*q_k > 0), the value, e'
 and e'' at every alpha are read from it.  Outside that interval the value is
 IEEE +inf.
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import AccuracyError, _content_key, frame_map, is_identity, spd_sqrt, symmetrize
+from ._linalg import AccuracyError, _content_key, frame_map, is_identity, symmetrize
 from .flow import flow_point
 from .model import DomainError, SingularCovarianceError, StructuralError
 
@@ -129,8 +134,9 @@ def _reference_functional(fp):
 
 
 # NESS functionals per key of D+: each key holds its functionals weakly per
-# flow point and its roots E = B^-1 D+^{1/2} weakly per mode frame, so D+^{1/2}
-# is taken once per model and D+, not once per time.  D+ = I (is_identity) has
+# flow point and its roots E = B^-1 C+ weakly per mode frame, so C+ is
+# factored once per model and D+, not once per time; the Cholesky factorization
+# is also the check that D+ is positive definite.  D+ = I (is_identity) has
 # the key IDENTITY, needs no root, and nothing evicts it.  Any other D+ is keyed
 # by content like the generator (_linalg._content_key), with no copy kept;
 # -0.0 and 0.0 make two keys for the same values.  At most D_PLUS_ENTRIES such
@@ -171,7 +177,7 @@ def _ness_functional(fp, d_plus):
             e = roots.get(frame)
             if e is None:
                 try:
-                    e = roots[frame] = frame_map(frame.blocks, spd_sqrt(d_plus), inverse=True)
+                    e = roots[frame] = frame_map(frame.blocks, np.linalg.cholesky(d_plus), inverse=True)
                 except np.linalg.LinAlgError as err:
                     raise SingularCovarianceError(f"D+: {err}") from None
             k = symmetrize(e.T @ k @ e)

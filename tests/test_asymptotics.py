@@ -88,9 +88,10 @@ class TestEstimateLimitCovariance:
 
     def test_indefinite_average_raises(self, monkeypatch, chain_model):
         def indefinite(generator, x, t0, step, counts):
+            # the final average comes first
             out = [np.array(x) for _ in counts]
-            out[-1][0, 0] = -1.0
-            return out
+            out[0][0, 0] = -1.0
+            return iter(out)
 
         monkeypatch.setattr(ga, "flow_averages", indefinite)
         with pytest.raises(AccuracyError, match="horizon 12"):

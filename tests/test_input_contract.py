@@ -1,7 +1,8 @@
 """Malformed inputs raise the package's named errors, never a silent number.
 
 On the 4+1+4 chain (dim 18), a D+ of the wrong shape, with a non-finite
-entry or not positive definite, and a NaN time, alpha, s or horizon.
+entry or not positive definite, and a NaN time, alpha, s or horizon, in the
+NESS functionals and in the Monte Carlo entry points that take a D+ or a time.
 """
 
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import gaussfluct as gf
-from gaussfluct import ldp, renyi
+from gaussfluct import ldp, montecarlo, renyi
 from gaussfluct.model import DomainError, SingularCovarianceError, StructuralError
 
 
@@ -69,5 +70,39 @@ SCALAR_NAN = {
 @pytest.mark.parametrize("case", SCALAR_NAN)
 def test_scalar_nan_raises_a_named_error(small_chain, case):
     call, error = SCALAR_NAN[case]
+    with pytest.raises(error):
+        call(small_chain)
+
+
+MC_NESS_CALLS = {
+    "slln_trajectory": lambda m, d: gf.slln_trajectory(m, "ness", 5.0, seed=1, d_plus=d),
+    "clt_sample": lambda m, d: gf.clt_sample(m, "ness", 1.0, seed=1, count=10, variance=1.0,
+                                             omega_bar=0.0, d_plus=d),
+    "propagated_sample_cov_defect": lambda m, d: montecarlo.propagated_sample_cov_defect(
+        m, d, 1.0, seed=1, count=10),
+}
+
+
+@pytest.mark.parametrize("case", [c for c, (_, error) in BAD_D_PLUS.items() if error is StructuralError])
+@pytest.mark.parametrize("call", MC_NESS_CALLS)
+def test_monte_carlo_refuses_a_malformed_d_plus(small_chain, call, case):
+    make, error = BAD_D_PLUS[case]
+    with pytest.raises(error):
+        MC_NESS_CALLS[call](small_chain, make(small_chain.dim))
+
+
+MC_SCALAR_NAN = {
+    "slln_trajectory horizon": (lambda m: gf.slln_trajectory(m, "reference", math.nan, seed=1),
+                                ValueError),
+    "propagated_sample_cov_defect t": (
+        lambda m: montecarlo.propagated_sample_cov_defect(m, np.eye(m.dim), math.nan, seed=1,
+                                                          count=10),
+        DomainError),
+}
+
+
+@pytest.mark.parametrize("case", MC_SCALAR_NAN)
+def test_monte_carlo_scalar_nan_raises_a_named_error(small_chain, case):
+    call, error = MC_SCALAR_NAN[case]
     with pytest.raises(error):
         call(small_chain)

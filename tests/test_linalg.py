@@ -102,7 +102,7 @@ class TestModalPropagator:
 
     def test_kernels_return_owned_real_arrays(self, chain_model, split_toy):
         for model in (chain_model, split_toy):
-            outs = flow_averages(model.generator, model.covariance, 1.0, 0.25, [2, 4])
+            outs = list(flow_averages(model.generator, model.covariance, 1.0, 0.25, [2, 4]))
             outs += [_increment(model.generator, t) for t in (1.0, 3.0)]
             for a in outs:
                 assert a.dtype == np.float64 and a.flags.c_contiguous and a.base is None
@@ -224,12 +224,26 @@ class TestSkewBlocks:
         assert fresh_bases
         assert 0 < skew_bytes <= modal_basis_info()["bytes"] - skew_bytes
 
+    def test_streamed_averages_come_in_the_order_asked(self, split_toy):
+        # the window average's order on the multi-block route: the final count first, then the
+        # running ones, a repeat too; the horizon is checked when the iterator is made
+        gen, cov = split_toy.generator, split_toy.covariance
+        assert len(_parts(gen, 0.0)) == 2
+        counts = [16, 8, 12, 16]
+        streamed = flow_averages(gen, cov, 2.0, 0.25, counts)
+        walked = list(_walked_averages(gen, cov, 2.0, 0.25, counts))
+        assert len(walked) == len(counts)
+        for avg, ref in zip(streamed, walked, strict=True):
+            assert np.abs(avg - ref).max() <= 1e-12 * np.abs(ref).max()
+        with pytest.raises(_linalg.AccuracyError):
+            flow_averages(gen, cov, 1e9, 0.25, counts)
+
     def test_cross_block_average_matches_walk(self, fresh_bases):
         # the doubled toy at horizon 40: two skew 512-blocks coupled only
         # through X, whose cross-block entries take the kernels in w_a,j -+ w_b,k
         model = gf.build_toy(gf.ToySpec(n=512, lam=1.0))[0]
         t0, step, counts = 20.0, 20.0 / 64, [32, 48, 64]
-        averages = flow_averages(model.generator, model.covariance, t0, step, counts)
+        averages = list(flow_averages(model.generator, model.covariance, t0, step, counts))
         assert modal_basis_info()["routes"] == ["unitary", "unitary"]
         half = model.dim // 2
         assert np.abs(averages[-1][:half, half:]).max() > 1e-3
@@ -434,7 +448,7 @@ class TestBasisCache:
         assert np.abs(inc - (ref - np.eye(gen.shape[0]))).max() <= 1e-12 * np.abs(ref).max()
 
     def test_read_only_generator_hashed_once(self, fresh_bases, monkeypatch, chain_model):
-        # a Model's generator is a read-only array that owns its data: its key is
+        # a Model's generator is frozen, its data in a bytes object: its key is
         # kept while it lives; a writable copy is hashed on every lookup
         hashes = []
         sha256 = _linalg.hashlib.sha256
@@ -446,7 +460,7 @@ class TestBasisCache:
         monkeypatch.setattr(_linalg.hashlib, "sha256", counted)
         model = dataclasses.replace(chain_model)  # generator arrays of its own
         gen = model.generator
-        assert not gen.flags.writeable and gen.base is None
+        assert not gen.flags.writeable and _linalg._immutable(gen)
         for t in (1.0, 2.0, 3.0):
             propagator(gen, t)
         assert len(hashes) == 1
@@ -454,11 +468,27 @@ class TestBasisCache:
         for t in (1.0, 2.0, 3.0):
             propagator(writable, t)
         assert len(hashes) == 1 + 3
-        view = gen[:, :]  # read-only, but not the owner of its data
-        view.flags.writeable = False
-        propagator(view, 1.0)
+        view = gen[:, :]  # a view of a frozen array cannot change either: hashed once
+        for t in (1.0, 2.0):
+            propagator(view, t)
         assert len(hashes) == 1 + 3 + 1
+        read_only = gen.copy()  # read-only, but its owner can make it writable again
+        read_only.flags.writeable = False
+        for t in (1.0, 2.0):
+            propagator(read_only, t)
+        assert len(hashes) == 1 + 3 + 1 + 2
         assert modal_basis_info()["misses"] == 1  # one content: one entry
+
+    def test_generator_made_writable_again_is_hashed_anew(self, fresh_bases):
+        gen = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        gen.flags.writeable = False
+        first = propagator(gen, 1.0)
+        gen.flags.writeable = True
+        gen *= 2.0
+        gen.flags.writeable = False
+        assert np.abs(propagator(gen, 1.0) - sla.expm(gen)).max() <= 1e-14
+        assert np.abs(first - sla.expm(gen)).max() > 0.1
+        assert modal_basis_info()["misses"] == 2
 
     def test_twin_skew_block_takes_no_eigh(self, fresh_bases, monkeypatch):
         # the doubled toy L + L' (dim 256) has blocks A and A' = -A: the second

@@ -112,6 +112,44 @@ def test_ness_call_keeps_its_root_and_atoms():
     assert retained <= FLOAT * (n * n + n) + BOOKKEEPING
 
 
+@pytest.fixture(scope="module")
+def chain_514():
+    """The 128+1+128 chain (dim 514), temperatures (2, 1, 1), with its generator's basis cached."""
+    model = gf.build_chain(gf.ChainSpec(n_left=128, n_right=128, temps=(2.0, 1.0, 1.0)))[0]
+    _linalg._parts(model.generator, 0.0)
+    return model
+
+
+def _window_bound(n):
+    """The final average and one running average, the moments H' and S' of the covariance (n^2
+    floats for a chain's m = n/2 modes), the two kernels (each its angles, factor and flat mask,
+    under n^2 floats) and one count's mode temporaries (at most three n x n arrays at once); slack:
+    the bookkeeping."""
+    return FLOAT * (2 + 1 + 2 + 3) * n * n + BOOKKEEPING
+
+
+def test_window_average_keeps_two_averages(chain_514):
+    # the final average first, then each running average made, compared and dropped: never all
+    # PLATEAU_CHECKPOINTS + 1 = 9 averages at once
+    model, n = chain_514, chain_514.dim
+    gf.estimate_limit_covariance(model, horizon=6.0, grid_points=64)
+    peak, _ = _traced(lambda: gf.estimate_limit_covariance(model, horizon=60.0, grid_points=64))
+    assert peak <= _window_bound(n)
+
+
+def test_first_ness_call_roots_d_plus_by_cholesky(chain_514, monkeypatch):
+    # a new key of a general D+ on a warm flow point: the root E = B^-1 C+ that stays, and at most
+    # four n x n arrays beside it at once (numpy's copy of D+ and the factor C+ while E is made;
+    # T^_t in modes, E'T^ and E'T^E with its symmetrization while the spectrum is made), n atoms,
+    # the n x n finiteness mask (one byte an entry) and the bookkeeping
+    monkeypatch.setattr(renyi, "_stores", OrderedDict())
+    model, n = chain_514, chain_514.dim
+    d_plus = gf.estimate_limit_covariance(model, horizon=20.0, grid_points=64).d_plus
+    gf.flow_point(model, 20.0)
+    peak, _ = _traced(lambda: gf.ness_functional(model, 20.0, d_plus))
+    assert peak <= FLOAT * (5 * n * n + n) + n * n + BOOKKEEPING
+
+
 @pytest.mark.parametrize("build", [lambda: gf.build_chain(gf.ChainSpec(n_left=128, n_right=128))[0],
                                    lambda: gf.build_toy(gf.ToySpec(n=256, lam=1.0))[0]],
                          ids=["chain 128+1+128", "doubled toy"])

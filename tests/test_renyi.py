@@ -7,6 +7,7 @@ import pytest
 
 import gaussfluct as gf
 from gaussfluct import renyi
+from gaussfluct._linalg import spd_sqrt, symmetrize
 from gaussfluct.renyi import reference_functional
 
 
@@ -146,6 +147,23 @@ class TestNessFunctional:
         assert dom.lower < -report.delta + 1e-9
         assert dom.upper > report.delta - 1e-9
 
+    @pytest.mark.parametrize("case", ["chain 32+1+32", "nonnormal"])
+    def test_cholesky_root_keeps_the_spectrum(self, case, nonnormal_model):
+        # E = B^-1 C+ with C+ C+' = D+ in place of D+^{1/2}: E'T^E is congruent to T_t D+, so its
+        # atoms are the eigenvalues of D+^{1/2} T_t D+^{1/2}, to 1e-12 of the largest
+        if case == "nonnormal":
+            model, t = nonnormal_model, 3.0
+            b = np.random.default_rng(5).standard_normal((model.dim, model.dim))
+            d_plus = b @ b.T / model.dim + np.eye(model.dim)
+        else:
+            model = gf.build_chain(gf.ChainSpec(n_left=32, n_right=32, temps=(2.0, 1.0, 1.0)))[0]
+            t = 10.0
+            d_plus = gf.estimate_limit_covariance(model, horizon=30.0, grid_points=64).d_plus
+        root = spd_sqrt(d_plus)
+        ref = np.linalg.eigvalsh(symmetrize(root @ gf.flow_point(model, t).relative_T @ root))
+        atoms = renyi.ness_functional(model, t, d_plus).q
+        assert np.abs(atoms - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_flat_model_full_line(self, toy_flat):
         model, oracle = toy_flat
         dom = gf.domain_interval_ness(model, 3.0, oracle.d_plus())
@@ -255,6 +273,22 @@ class TestSpectralCache:
         assert first == gf.renyi_entropy_ness(model, 2.0, 0.3, frozen)
         assert renyi.spectral_cache_info()["misses"] == info["misses"]
 
+    def test_d_plus_made_writable_again_takes_a_new_key(self, chain_mid_limits):
+        model, _ = fresh_toy()
+        d = 2.0 * np.eye(model.dim)
+        d.flags.writeable = False
+        before = gf.renyi_entropy_ness(model, 2.0, 0.3, d)
+        d.flags.writeable = True  # it owns its data, so numpy lets it be written again
+        d *= 1.5
+        d.flags.writeable = False
+        after = gf.renyi_entropy_ness(model, 2.0, 0.3, d)
+        assert after != before
+        assert after == gf.renyi_entropy_ness(model, 2.0, 0.3, d.copy())
+        # the D+ and D- of estimate_limit_covariance are frozen: no one can write them again
+        for frozen in (chain_mid_limits.d_plus, chain_mid_limits.d_minus):
+            with pytest.raises(ValueError):
+                frozen.flags.writeable = True
+
     def test_d_plus_keys_bounded_with_their_entries(self):
         model, oracle = fresh_toy()
         start = renyi.spectral_cache_info()
@@ -331,7 +365,8 @@ class TestSpectralCache:
         factorizations.update(eigvalsh=0, eigh=0, cholesky=0)
         for a in np.linspace(-0.2, 0.2, 21):
             gf.renyi_entropy_ness(model, 4.0, a, d_plus)
-        assert factorizations == {"eigvalsh": 1, "eigh": 1, "cholesky": 0}
+        # the root E = B^-1 C+ reads one Cholesky factor C+ of D+
+        assert factorizations == {"eigvalsh": 1, "eigh": 0, "cholesky": 1}
 
     def test_cache_info_counts_and_releases(self, monkeypatch):
         import gc
@@ -366,7 +401,7 @@ class TestSpectralCache:
         from concurrent.futures import ThreadPoolExecutor
 
         def evaluate(model, oracle, pool):
-            # two NESS keys: D+ = I and a general D+, which needs one square root
+            # two NESS keys: D+ = I and a general D+, which needs one Cholesky factor
             d_plus = oracle.d_plus()
             jobs = [(gf.renyi_entropy, (model, 3.0, a)) for a in np.linspace(-0.5, 1.5, 24)]
             jobs += [(gf.renyi_entropy_ness, (model, 3.0, a, d))
@@ -391,7 +426,7 @@ class TestSpectralCache:
         finally:
             sys.setswitchinterval(interval)
         info = renyi.spectral_cache_info()
-        assert factorizations == {"eigvalsh": 2, "eigh": 1, "cholesky": 0}
+        assert factorizations == {"eigvalsh": 2, "eigh": 0, "cholesky": 1}
         assert info["misses"] - start["misses"] == 2
         # the 24 reference calls read the flow point and leave the cache alone
         assert info["hits"] - start["hits"] == len(threaded) - 24 - 2
