@@ -226,20 +226,23 @@ def cmd_mc(args):
     if {"slln", "clt"} & set(checks):
         lims = asymptotics.estimate_limit_covariance(model, horizon=args.horizon,
                                                      grid_points=args.grid_points)
-    if "trace" in checks:
-        doc["trace_identity"] = montecarlo.trace_identity_report(
-            model.covariance, args.seed, args.n, workers=args.workers
-        )
-    if "com" in checks:
-        doc["change_of_measure"] = montecarlo.change_of_measure_report(
-            model, args.com_t, args.seed, args.n, workers=args.workers
-        )
-    if "mgf" in checks:
-        est, se = montecarlo.empirical_mgf(model, args.t, args.alpha, args.seed, args.n,
-                                           workers=args.workers)
+    passes = []
+    # trace, com and mgf all sample N(0, D): one draw pass evaluates their forms together
+    shared = {"trace": ("trace_identity", lambda: montecarlo.trace_check(model.covariance, args.seed)),
+              "com": ("change_of_measure", lambda: montecarlo.change_of_measure_check(model, args.com_t)),
+              "mgf": ("mgf", lambda: montecarlo.mgf_check(model, args.t, args.alpha))}
+    shared = {c: made for c, made in shared.items() if c in checks}
+    if shared:
+        reports, record = montecarlo.run_checks(model.covariance,
+                                                [make() for _, make in shared.values()],
+                                                args.seed, args.n, workers=args.workers)
+        passes.append({"checks": list(shared), "measure": "reference", **record})
+        doc.update((key, report) for (key, _), report in zip(shared.values(), reports))
+    if "mgf" in doc:
+        est, se = doc["mgf"]
         oracle = renyi.renyi_entropy(model, args.t, args.alpha)
         doc["mgf"] = {"estimate": est, "std_error": se, "oracle": oracle,
-                      "z_score": (est - oracle) / se if se > 0 else 0.0}
+                      "z_score": montecarlo.z_score(est - oracle, se)}
     if "slln" in checks:
         omega_plus = asymptotics.steady_entropy_production(sig, model.covariance, lims.d_plus)
         series = montecarlo.slln_trajectory(model, "reference", args.horizon, args.seed)
@@ -258,8 +261,11 @@ def cmd_mc(args):
                                        d_plus=lims.d_plus, workers=args.workers)
         doc["clt"] = {"ks_distance": report.ks_distance, "variance": a_var,
                       "skipped": report.skipped, "note": report.note}
+        if not report.skipped:
+            passes.append({"checks": ["clt"], "measure": "ness", "rows": args.n, "forms": 1})
         if args.out and not report.skipped:
             montecarlo.write_histogram_csv(_out_path(args, "clt_hist.csv"), report)
+    doc["diagnostics"] = {"draw_passes": passes}
     _emit_json(doc, args, "mc.json")
     return EXIT_OK
 

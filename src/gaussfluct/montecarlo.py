@@ -14,19 +14,32 @@ single trajectory reads (x, B_t x) = 1/2 ((e^{tL} x)' D^-1 e^{tL} x -
 x' D^-1 x), with e^{tL} x from the cached basis of each generator block
 (propagator_apply), also O(n^2) per time and without building a flow point.
 
+One draw pass per (cov, seed, count): a check is a list of forms plus a
+reducer over their columns (Check).  run_checks folds the forms of every
+check it is given, releases the Cholesky factor, draws each BLOCK_ROWS block
+once, evaluates every form on it and hands each check the columns of its
+forms.  The reducers keep fixed-size partials per block: count, mean and M2
+(the sum of squared deviations) per column for the trace identity and, of
+the weights exp(logdet - v/2), for the change of measure; for the MGF the
+block maximum of the exponents with the moments of the exponentials shifted
+by it, rescaled to the overall maximum when combined.  Only the collecting
+reducer of quad_form_samples and clt_sample keeps a per-draw array.
+
 Reproducibility contract: draw i is generated from a counter-based stream
 keyed by (seed, i) alone, chunks have a fixed size, and reductions combine
-fixed-order per-chunk partials, so results are bit-identical for any worker
+fixed-order per-block partials, so results are bit-identical for any worker
 count.
 
-Working set of one call, in floats, beside its inputs and outputs:
-quad_form_samples with k forms keeps the Cholesky factor and the panels of
-the k folds, n^2 + k n^2/2 (1 + PANEL/n), and per worker one block of
-BLOCK_ROWS draws with its product, 2 BLOCK_ROWS n; while folding it holds
-one M and its fold more, and trace_identity_report makes each M only when it
-is folded.  propagated_sample_cov_defect keeps one n x n partial per chunk,
-and per worker one block of BLOCK_ROWS draws with its image and their n x n
-product.
+Working set of one pass with k forms, in floats, beside its inputs and
+outputs: while folding, the Cholesky factor, the panels of the forms folded
+so far and one M with its fold and their product temporaries; while drawing,
+the panels, k n^2/2 (1 + PANEL/n), and per worker one block of BLOCK_ROWS
+draws, its k values and a product buffer of half a block,
+BLOCK_ROWS (3n/2 + k); the reducers' partials are a few floats per block and
+column, and a collecting reducer adds its count x k columns.  The trace
+check makes each M only when it is folded.  propagated_sample_cov_defect
+keeps one n x n partial per chunk, and per worker one block of BLOCK_ROWS
+draws with its image and their n x n product.
 
 The stream is Philox (Salmon et al., SC'11): one bit generator per call of
 _draw_rows, keyed by the seed, whose counter is reset to i * 2**64 with an
@@ -46,7 +59,7 @@ from .flow import flow_point, sigma_integral_matrix
 from .renyi import domain_interval
 
 CHUNK = 4096                    # fixed chunk size; part of the determinism contract
-BLOCK_ROWS = 1024               # draws per block: the block and its product stay in cache
+BLOCK_ROWS = 1024               # draws per block, a divisor of CHUNK: a block and its product stay in cache
 PANEL = 64                      # rows of the upper triangle per product of the quadratic forms
 
 MGF_DOMAIN_MARGIN = 0.05        # required relative distance of alpha from the J_t boundary
@@ -72,6 +85,16 @@ def _check_count(count, least):
         raise ValueError(f"count = {count} is below the minimum of {least} draws")
 
 
+def _check_finite(name, value):
+    if not math.isfinite(value):
+        raise DomainError(f"{name} = {value} is not finite")
+
+
+def _check_time(t):
+    if math.isnan(t):
+        raise DomainError("t is NaN")
+
+
 def _sampling_cov(model, measure, d_plus):
     """The covariance a trajectory is drawn from: the model's, or d_plus checked against the model."""
     if measure not in ("reference", "ness"):
@@ -83,10 +106,16 @@ def _sampling_cov(model, measure, d_plus):
     return checked_square(d_plus, model.dim, "D+")
 
 
+def _checked_cov(cov):
+    """cov as a float array; StructuralError unless it is a finite square matrix."""
+    cov = np.asarray(cov, dtype=float)
+    return checked_square(cov, cov.shape[0] if cov.ndim else 0, "covariance")
+
+
 def _cov_factor(cov):
     """Lower Cholesky factor of a sampling covariance; DomainError unless it is SPD."""
     try:
-        return np.linalg.cholesky(cov)
+        return np.linalg.cholesky(_checked_cov(cov))
     except np.linalg.LinAlgError:
         raise DomainError("covariance is not positive definite") from None
 
@@ -124,18 +153,21 @@ def _form_panels(chol, mats):
     T[p0:p1, p0:]' = tril(S[p0:, p0:p1]) (S is symmetric).  G_p holds these
     blocks of forms j0, ..., j1 - 1 side by side, in that order.  A group
     takes at most dim // PANEL forms, so that one product writes at most
-    BLOCK_ROWS x dim floats.  Each M and each fold is released once cut.
+    rows x dim floats, and the forms are split into as few groups as that
+    allows, of equal width (10 forms at dim 514: 5 + 5, not 8 + 2).  Each M and each fold is released once cut; an M that
+    is not a finite dim x dim matrix raises StructuralError.
     """
     dim = chol.shape[0]
     edges = [(p0, min(p0 + PANEL, dim)) for p0 in range(0, dim, PANEL)]
     pieces = [[] for _ in edges]    # pieces[p][j]: panel p of form j
     for m in mats:
-        s = _triangular_fold(chol.T @ np.asarray(m, float) @ chol)
+        s = _triangular_fold(chol.T @ checked_square(m, dim, "form") @ chol)
         del m    # so that the next M is made with this one freed
         for col, (p0, p1) in zip(pieces, edges):
             col.append(np.tril(s[p0:, p0:p1]))
         del s
-    k, size = len(pieces[0]), max(1, dim // PANEL)
+    k, most = len(pieces[0]), max(1, dim // PANEL)
+    size = -(-k // -(-k // most)) if k else most    # the fewest groups, of widths within one
     groups = []
     for j0 in range(0, k, size):
         j1 = min(j0 + size, k)
@@ -148,16 +180,167 @@ def _form_panels(chol, mats):
 
 
 def _panel_forms(z, edges, groups, out, buf):
-    """out[:, j] += z'T_j z for the rows z of one block, by one product per panel and group.
+    """out[:, j] += z'T_j z for the rows z of one block, by one product per panel, group and half block.
 
-    buf is a flat work array of at least len(z) * dim floats for the products.
+    buf is a flat work array of at least ceil(len(z) / 2) * dim floats: each
+    product is made for one half of the rows at a time.
     """
     rows = len(z)
+    half = -(-rows // 2)
     for j0, j1, stacked in groups:
         for (p0, p1), g in zip(edges, stacked):
-            y = np.matmul(z[:, p0:], g, out=buf[:rows * g.shape[1]].reshape(rows, -1))
-            out[:, j0:j1] += np.einsum("rkw,rw->rk", y.reshape(rows, j1 - j0, p1 - p0),
-                                       z[:, p0:p1])
+            for h0 in range(0, rows, half):
+                h1 = min(h0 + half, rows)
+                y = np.matmul(z[h0:h1, p0:], g, out=buf[:(h1 - h0) * g.shape[1]].reshape(h1 - h0, -1))
+                out[h0:h1, j0:j1] += np.einsum("rkw,rw->rk", y.reshape(h1 - h0, j1 - j0, p1 - p0),
+                                               z[h0:h1, p0:p1])
+
+
+# ---------------------------------------------------------------------------
+# one draw pass: checks as forms plus reducers over their columns
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Check:
+    """A Monte Carlo check: its forms M, folded in order, a reducer over their columns (x, M x),
+    and report(count), which reads the check's result from the reducer after the pass.
+
+    forms may be a one-shot iterable, so a check runs in one pass only.
+    """
+
+    forms: object
+    reducer: object
+    report: object
+
+
+class _Collect:
+    """Every value of the columns, count x k: for a caller that needs each draw's form."""
+
+    def begin(self, count, k):
+        self.values = np.empty((count, k))
+
+    def add(self, start, cols):
+        self.values[start:start + len(cols)] = cols
+
+
+class _Moments:
+    """Count, mean and M2 (sum of squared deviations) per column of f(cols), f the identity if None.
+
+    Each block of draws keeps its own partial at index start // BLOCK_ROWS;
+    result() combines them in block order (Chan, Golub and LeVeque 1979), so
+    the statistics do not depend on which worker added a block, or when.
+    """
+
+    def __init__(self, f=None):
+        self.f = f
+
+    def begin(self, count, k):
+        self.parts = np.zeros((-(-count // BLOCK_ROWS), 3, k))    # rows, mean, M2 per block
+
+    def _store(self, start, y):
+        mean = y.sum(axis=0) / len(y)
+        dev = y - mean
+        part = self.parts[start // BLOCK_ROWS]
+        part[0], part[1], part[2] = len(y), mean, np.einsum("ij,ij->j", dev, dev)
+
+    def add(self, start, cols):
+        self._store(start, cols if self.f is None else self.f(cols))
+
+    def result(self):
+        """(mean, M2) per column over all draws."""
+        return _combined(self.parts)
+
+
+class _ShiftedMoments(_Moments):
+    """The moments of exp(f(cols) - shift) per column, shift the largest f(cols) over all draws.
+
+    A block keeps its own maximum m_b with the moments of exp(f - m_b); they
+    are rescaled by exp(m_b - shift) and exp(2 (m_b - shift)) when combined,
+    so no exponential is taken of a value above the overall maximum.
+    """
+
+    def begin(self, count, k):
+        super().begin(count, k)
+        self.tops = np.zeros((len(self.parts), k))
+
+    def add(self, start, cols):
+        e = self.f(cols)
+        top = e.max(axis=0)
+        self.tops[start // BLOCK_ROWS] = top
+        self._store(start, np.exp(e - top))
+
+    def result(self):
+        """(shift, mean, M2) per column over all draws."""
+        shift = self.tops.max(axis=0)
+        scale = np.exp(self.tops - shift)
+        parts = self.parts.copy()
+        parts[:, 1] *= scale
+        parts[:, 2] *= scale * scale
+        return (shift, *_combined(parts))
+
+
+def _combined(parts):
+    """(mean, M2) per column of the union of blocks with (rows, mean, M2) partials, in block order."""
+    count, mean, m2 = parts[0]
+    for rows, b_mean, b_m2 in parts[1:]:
+        total = count + rows
+        delta = b_mean - mean
+        mean = mean + delta * (rows / total)
+        m2 = m2 + b_m2 + delta * delta * (count * rows / total)
+        count = total
+    return mean, m2
+
+
+def run_checks(cov, checks, seed, count, workers=1):
+    """Evaluate every check's forms on one pass of `count` seeded draws from N(0, cov).
+
+    The forms of all checks are folded into panels in order (_form_panels)
+    and the Cholesky factor is released; each BLOCK_ROWS block is drawn once,
+    takes every form, and hands each check's reducer the columns of that
+    check's forms.  Returns the checks' reports, in order, and the record of
+    the pass: the rows drawn (none when there is no form) and the forms.
+    """
+    _check_count(count, 1)
+    chol = _cov_factor(cov)
+    dim = chol.shape[0]
+    spans, k = [], 0
+
+    def chained():
+        nonlocal k
+        for check in checks:
+            j0 = k
+            for m in check.forms:
+                k += 1
+                yield m
+                del m    # so that the next M is made with this one freed
+            spans.append((j0, k))
+
+    edges, groups = _form_panels(chol, chained())
+    del chol    # the draws need only the panels
+    for check, (j0, j1) in zip(checks, spans):
+        check.reducer.begin(count, j1 - j0)
+
+    def work(a, b, _slot):
+        buf = np.empty(-(-min(BLOCK_ROWS, b - a) // 2) * dim)
+        for r in range(a, b, BLOCK_ROWS):
+            z = _draw_rows(seed, r, min(r + BLOCK_ROWS, b), dim)
+            vals = np.zeros((len(z), k))
+            _panel_forms(z, edges, groups, vals, buf)
+            del z    # so that the next block is drawn with this one freed
+            for check, (j0, j1) in zip(checks, spans):
+                check.reducer.add(r, vals[:, j0:j1])
+
+    if k:
+        _run_chunks(work, count, workers)
+    reports = [check.report(count) for check in checks]
+    return reports, {"rows": count if k else 0, "forms": k}
+
+
+def z_score(diff, std_error):
+    """diff / std_error: 0.0 only for a zero diff without spread, and NaN, never 0.0, for a NaN."""
+    if std_error == 0.0:
+        return 0.0 if diff == 0.0 else diff * math.inf
+    return diff / std_error
 
 
 def quad_form_samples(cov, mats, seed, count, workers=1):
@@ -170,32 +353,14 @@ def quad_form_samples(cov, mats, seed, count, workers=1):
     M is released once folded, and each fold once it is cut into panels of
     PANEL rows (_form_panels).  The draws of a chunk are made BLOCK_ROWS rows
     at a time; for each panel [p0, p1) and group of forms, a block Z takes
-    one product Z[:, p0:] G_p in numpy's BLAS and a row dot with
-    Z[:, p0:p1], n^2/2 (1 + PANEL/n) multiply-adds per draw and form.
-
-    Working set, in floats, beside the inputs and the count x k output: the
-    Cholesky factor and the panels, n^2 + k n^2/2 (1 + PANEL/n), and per
-    worker one block of draws and its product, 2 BLOCK_ROWS n; while folding,
-    one M, its fold and their product temporaries more.
+    one product Z[:, p0:] G_p in numpy's BLAS per half block and a row dot
+    with Z[:, p0:p1], n^2/2 (1 + PANEL/n) multiply-adds per draw and form.
+    This is run_checks with one collecting check, so beside the pass's
+    working set it keeps the count x k output.
     """
-    _check_count(count, 1)
-    cov = np.asarray(cov, dtype=float)
-    chol = _cov_factor(cov)
-    dim = cov.shape[0]
-    edges, groups = _form_panels(chol, mats)
-    if not groups:
-        return np.zeros((count, 0))
-    out = np.zeros((count, groups[-1][1]))
-
-    def work(a, b, _slot):
-        buf = np.empty(min(BLOCK_ROWS, b - a) * dim)
-        for r in range(a, b, BLOCK_ROWS):
-            z = _draw_rows(seed, r, min(r + BLOCK_ROWS, b), dim)
-            _panel_forms(z, edges, groups, out[r:r + len(z)], buf)
-            del z    # so that the next block is drawn with this one freed
-
-    _run_chunks(work, count, workers)
-    return out
+    collect = _Collect()
+    run_checks(cov, [Check(mats, collect, lambda count: None)], seed, count, workers)
+    return collect.values
 
 
 @dataclass(frozen=True)
@@ -255,17 +420,13 @@ def _kahan_rows(rows):
 # time-integrated entropy production
 # ---------------------------------------------------------------------------
 
-def empirical_mgf(model, t, alpha, seed, count, workers=1, enforce_domain=True):
-    """Monte Carlo estimate of log E_omega[exp(-alpha * int_0^t sigma_s ds)].
+def mgf_check(model, t, alpha, enforce_domain=True):
+    """The check of empirical_mgf: one form B_t, a max-shifted reducer, report (estimate, std_error).
 
-    Returns (estimate, std_error); the estimate should match e_t(alpha).
-    alpha must sit strictly inside J_t with a 5% relative margin, since the
-    integrand stops being integrable at the boundary; enforce_domain=False
-    bypasses the check for deliberate boundary probes (the estimator then
-    diverges with the sample count by design).  Exponents are max-shifted
-    before exponentiation.
+    The domain of alpha is checked here, before any draw.
     """
-    _check_count(count, 2)
+    _check_time(t)
+    _check_finite("alpha", alpha)
     if enforce_domain:
         dom = domain_interval(model, t)
         if not dom.contains(alpha, margin=MGF_DOMAIN_MARGIN):
@@ -274,14 +435,30 @@ def empirical_mgf(model, t, alpha, seed, count, workers=1, enforce_domain=True):
                 f"with a {MGF_DOMAIN_MARGIN:.0%} margin"
             )
     b = sigma_integral_matrix(model, t)
-    vals = quad_form_samples(model.covariance, [b.matrix], seed, count, workers)[:, 0]
-    exponents = -alpha * (vals - b.offset)
-    shift = exponents.max()
-    scaled = np.exp(exponents - shift)
-    mean = float(scaled.mean())
-    estimate = shift + math.log(mean)
-    std_error = float(scaled.std()) / (mean * math.sqrt(count))
-    return estimate, std_error
+    offset = b.offset
+    moments = _ShiftedMoments(lambda v: -alpha * (v - offset))
+
+    def report(count):
+        shift, mean, m2 = (float(x[0]) for x in moments.result())
+        return shift + math.log(mean), math.sqrt(m2 / count) / (mean * math.sqrt(count))
+
+    return Check(iter([b.matrix]), moments, report)    # B is released once folded
+
+
+def empirical_mgf(model, t, alpha, seed, count, workers=1, enforce_domain=True):
+    """Monte Carlo estimate of log E_omega[exp(-alpha * int_0^t sigma_s ds)].
+
+    Returns (estimate, std_error); the estimate should match e_t(alpha).
+    alpha must sit strictly inside J_t with a 5% relative margin, since the
+    integrand stops being integrable at the boundary; enforce_domain=False
+    bypasses the check for deliberate boundary probes (the estimator then
+    diverges with the sample count by design).  Exponents are max-shifted
+    before exponentiation, per block and then to the largest over all draws.
+    """
+    _check_count(count, 2)
+    (report,), _ = run_checks(model.covariance, [mgf_check(model, t, alpha, enforce_domain)],
+                              seed, count, workers)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +509,9 @@ def clt_sample(model, measure, t, seed, count, variance, omega_bar, d_plus=None,
     report, as the limit law is degenerate.
     """
     cov = _sampling_cov(model, measure, d_plus)
+    _check_time(t)
+    _check_finite("variance", variance)
+    _check_finite("omega_bar", omega_bar)
     if variance < 0.0:
         raise ValueError("variance must be nonnegative")
     if variance <= 1e-12:
@@ -363,40 +543,59 @@ def write_histogram_csv(path, report):
 # identity checks
 # ---------------------------------------------------------------------------
 
-def trace_identity_report(cov, seed, count, n_mats=10, workers=1):
-    """z-scores of mean (x, A x) against tr(cov A) for seeded random symmetric A."""
-    _check_count(count, 2)
-    cov = np.asarray(cov, dtype=float)
-    dim = cov.shape[0]
+def trace_check(cov, seed, n_mats=10):
+    """The check of trace_identity_report: n_mats seeded random symmetric A, each made when it
+    is folded, with the moments of their columns; report is one row per A."""
+    cov = _checked_cov(cov)
     rng = np.random.default_rng(int(seed) ^ 0x5EED)
     oracles = []
+    moments = _Moments()
 
     def seeded(_):
-        a = symmetrize(rng.standard_normal((dim, dim)))
+        a = symmetrize(rng.standard_normal(cov.shape))
         oracles.append(float(np.vdot(cov, a)))    # tr(cov A) for symmetric cov and A
         return a
 
-    # each A is made when quad_form_samples folds it and dropped after its fold
-    vals = quad_form_samples(cov, map(seeded, range(n_mats)), seed, count, workers)
-    rows = []
-    for j, oracle in enumerate(oracles):
-        est = float(vals[:, j].mean())
-        se = float(vals[:, j].std()) / math.sqrt(count)
-        rows.append({"estimate": est, "oracle": oracle, "std_error": se,
-                     "z_score": (est - oracle) / se if se > 0 else 0.0})
+    def report(count):
+        mean, m2 = moments.result()
+        rows = []
+        for oracle, est, dev in zip(oracles, mean.tolist(), m2.tolist()):
+            se = math.sqrt(dev / count) / math.sqrt(count)
+            rows.append({"estimate": est, "oracle": oracle, "std_error": se,
+                         "z_score": z_score(est - oracle, se)})
+        return rows
+
+    return Check(map(seeded, range(n_mats)), moments, report)
+
+
+def trace_identity_report(cov, seed, count, n_mats=10, workers=1):
+    """z-scores of mean (x, A x) against tr(cov A) for seeded random symmetric A."""
+    _check_count(count, 2)
+    (rows,), _ = run_checks(cov, [trace_check(cov, seed, n_mats)], seed, count, workers)
     return rows
+
+
+def change_of_measure_check(model, t):
+    """The check of change_of_measure_report: one form T_t and the moments of the weights
+    exp(logdet - (x, T_t x)/2)."""
+    fp = flow_point(model, t)
+    logdet = fp.logdet_term
+    moments = _Moments(lambda v: np.exp(logdet - 0.5 * v))
+
+    def report(count):
+        mean, m2 = (float(x[0]) for x in moments.result())
+        se = math.sqrt(m2 / count) / math.sqrt(count)
+        return {"estimate": mean, "oracle": 1.0, "std_error": se, "z_score": z_score(mean - 1.0, se)}
+
+    return Check([fp.relative_T], moments, report)
 
 
 def change_of_measure_report(model, t, seed, count, workers=1):
     """Normalization E_omega[exp(ell_t(x))] = 1 as a z-scored estimate."""
     _check_count(count, 2)
-    fp = flow_point(model, t)
-    vals = quad_form_samples(model.covariance, [fp.relative_T], seed, count, workers)[:, 0]
-    w = np.exp(fp.logdet_term - 0.5 * vals)
-    est = float(w.mean())
-    se = float(w.std()) / math.sqrt(count)
-    return {"estimate": est, "oracle": 1.0, "std_error": se,
-            "z_score": (est - 1.0) / se if se > 0 else 0.0}
+    (report,), _ = run_checks(model.covariance, [change_of_measure_check(model, t)], seed, count,
+                              workers)
+    return report
 
 
 def propagated_sample_cov_defect(model, cov, t, seed, count, workers=1):
@@ -407,8 +606,7 @@ def propagated_sample_cov_defect(model, cov, t, seed, count, workers=1):
     """
     _check_count(count, 1)
     cov = checked_square(cov, model.dim, "cov")
-    if math.isnan(t):
-        raise DomainError("t is NaN")
+    _check_time(t)
     chol = _cov_factor(cov)
     # rows z of the draws map to rows y = z C' e^{tL'} by one right-multiplication
     factor = chol.T @ propagator(model.generator, t).T

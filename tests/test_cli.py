@@ -133,6 +133,26 @@ def test_mc_subchecks(chain_file, tmp_path):
     assert abs(doc["mgf"]["z_score"]) < 6
     assert abs(doc["change_of_measure"]["estimate"] - 1.0) < 0.1
     assert len(doc["trace_identity"]) == 10
+    # the three checks sample N(0, D) with one seed and count: one draw pass
+    assert doc["diagnostics"]["draw_passes"] == [
+        {"checks": ["trace", "com", "mgf"], "measure": "reference", "rows": 4000, "forms": 12}]
+
+
+def test_mc_one_pass_matches_separate_checks(chain_file, capsys):
+    # the one-pass trace,com,mgf against each check alone: the same draws, equal to roundoff
+    argv = ["mc", "--model", chain_file, "--n", "3000", "--t", "4", "--alpha", "0.25",
+            "--seed", "5"]
+    assert main(argv + ["--checks", "trace,com,mgf"]) == 0
+    joint = json.loads(capsys.readouterr().out)
+    for check, key in (("trace", "trace_identity"), ("com", "change_of_measure"), ("mgf", "mgf")):
+        assert main(argv + ["--checks", check]) == 0
+        alone = json.loads(capsys.readouterr().out)
+        assert alone["diagnostics"]["draw_passes"][0]["checks"] == [check]
+        rows = alone[key] if check == "trace" else [alone[key]]
+        joint_rows = joint[key] if check == "trace" else [joint[key]]
+        for a, b in zip(rows, joint_rows):
+            assert abs(a["estimate"] - b["estimate"]) <= 1e-12 * (1.0 + abs(a["estimate"]))
+            assert abs(a["std_error"] - b["std_error"]) <= 1e-10 * a["std_error"]
 
 
 def test_mc_single_draw_exits_one(chain_file, capsys):

@@ -2,7 +2,9 @@
 
 On the 4+1+4 chain (dim 18), a D+ of the wrong shape, with a non-finite
 entry or not positive definite, and a NaN time, alpha, s or horizon, in the
-NESS functionals and in the Monte Carlo entry points that take a D+ or a time.
+NESS functionals and in the Monte Carlo entry points that take a D+ or a time;
+and a sampling covariance or a quadratic form of the wrong shape or with a
+non-finite entry in every Monte Carlo entry point that takes one.
 """
 
 import math
@@ -106,3 +108,70 @@ def test_monte_carlo_scalar_nan_raises_a_named_error(small_chain, case):
     call, error = MC_SCALAR_NAN[case]
     with pytest.raises(error):
         call(small_chain)
+
+
+BAD_MATRIX = {
+    "NaN entry": lambda n: _with(n, (1, 0), math.nan),
+    "inf entry": lambda n: _with(n, (2, 2), math.inf),
+    "n x (n+1)": lambda n: np.eye(n, n + 1),
+    "vector": lambda n: np.ones(n),
+}
+BAD_FORM = {**BAD_MATRIX, "3x3 identity": lambda n: np.eye(3)}
+
+MC_COV_CALLS = {
+    "trace_identity_report": lambda m, c: montecarlo.trace_identity_report(c, seed=1, count=10,
+                                                                           n_mats=1),
+    "sample_gaussian": lambda m, c: gf.sample_gaussian(c, seed=1, count=10),
+    "quad_form_samples": lambda m, c: montecarlo.quad_form_samples(c, [np.eye(len(c))], seed=1,
+                                                                   count=10),
+    "run_checks": lambda m, c: montecarlo.run_checks(c, [montecarlo.mgf_check(m, 1.0, 0.1)],
+                                                     seed=1, count=10),
+}
+
+
+@pytest.mark.parametrize("case", BAD_MATRIX)
+@pytest.mark.parametrize("call", MC_COV_CALLS)
+def test_monte_carlo_refuses_a_malformed_covariance(small_chain, call, case):
+    with pytest.raises(StructuralError):
+        MC_COV_CALLS[call](small_chain, BAD_MATRIX[case](small_chain.dim))
+
+
+@pytest.mark.parametrize("case", BAD_FORM)
+def test_quad_form_samples_refuses_a_malformed_form(small_chain, monkeypatch, case):
+    # refused when folded, before any draw
+    monkeypatch.setattr(montecarlo, "_draw_rows", lambda *args: pytest.fail("rows drawn"))
+    forms = [np.eye(small_chain.dim), BAD_FORM[case](small_chain.dim)]
+    with pytest.raises(StructuralError):
+        montecarlo.quad_form_samples(small_chain.covariance, forms, seed=1, count=10)
+
+
+MC_NAN_SCALAR = {
+    "clt_sample variance": lambda m: gf.clt_sample(m, "reference", 1.0, seed=1, count=10,
+                                                   variance=math.nan, omega_bar=0.0),
+    "clt_sample t": lambda m: gf.clt_sample(m, "reference", math.nan, seed=1, count=10,
+                                            variance=1.0, omega_bar=0.0),
+    "clt_sample omega_bar": lambda m: gf.clt_sample(m, "reference", 1.0, seed=1, count=10,
+                                                    variance=1.0, omega_bar=math.nan),
+    "empirical_mgf alpha": lambda m: gf.empirical_mgf(m, 1.0, math.nan, seed=1, count=10,
+                                                      enforce_domain=False),
+    "empirical_mgf t": lambda m: gf.empirical_mgf(m, math.nan, 0.1, seed=1, count=10,
+                                                  enforce_domain=False),
+    "change_of_measure_report t": lambda m: montecarlo.change_of_measure_report(m, math.nan,
+                                                                                seed=1, count=10),
+}
+
+
+@pytest.mark.parametrize("case", MC_NAN_SCALAR)
+def test_monte_carlo_nan_scalar_raises_domain_error(small_chain, case):
+    with pytest.raises(DomainError):
+        MC_NAN_SCALAR[case](small_chain)
+
+
+@pytest.mark.parametrize("diff,std_error,expected", [
+    (1.0, 2.0, 0.5), (0.0, 0.0, 0.0), (1.0, 0.0, math.inf), (-1.0, 0.0, -math.inf),
+    (1.0, math.nan, math.nan), (math.nan, 1.0, math.nan), (math.nan, 0.0, math.nan),
+    (0.0, math.nan, math.nan),
+])
+def test_nan_standard_error_is_never_a_zero_z_score(diff, std_error, expected):
+    z = montecarlo.z_score(diff, std_error)
+    assert (math.isnan(z) and math.isnan(expected)) or z == expected

@@ -67,6 +67,33 @@ def test_trace_identity_report_makes_each_matrix_at_its_fold(cov_200):
     assert peak <= _quad_form_bound(n, k, 1, count)
 
 
+def _panel_floats(n):
+    """Floats of one form's panels: panel [p0, p1) keeps the (n - p0) x (p1 - p0) block
+    tril(S[p0:, p0:p1]), about n^2/2 (1 + PANEL/n)."""
+    return sum((n - p0) * min(mc.PANEL, n - p0) for p0 in range(0, n, mc.PANEL))
+
+
+def _streamed_pass_bound(n, k, workers):
+    """The panels of the k forms, and the larger of the two phases of the pass: while folding,
+    the Cholesky factor and one M with its product temporaries and fold (four n x n arrays);
+    while drawing, per worker one BLOCK_ROWS x n block of draws, a product buffer of half a
+    block, the block's k values and two temporaries of their size (the reducer's deviations,
+    one half's row dots); slack: the bookkeeping.  No term grows with the count."""
+    draw = workers * mc.BLOCK_ROWS * (3 * n // 2 + 3 * k)
+    return FLOAT * (k * _panel_floats(n) + max(4 * n * n, draw)) + BOOKKEEPING
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_trace_identity_report_streams_its_moments(cov_200, workers):
+    # the trace check keeps per-block moments, not the count x k forms, and releases the
+    # Cholesky factor before drawing
+    n, k, count = 200, 10, 4 * mc.CHUNK + 5
+    mc.trace_identity_report(cov_200, seed=3, count=5, n_mats=1, workers=workers)
+    peak, _ = _traced(lambda: mc.trace_identity_report(cov_200, seed=3, count=count, n_mats=k,
+                                                       workers=workers))
+    assert peak <= _streamed_pass_bound(n, k, workers)
+
+
 def _defect_bound(n, workers, count):
     """The Cholesky factor, the factor C'e^{tL'}, one n x n partial per chunk and their total,
     per worker a BLOCK_ROWS x n block of draws, its image and their n x n product; slack: four

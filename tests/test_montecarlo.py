@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -160,6 +161,14 @@ class TestTriangularQuadForms:
             assert mc.quad_form_samples(cov, mats, seed=9, count=count,
                                         workers=workers).tobytes() == got.tobytes()
 
+    @pytest.mark.parametrize("k,widths", [(1, [1]), (4, [4]), (5, [3, 2]), (9, [3, 3, 3])])
+    def test_groups_are_few_and_even(self, k, widths):
+        # at most dim // PANEL = 4 forms per group, in as few groups as that allows
+        dim = 4 * mc.PANEL
+        mats = [np.eye(dim)] * k
+        _, groups = mc._form_panels(np.eye(dim), mats)
+        assert [j1 - j0 for j0, j1, _ in groups] == widths
+
     def test_no_forms_draws_nothing(self, monkeypatch):
         def no_draws(*args):
             raise AssertionError("rows drawn for no form")
@@ -226,20 +235,171 @@ class TestDrawBlocks:
         assert streamed.tobytes() == listed.tobytes()
 
     def test_trace_identity_rows_match_listed_mats(self, chain_model):
-        # the report as it was: every A made first, the oracles read after the forms
+        # the report as it was: every A made first, the oracles read after the forms, the
+        # statistics by numpy over the whole column; the streamed moments agree to roundoff
         cov, seed, count = chain_model.covariance, 11, mc.CHUNK + 700
         rng = np.random.default_rng(seed ^ 0x5EED)
         mats = [symmetrize(rng.standard_normal(cov.shape)) for _ in range(4)]
         vals = _whole_chunk_quad_forms(cov, mats, seed, count)
-        ref = []
-        for j, a in enumerate(mats):
-            oracle = float(np.vdot(cov, a))
-            est = float(vals[:, j].mean())
+        rows = mc.trace_identity_report(cov, seed, count, n_mats=4, workers=1)
+        assert len(rows) == 4
+        for j, (a, row) in enumerate(zip(mats, rows)):
+            assert row["oracle"] == float(np.vdot(cov, a))
+            assert abs(row["estimate"] - vals[:, j].mean()) <= MEAN_TOL * np.abs(vals[:, j]).max()
             se = float(vals[:, j].std()) / math.sqrt(count)
-            ref.append({"estimate": est, "oracle": oracle, "std_error": se,
-                        "z_score": (est - oracle) / se})
-        for workers in (1, 3):
-            assert mc.trace_identity_report(cov, seed, count, n_mats=4, workers=workers) == ref
+            assert abs(row["std_error"] - se) <= STD_RTOL * se
+            assert row["z_score"] == (row["estimate"] - row["oracle"]) / row["std_error"]
+        assert mc.trace_identity_report(cov, seed, count, n_mats=4, workers=3) == rows
+
+
+# Tolerances of the streamed reducers against numpy over the collected column, fixed before
+# measuring: the mean to 1e-13 of the largest value, the standard deviation to 1e-12 relative,
+# a max-shifted log-mean-exp to 1e-12 absolute.
+MEAN_TOL = 1e-13
+STD_RTOL = 1e-12
+LOG_MEAN_TOL = 1e-12
+
+
+class TestReducers:
+    COUNT = 2 * mc.CHUNK + 917    # three chunks, the last block short
+
+    @pytest.fixture(scope="class")
+    def columns(self, chain_model):
+        sig = gf.sigma_matrix(chain_model).matrix
+        mats = [sig, gf.sigma_integral_matrix(chain_model, 3.0).matrix,
+                symmetrize(np.random.default_rng(3).standard_normal(sig.shape))]
+        vals = mc.quad_form_samples(chain_model.covariance, mats, seed=21, count=self.COUNT)
+        return chain_model.covariance, mats, vals
+
+    def _fed(self, reducer, vals):
+        # the blocks of a pass, handed over in a scrambled order as workers may
+        reducer.begin(len(vals), vals.shape[1])
+        starts = list(range(0, len(vals), mc.BLOCK_ROWS))
+        for r in starts[1::2] + starts[::2]:
+            reducer.add(r, vals[r:r + mc.BLOCK_ROWS])
+        return reducer
+
+    def test_moments_match_mean_and_std(self, columns):
+        _, _, vals = columns
+        mean, m2 = self._fed(mc._Moments(), vals).result()
+        assert np.all(np.abs(mean - vals.mean(axis=0)) <= MEAN_TOL * np.abs(vals).max(axis=0))
+        std = vals.std(axis=0)
+        assert np.all(np.abs(np.sqrt(m2 / len(vals)) - std) <= STD_RTOL * std)
+
+    def test_weight_moments_match_mean_and_std(self, columns):
+        # weights exp(logdet - v/2) as in the change of measure, on a column scaled to O(1)
+        _, _, vals = columns
+        v = vals[:, :1] / np.abs(vals[:, 0]).max()
+        w = np.exp(0.1 - 0.5 * v)
+        mean, m2 = self._fed(mc._Moments(lambda c: np.exp(0.1 - 0.5 * c)), v).result()
+        assert abs(mean[0] - w.mean()) <= MEAN_TOL * w.max()
+        assert abs(math.sqrt(m2[0] / len(w)) - w.std()) <= STD_RTOL * w.std()
+
+    @pytest.mark.parametrize("alpha", [-0.3, 0.0, 0.2])
+    def test_shifted_moments_match_log_mean_exp(self, columns, alpha):
+        # the parent's formula: shift = max e, mean and std of exp(e - shift)
+        _, _, vals = columns
+        e = -alpha * vals
+        shift = e.max(axis=0)
+        scaled = np.exp(e - shift)
+        got_shift, mean, m2 = self._fed(mc._ShiftedMoments(lambda v: -alpha * v), vals).result()
+        assert got_shift.tobytes() == shift.tobytes()
+        est = shift + np.log(mean)
+        assert np.all(np.abs(est - (shift + np.log(scaled.mean(axis=0)))) <= LOG_MEAN_TOL)
+        std = scaled.std(axis=0)
+        assert np.all(np.abs(np.sqrt(m2 / len(vals)) - std) <= STD_RTOL * np.maximum(std, 1e-300))
+
+    def test_collect_keeps_the_columns(self, columns):
+        _, _, vals = columns
+        assert self._fed(mc._Collect(), vals).values.tobytes() == vals.tobytes()
+
+    def test_empirical_mgf_matches_collected_column(self, chain_model):
+        t, alpha, count = 4.0, 0.25, mc.CHUNK + 333
+        b = gf.sigma_integral_matrix(chain_model, t)
+        vals = mc.quad_form_samples(chain_model.covariance, [b.matrix], seed=5, count=count)[:, 0]
+        e = -alpha * (vals - b.offset)
+        scaled = np.exp(e - e.max())
+        est, se = gf.empirical_mgf(chain_model, t, alpha, seed=5, count=count)
+        assert abs(est - (e.max() + math.log(scaled.mean()))) <= LOG_MEAN_TOL
+        ref_se = scaled.std() / (scaled.mean() * math.sqrt(count))
+        assert abs(se - ref_se) <= STD_RTOL * ref_se
+
+    def test_change_of_measure_matches_collected_column(self, chain_model):
+        count = mc.CHUNK + 333
+        fp = gf.flow_point(chain_model, 1.0)
+        vals = mc.quad_form_samples(chain_model.covariance, [fp.relative_T], seed=6,
+                                    count=count)[:, 0]
+        w = np.exp(fp.logdet_term - 0.5 * vals)
+        report = mc.change_of_measure_report(chain_model, 1.0, seed=6, count=count)
+        assert abs(report["estimate"] - w.mean()) <= MEAN_TOL * w.max()
+        ref_se = w.std() / math.sqrt(count)
+        assert abs(report["std_error"] - ref_se) <= STD_RTOL * ref_se
+
+
+class TestOnePass:
+    def _checks(self, model, seed):
+        return [mc.trace_check(model.covariance, seed, n_mats=3),
+                mc.change_of_measure_check(model, 1.0),
+                mc.mgf_check(model, 4.0, 0.25)]
+
+    def test_matches_separate_calls(self, chain_model, monkeypatch):
+        seed, count = 17, mc.CHUNK + 900
+        drawn = []
+        real = mc._draw_rows
+
+        def counted(seed, start, stop, dim):
+            drawn.append((start, stop))
+            return real(seed, start, stop, dim)
+
+        monkeypatch.setattr(mc, "_draw_rows", counted)
+        (rows, com, mgf), record = mc.run_checks(chain_model.covariance,
+                                                 self._checks(chain_model, seed), seed, count)
+        assert record == {"rows": count, "forms": 5}
+        # one draw pass: each row drawn once
+        assert sorted(drawn) == [(r, min(r + mc.BLOCK_ROWS, count))
+                                 for r in range(0, count, mc.BLOCK_ROWS)]
+        monkeypatch.setattr(mc, "_draw_rows", real)
+        ref_rows = mc.trace_identity_report(chain_model.covariance, seed, count, n_mats=3)
+        ref_com = mc.change_of_measure_report(chain_model, 1.0, seed, count)
+        ref_mgf = gf.empirical_mgf(chain_model, 4.0, 0.25, seed, count)
+        # the same draws; only the width of each form's GEMM group differs
+        for got, ref in zip(rows + [com], ref_rows + [ref_com]):
+            assert got["oracle"] == ref["oracle"]
+            assert abs(got["estimate"] - ref["estimate"]) <= 1e-12 * ref["std_error"] * math.sqrt(count)
+            assert abs(got["std_error"] - ref["std_error"]) <= 1e-10 * ref["std_error"]
+        assert abs(mgf[0] - ref_mgf[0]) <= 1e-12 and abs(mgf[1] - ref_mgf[1]) <= 1e-10 * ref_mgf[1]
+
+    def test_bytes_equal_for_any_worker_count(self, chain_model):
+        seed, count = 3, 2 * mc.CHUNK + 17
+        results = set()
+        for workers in (1, 2, 3, 4):
+            reports, _ = mc.run_checks(chain_model.covariance, self._checks(chain_model, seed),
+                                       seed, count, workers)
+            results.add(repr(reports))
+            single = (mc.trace_identity_report(chain_model.covariance, seed, count, 3, workers),
+                      mc.change_of_measure_report(chain_model, 1.0, seed, count, workers),
+                      gf.empirical_mgf(chain_model, 4.0, 0.25, seed, count, workers))
+            results.add(("single", repr(single)))
+        assert len(results) == 2
+
+    def test_many_threads_agree_with_one(self, chain_model):
+        # more workers than cores, switching threads often: each block's partial lands in its
+        # own slot, so no update is lost and the bytes equal those of one worker
+        seed, count = 8, 6 * mc.CHUNK + 5
+        one, _ = mc.run_checks(chain_model.covariance, self._checks(chain_model, seed), seed, count)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many, _ = mc.run_checks(chain_model.covariance, self._checks(chain_model, seed), seed,
+                                    count, workers=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert repr(many) == repr(one)
+
+    def test_no_forms_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(mc, "_draw_rows", lambda *args: pytest.fail("rows drawn for no form"))
+        reports, record = mc.run_checks(np.eye(3), [mc.trace_check(np.eye(3), 0, n_mats=0)], 0, 10)
+        assert reports == [[]] and record == {"rows": 0, "forms": 0}
 
 
 def _jordan_model():
