@@ -236,7 +236,8 @@ def cmd_mc(args):
         reports, record = montecarlo.run_checks(model.covariance,
                                                 [make() for _, make in shared.values()],
                                                 args.seed, args.n, workers=args.workers)
-        passes.append({"checks": list(shared), "measure": "reference", **record})
+        passes.append({"checks": list(shared), "measure": "reference", **record,
+                       "stream": montecarlo.STREAM})
         doc.update((key, report) for (key, _), report in zip(shared.values(), reports))
     if "mgf" in doc:
         est, se = doc["mgf"]
@@ -262,7 +263,8 @@ def cmd_mc(args):
         doc["clt"] = {"ks_distance": report.ks_distance, "variance": a_var,
                       "skipped": report.skipped, "note": report.note}
         if not report.skipped:
-            passes.append({"checks": ["clt"], "measure": "ness", "rows": args.n, "forms": 1})
+            passes.append({"checks": ["clt"], "measure": "ness", "rows": args.n, "forms": 1,
+                           "stream": montecarlo.STREAM})
         if args.out and not report.skipped:
             montecarlo.write_histogram_csv(_out_path(args, "clt_hist.csv"), report)
     doc["diagnostics"] = {"draw_passes": passes}

@@ -25,10 +25,13 @@ block maximum of the exponents with the moments of the exponentials shifted
 by it, rescaled to the overall maximum when combined.  Only the collecting
 reducer of quad_form_samples and clt_sample keeps a per-draw array.
 
-Reproducibility contract: draw i is generated from a counter-based stream
-keyed by (seed, i) alone, chunks have a fixed size, and reductions combine
-fixed-order per-block partials, so results are bit-identical for any worker
-count.
+Reproducibility contract: the draws are cut into tiles of BLOCK_ROWS rows,
+and tile j is the C-order fill of BLOCK_ROWS x dim standard normals from its
+own stream, keyed by (seed, j) alone, so row i depends only on
+(seed, i, dim).  Chunks have a fixed size, a multiple of BLOCK_ROWS, and
+reductions combine fixed-order per-block partials, so results are
+bit-identical for any worker count.  CHUNK and BLOCK_ROWS are both part of
+the contract: a new value of either changes every seeded result.
 
 Working set of one pass with k forms, in floats, beside its inputs and
 outputs: while folding, the Cholesky factor, the panels of the forms folded
@@ -39,12 +42,18 @@ BLOCK_ROWS (3n/2 + k); the reducers' partials are a few floats per block and
 column, and a collecting reducer adds its count x k columns.  The trace
 check makes each M only when it is folded.  propagated_sample_cov_defect
 keeps one n x n partial per chunk, and per worker one block of BLOCK_ROWS
-draws with its image and their n x n product.
+draws with its image and their n x n product; sample_gaussian keeps 2n
+floats per chunk, and per worker one block with its image.
 
-The stream is Philox (Salmon et al., SC'11): one bit generator per call of
-_draw_rows, keyed by the seed, whose counter is reset to i * 2**64 with an
-empty buffer before row i is drawn. Row i therefore has exactly the bits of
-a fresh Philox(key=seed, counter=i * 2**64) without the cost of building one.
+The stream of tile j is SFC64 (numpy's Small Fast Chaotic generator) seeded
+by SeedSequence(key, spawn_key=(j,)), key = seed mod 2**128: the j-th child
+of SeedSequence(key).spawn, numpy's documented way to make independent
+streams, whose hash of (seed, j) keeps tile j of one seed apart from tile j'
+of another.  A block of draws is one bulk fill of its tile, and the fill
+releases the interpreter lock, so workers draw in parallel.  A range that
+starts inside a tile fills the tile's prefix and drops it; a fill is
+sequential, so a range that stops inside a tile gets exactly its first
+rows.
 """
 
 import math
@@ -59,24 +68,29 @@ from .flow import flow_point, sigma_integral_matrix
 from .renyi import domain_interval
 
 CHUNK = 4096                    # fixed chunk size; part of the determinism contract
-BLOCK_ROWS = 1024               # draws per block, a divisor of CHUNK: a block and its product stay in cache
+BLOCK_ROWS = 1024               # draws per block and stream tile, a divisor of CHUNK; part of the contract
+STREAM = f"sfc64-spawn-tile{BLOCK_ROWS}"    # names the draw stream in a pass's record
 PANEL = 64                      # rows of the upper triangle per product of the quadratic forms
 
 MGF_DOMAIN_MARGIN = 0.05        # required relative distance of alpha from the J_t boundary
 
 
 def _draw_rows(seed, start, stop, dim):
-    """Standard normal rows for draws [start, stop); row i depends only on (seed, i)."""
-    bg = np.random.Philox(key=int(seed) & ((1 << 128) - 1))
-    gen = np.random.Generator(bg)
-    state = bg.state
-    state.update(buffer_pos=4, has_uint32=0)    # empty buffer, no cached uint32
-    counter = state["state"]["counter"]         # 4 uint64 words, least significant first
+    """Standard normal rows for draws [start, stop), one bulk fill per tile of BLOCK_ROWS rows.
+
+    Rows [j BLOCK_ROWS, (j + 1) BLOCK_ROWS) are tile j: the C-order
+    standard_normal fill of Generator(SFC64(SeedSequence(key, spawn_key=(j,)))),
+    key = seed mod 2**128.  Row i thus depends only on (seed, i, dim).
+    """
+    key = int(seed) & ((1 << 128) - 1)
     out = np.empty((stop - start, dim))
-    for i in range(start, stop):
-        counter[1] = i                          # counter = i * 2**64
-        bg.state = state
-        gen.standard_normal(out=out[i - start])
+    for j in range(start // BLOCK_ROWS, -(-stop // BLOCK_ROWS)):
+        t0 = j * BLOCK_ROWS
+        a, b = max(start, t0), min(stop, t0 + BLOCK_ROWS)
+        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(key, spawn_key=(j,))))
+        if a > t0:
+            gen.standard_normal((a - t0) * dim)     # the tile's rows before the range
+        gen.standard_normal(out=out[a - start:b - start])
     return out
 
 
@@ -375,10 +389,11 @@ class SampleBatch:
 
 
 def sample_gaussian(cov, seed, count, workers=1, keep_draws=True):
-    """Draw `count` vectors from N(0, cov) with per-draw counter streams.
+    """Draw `count` vectors from N(0, cov), one BLOCK_ROWS tile and its image at a time.
 
-    Statistics are combined from fixed-order per-chunk partials with
-    compensated summation, so they are bit-identical for any worker count.
+    Each chunk adds its tiles' sums to its own partials in tile order, and the
+    partials are combined in chunk order with compensated summation, so the
+    statistics are bit-identical for any worker count.
     """
     _check_count(count, 1)
     cov = np.asarray(cov, dtype=float)
@@ -390,11 +405,13 @@ def sample_gaussian(cov, seed, count, workers=1, keep_draws=True):
     part_sumsq = np.zeros((nchunks, dim))
 
     def work(a, b, slot):
-        x = _draw_rows(seed, a, b, dim) @ chol.T
-        if draws is not None:
-            draws[a:b] = x
-        part_sum[slot] = x.sum(axis=0)
-        part_sumsq[slot] = (x * x).sum(axis=0)
+        for r in range(a, b, BLOCK_ROWS):
+            s = min(r + BLOCK_ROWS, b)
+            x = np.matmul(_draw_rows(seed, r, s, dim), chol.T,
+                          out=None if draws is None else draws[r:s])
+            part_sum[slot] += x.sum(axis=0)
+            part_sumsq[slot] += np.einsum("ij,ij->j", x, x)
+            del x    # so that the next tile is drawn with this image freed
 
     _run_chunks(work, count, workers)
     total = _kahan_rows(part_sum)

@@ -135,7 +135,8 @@ def test_mc_subchecks(chain_file, tmp_path):
     assert len(doc["trace_identity"]) == 10
     # the three checks sample N(0, D) with one seed and count: one draw pass
     assert doc["diagnostics"]["draw_passes"] == [
-        {"checks": ["trace", "com", "mgf"], "measure": "reference", "rows": 4000, "forms": 12}]
+        {"checks": ["trace", "com", "mgf"], "measure": "reference", "rows": 4000, "forms": 12,
+         "stream": "sfc64-spawn-tile1024"}]
 
 
 def test_mc_one_pass_matches_separate_checks(chain_file, capsys):

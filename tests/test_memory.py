@@ -147,6 +147,23 @@ def chain_514():
     return model
 
 
+def _sample_bound(n, workers, count):
+    """The Cholesky factor, two n-float partials per chunk, per worker one BLOCK_ROWS x n tile of
+    draws and its image; slack: one n x n temporary, and the bookkeeping.  No term grows with
+    the count beyond the partials."""
+    floats = n * n + 2 * len(mc._chunks(count)) * n + workers * 2 * mc.BLOCK_ROWS * n
+    return FLOAT * (floats + n * n) + BOOKKEEPING
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sample_gaussian_maps_one_tile_at_a_time(chain_514, workers):
+    cov, count = chain_514.covariance, 2 * mc.CHUNK
+    mc.sample_gaussian(cov, seed=9, count=5, workers=workers, keep_draws=False)
+    peak, _ = _traced(lambda: mc.sample_gaussian(cov, seed=9, count=count, workers=workers,
+                                                 keep_draws=False))
+    assert peak <= _sample_bound(chain_514.dim, workers, count)
+
+
 def _window_bound(n):
     """The final average and one running average, the moments H' and S' of the covariance (n^2
     floats for a chain's m = n/2 modes), the two kernels (each its angles, factor and flat mask,

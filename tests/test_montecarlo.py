@@ -12,12 +12,20 @@ from gaussfluct._linalg import AccuracyError, _parts, generator_norm_bound, prop
 from gaussfluct.model import DomainError, covariance_roots
 
 
-def _reference_rows(seed, start, stop, dim):
-    """The stream by definition: a fresh Philox(key=seed, counter=i * 2**64) for row i."""
+def _reference_tile(seed, j, dim):
+    """Tile j by definition: the j-th spawned child of SeedSequence(seed mod 2**128) drives one
+    SFC64, whose C-order standard_normal fill of BLOCK_ROWS x dim floats is the tile."""
     key = int(seed) & ((1 << 128) - 1)
-    rows = [np.random.Generator(np.random.Philox(key=key, counter=i << 64)).standard_normal(dim)
-            for i in range(start, stop)]
-    return np.array(rows)
+    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(key).spawn(j + 1)[j]))
+    return gen.standard_normal((mc.BLOCK_ROWS, dim))
+
+
+def _reference_rows(seed, start, stop, dim):
+    """Rows [start, stop) sliced from the tiles that cover them."""
+    b = mc.BLOCK_ROWS
+    t0 = start // b * b    # the first row of the first tile
+    tiles = [_reference_tile(seed, j, dim) for j in range(start // b, -(-stop // b))]
+    return np.concatenate(tiles)[start - t0:stop - t0]
 
 
 class TestDrawStream:
@@ -29,19 +37,41 @@ class TestDrawStream:
         assert rows.shape == (37, dim)
         assert rows.tobytes() == _reference_rows(seed, start, start + 37, dim).tobytes()
 
-    def test_one_philox_per_call(self, monkeypatch):
+    @pytest.mark.parametrize("seed", [0, 42, -3, 2**127 + 5])
+    @pytest.mark.parametrize("start, stop",
+                             [(1000, 1100), (0, 1), (mc.BLOCK_ROWS + 5, mc.BLOCK_ROWS + 6)],
+                             ids=["straddles-tiles", "first-row", "single-row-mid-tile"])
+    @pytest.mark.parametrize("dim", [1, 514])
+    def test_partial_and_straddling_ranges(self, seed, start, stop, dim):
+        rows = mc._draw_rows(seed, start, stop, dim)
+        assert rows.shape == (stop - start, dim)
+        assert rows.tobytes() == _reference_rows(seed, start, stop, dim).tobytes()
+
+    def test_one_generator_per_tile(self, monkeypatch):
         made = []
-        real = np.random.Philox
+        real = np.random.SFC64
 
         def counting(*args, **kwargs):
-            made.append(kwargs)
+            made.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(np.random, "Philox", counting)
+        monkeypatch.setattr(np.random, "SFC64", counting)
         mc._draw_rows(42, 0, mc.CHUNK, 8)
-        assert len(made) == 1
+        assert len(made) == mc.CHUNK // mc.BLOCK_ROWS
         mc._draw_rows(42, mc.CHUNK, mc.CHUNK + 5, 8)
-        assert len(made) == 2
+        assert len(made) == mc.CHUNK // mc.BLOCK_ROWS + 1
+        mc._draw_rows(42, 1000, 1100, 8)    # straddles the boundary of tiles 0 and 1
+        assert len(made) == mc.CHUNK // mc.BLOCK_ROWS + 3
+
+    def test_tiles_of_distinct_seeds_and_indices_differ(self):
+        # a stream keyed by seed + j would give seed 42's tile 1 to seed 43's tile 0
+        tiles = {(s, j): mc._draw_rows(s, j * mc.BLOCK_ROWS, (j + 1) * mc.BLOCK_ROWS, 2).tobytes()
+                 for s in (0, 1, 42, 43, 2**127 + 5) for j in range(3)}
+        assert len(set(tiles.values())) == len(tiles)
+
+    def test_seeds_equal_mod_2_128_draw_equal_rows(self):
+        a = mc._draw_rows(-3, 900, 1100, 3)
+        assert a.tobytes() == mc._draw_rows(2**128 - 3, 900, 1100, 3).tobytes()
 
 
 class TestSampling:
