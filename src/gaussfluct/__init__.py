@@ -54,10 +54,8 @@ from .asymptotics import (
 from .ldp import RateFunction, clt_variance, es_symmetry_defect, rate_function
 from .montecarlo import (
     CltReport,
-    SampleBatch,
     clt_sample,
     empirical_mgf,
-    sample_gaussian,
     slln_trajectory,
 )
 from .models import (

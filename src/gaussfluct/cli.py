@@ -206,6 +206,12 @@ MC_MIN_DRAWS = {"trace": 2, "com": 2, "mgf": 2, "slln": 0, "clt": 1}
 
 
 def cmd_mc(args):
+    if args.workers is None:
+        threads = os.environ.get("GAUSS_FLUCT_THREADS", "1")
+        try:
+            args.workers = int(threads)
+        except ValueError:
+            raise CliError(f"GAUSS_FLUCT_THREADS must be an integer, got {threads!r}") from None
     if args.check:
         checks = [args.check]
     elif args.checks:
@@ -312,18 +318,10 @@ def cmd_oracle_compare(args):
 def build_parser():
     parser = _Parser(prog="gaussfluct", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    threads = os.environ.get("GAUSS_FLUCT_THREADS", "1")
-    try:
-        default_workers = int(threads)
-    except ValueError:
-        raise CliError(f"GAUSS_FLUCT_THREADS must be an integer, got {threads!r}") from None
-
     def common(p, model=True):
         if model:
             p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--out", default=None, help="output directory (default: stdout)")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--workers", type=int, default=default_workers)
 
     p = sub.add_parser("validate", help="structural hypothesis report")
     common(p)
@@ -366,6 +364,9 @@ def build_parser():
     common(p)
     p.add_argument("check", nargs="?", default=None, choices=list(MC_MIN_DRAWS),
                    help="run a single check (default: all, or use --checks)")
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--workers", type=int, default=None,
+                   help="draw threads (default: GAUSS_FLUCT_THREADS, else 1)")
     p.add_argument("--t", type=float, default=10.0, help="time for the MGF check")
     p.add_argument("--alpha", type=float, default=0.25)
     p.add_argument("--n", type=int, default=100000)

@@ -1,59 +1,19 @@
-"""Sampling of the Gaussian measures and empirical checks of the functionals.
+"""Gaussian draws and Monte Carlo checks of the entropic functionals.
 
-Time-integrated entropy production is evaluated as a single quadratic form
-(x, B_t x) per draw against the operator B_t = int_0^t e^{sL'} sigma e^{sL} ds
-= 1/2 (e^{tL'} D^-1 e^{tL} - D^-1), read once per call from the mode frame
-(flow.sigma_integral_matrix, no propagator), so a draw costs O(n^2).  Each
-form W = C'MC (C the Cholesky factor of the sampling covariance) is folded
-once into an upper triangle T with z'Tz = z'Wz, and T is cut into row panels
-of PANEL rows.  A block Z of drawn rows then takes, per panel [p0, p1), one
-product Z[:, p0:] T[p0:p1, p0:]' for all forms of a group at once and a row
-dot with Z[:, p0:p1]: n^2/2 (1 + PANEL/n) multiply-adds per draw and form,
-about half the work of a general product, all of it in numpy's BLAS.  A
-single trajectory reads (x, B_t x) = 1/2 ((e^{tL} x)' D^-1 e^{tL} x -
-x' D^-1 x), with e^{tL} x from the cached basis of each generator block
-(propagator_apply), also O(n^2) per time and without building a flow point.
-
-One draw pass per (cov, seed, count): a check is a list of forms plus a
-reducer over their columns (Check).  run_checks folds the forms of every
-check it is given, releases the Cholesky factor, draws each BLOCK_ROWS block
-once, evaluates every form on it and hands each check the columns of its
-forms.  The reducers keep fixed-size partials per block: count, mean and M2
-(the sum of squared deviations) per column for the trace identity and, of
-the weights exp(logdet - v/2), for the change of measure; for the MGF the
-block maximum of the exponents with the moments of the exponentials shifted
-by it, rescaled to the overall maximum when combined.  Only the collecting
-reducer of quad_form_samples and clt_sample keeps a per-draw array.
+A check is a list of quadratic forms (x, M x) of draws x ~ N(0, cov) and a
+reducer over their columns (Check); run_checks evaluates the forms of several
+checks on one draw pass.  Time-integrated entropy production over [0, t] is
+the form B_t (flow.sigma_integral_matrix), so a draw costs O(n^2).
 
 Reproducibility contract: the draws are cut into tiles of BLOCK_ROWS rows,
-and tile j is the C-order fill of BLOCK_ROWS x dim standard normals from its
-own stream, keyed by (seed, j) alone, so row i depends only on
-(seed, i, dim).  Chunks have a fixed size, a multiple of BLOCK_ROWS, and
-reductions combine fixed-order per-block partials, so results are
-bit-identical for any worker count.  CHUNK and BLOCK_ROWS are both part of
-the contract: a new value of either changes every seeded result.
+row i depends only on (seed, i, dim) (_draw_rows), each tile is one unit of
+work, and the reducers keep one partial per tile and combine them in tile
+order.  Results are thus bit-identical for any worker count at a fixed BLAS
+thread count.  BLOCK_ROWS is part of the contract: a new value changes every
+seeded result.
 
-Working set of one pass with k forms, in floats, beside its inputs and
-outputs: while folding, the Cholesky factor, the panels of the forms folded
-so far and one M with its fold and their product temporaries; while drawing,
-the panels, k n^2/2 (1 + PANEL/n), and per worker one block of BLOCK_ROWS
-draws, its k values and a product buffer of half a block,
-BLOCK_ROWS (3n/2 + k); the reducers' partials are a few floats per block and
-column, and a collecting reducer adds its count x k columns.  The trace
-check makes each M only when it is folded.  propagated_sample_cov_defect
-keeps one n x n partial per chunk, and per worker one block of BLOCK_ROWS
-draws with its image and their n x n product; sample_gaussian keeps 2n
-floats per chunk, and per worker one block with its image.
-
-The stream of tile j is SFC64 (numpy's Small Fast Chaotic generator) seeded
-by SeedSequence(key, spawn_key=(j,)), key = seed mod 2**128: the j-th child
-of SeedSequence(key).spawn, numpy's documented way to make independent
-streams, whose hash of (seed, j) keeps tile j of one seed apart from tile j'
-of another.  A block of draws is one bulk fill of its tile, and the fill
-releases the interpreter lock, so workers draw in parallel.  A range that
-starts inside a tile fills the tile's prefix and drops it; a fill is
-sequential, so a range that stops inside a tile gets exactly its first
-rows.
+A pass with k forms keeps their panels, about k n^2/2 floats, and per worker
+one tile of draws, its k values and a product buffer of half a tile.
 """
 
 import math
@@ -62,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import propagator, propagator_apply, symmetrize
+from ._linalg import propagator_apply, symmetrize
 from .model import DomainError, checked_square, covariance_inverse
 from .flow import flow_point, sigma_integral_matrix
 from .renyi import domain_interval
 
-CHUNK = 4096                    # fixed chunk size; part of the determinism contract
-BLOCK_ROWS = 1024               # draws per block and stream tile, a divisor of CHUNK; part of the contract
+BLOCK_ROWS = 1024               # draws per stream tile and unit of work; part of the contract
 STREAM = f"sfc64-spawn-tile{BLOCK_ROWS}"    # names the draw stream in a pass's record
 PANEL = 64                      # rows of the upper triangle per product of the quadratic forms
 
@@ -80,7 +39,9 @@ def _draw_rows(seed, start, stop, dim):
 
     Rows [j BLOCK_ROWS, (j + 1) BLOCK_ROWS) are tile j: the C-order
     standard_normal fill of Generator(SFC64(SeedSequence(key, spawn_key=(j,)))),
-    key = seed mod 2**128.  Row i thus depends only on (seed, i, dim).
+    key = seed mod 2**128: the j-th child of SeedSequence(key).spawn, numpy's
+    way to make independent streams.  Row i thus depends only on (seed, i, dim).
+    The fill releases the interpreter lock, so workers draw in parallel.
     """
     key = int(seed) & ((1 << 128) - 1)
     out = np.empty((stop - start, dim))
@@ -134,24 +95,6 @@ def _cov_factor(cov):
         raise DomainError("covariance is not positive definite") from None
 
 
-def _chunks(count):
-    return [(a, min(a + CHUNK, count)) for a in range(0, count, CHUNK)]
-
-
-def _run_chunks(fn, count, workers):
-    """Apply fn(start, stop, slot) over fixed chunks, possibly in parallel."""
-    chunks = _chunks(count)
-    if workers <= 1 or len(chunks) == 1:
-        for slot, (a, b) in enumerate(chunks):
-            fn(a, b, slot)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fn, a, b, slot) for slot, (a, b) in enumerate(chunks)]
-            for f in futures:
-                f.result()
-    return len(chunks)
-
-
 def _triangular_fold(w):
     """S = W + W' with diag(S) = diag(W): either triangle T of S has z'Tz = z'Wz for any W."""
     s = w + w.T
@@ -196,6 +139,7 @@ def _form_panels(chol, mats):
 def _panel_forms(z, edges, groups, out, buf):
     """out[:, j] += z'T_j z for the rows z of one block, by one product per panel, group and half block.
 
+    That is n^2/2 (1 + PANEL/n) multiply-adds per row and form, all in BLAS.
     buf is a flat work array of at least ceil(len(z) / 2) * dim floats: each
     product is made for one half of the rows at a time.
     """
@@ -309,10 +253,11 @@ def run_checks(cov, checks, seed, count, workers=1):
     """Evaluate every check's forms on one pass of `count` seeded draws from N(0, cov).
 
     The forms of all checks are folded into panels in order (_form_panels)
-    and the Cholesky factor is released; each BLOCK_ROWS block is drawn once,
-    takes every form, and hands each check's reducer the columns of that
-    check's forms.  Returns the checks' reports, in order, and the record of
-    the pass: the rows drawn (none when there is no form) and the forms.
+    and the Cholesky factor is released; each tile of BLOCK_ROWS draws is made
+    once, on `workers` threads if more than one, takes every form, and hands
+    each check's reducer the columns of that check's forms.  Returns the
+    checks' reports, in order, and the record of the pass: the rows drawn
+    (none when there is no form) and the forms.
     """
     _check_count(count, 1)
     chol = _cov_factor(cov)
@@ -334,18 +279,20 @@ def run_checks(cov, checks, seed, count, workers=1):
     for check, (j0, j1) in zip(checks, spans):
         check.reducer.begin(count, j1 - j0)
 
-    def work(a, b, _slot):
-        buf = np.empty(-(-min(BLOCK_ROWS, b - a) // 2) * dim)
-        for r in range(a, b, BLOCK_ROWS):
-            z = _draw_rows(seed, r, min(r + BLOCK_ROWS, b), dim)
-            vals = np.zeros((len(z), k))
-            _panel_forms(z, edges, groups, vals, buf)
-            del z    # so that the next block is drawn with this one freed
-            for check, (j0, j1) in zip(checks, spans):
-                check.reducer.add(r, vals[:, j0:j1])
+    def work(r):
+        z = _draw_rows(seed, r, min(r + BLOCK_ROWS, count), dim)
+        vals = np.zeros((len(z), k))
+        _panel_forms(z, edges, groups, vals, np.empty(-(-len(z) // 2) * dim))
+        for check, (j0, j1) in zip(checks, spans):
+            check.reducer.add(r, vals[:, j0:j1])
 
-    if k:
-        _run_chunks(work, count, workers)
+    tiles = range(0, count if k else 0, BLOCK_ROWS)
+    if workers <= 1 or len(tiles) <= 1:
+        for r in tiles:
+            work(r)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, tiles))    # reads every result, so a worker's error is raised
     reports = [check.report(count) for check in checks]
     return reports, {"rows": count if k else 0, "forms": k}
 
@@ -358,79 +305,14 @@ def z_score(diff, std_error):
 
 
 def quad_form_samples(cov, mats, seed, count, workers=1):
-    """Per-draw quadratic forms (x, M x) for x ~ N(0, cov), one column per M.
+    """Per-draw quadratic forms (x, M x) for x ~ N(0, cov), one column per M, symmetric or not.
 
-    Covariance factorization: x = C z with C the lower Cholesky factor, so
-    (x, M x) = (z, C'MC z).  Each conjugated form W = C'MC is folded once
-    into the triangle T_ij = W_ij + W_ji (i < j), T_ii = W_ii, so that
-    z'Tz = z'Wz for any M, symmetric or not.  mats may be any iterable; each
-    M is released once folded, and each fold once it is cut into panels of
-    PANEL rows (_form_panels).  The draws of a chunk are made BLOCK_ROWS rows
-    at a time; for each panel [p0, p1) and group of forms, a block Z takes
-    one product Z[:, p0:] G_p in numpy's BLAS per half block and a row dot
-    with Z[:, p0:p1], n^2/2 (1 + PANEL/n) multiply-adds per draw and form.
-    This is run_checks with one collecting check, so beside the pass's
-    working set it keeps the count x k output.
+    mats may be any iterable.  This is run_checks with one check that keeps
+    every value, so beside the pass it holds the count x k output.
     """
     collect = _Collect()
     run_checks(cov, [Check(mats, collect, lambda count: None)], seed, count, workers)
     return collect.values
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """Draws (optional) plus deterministic running statistics."""
-
-    count: int
-    seed: int
-    draws: np.ndarray | None
-    mean: np.ndarray
-    variance: np.ndarray
-
-
-def sample_gaussian(cov, seed, count, workers=1, keep_draws=True):
-    """Draw `count` vectors from N(0, cov), one BLOCK_ROWS tile and its image at a time.
-
-    Each chunk adds its tiles' sums to its own partials in tile order, and the
-    partials are combined in chunk order with compensated summation, so the
-    statistics are bit-identical for any worker count.
-    """
-    _check_count(count, 1)
-    cov = np.asarray(cov, dtype=float)
-    chol = _cov_factor(cov)
-    dim = cov.shape[0]
-    draws = np.empty((count, dim)) if keep_draws else None
-    nchunks = len(_chunks(count))
-    part_sum = np.zeros((nchunks, dim))
-    part_sumsq = np.zeros((nchunks, dim))
-
-    def work(a, b, slot):
-        for r in range(a, b, BLOCK_ROWS):
-            s = min(r + BLOCK_ROWS, b)
-            x = np.matmul(_draw_rows(seed, r, s, dim), chol.T,
-                          out=None if draws is None else draws[r:s])
-            part_sum[slot] += x.sum(axis=0)
-            part_sumsq[slot] += np.einsum("ij,ij->j", x, x)
-            del x    # so that the next tile is drawn with this image freed
-
-    _run_chunks(work, count, workers)
-    total = _kahan_rows(part_sum)
-    total_sq = _kahan_rows(part_sumsq)
-    mean = total / count
-    variance = np.maximum(total_sq / count - mean * mean, 0.0)
-    return SampleBatch(count=count, seed=int(seed), draws=draws, mean=mean, variance=variance)
-
-
-def _kahan_rows(rows):
-    """Compensated fixed-order sum of the rows of a 2-D array."""
-    total = np.zeros(rows.shape[1])
-    comp = np.zeros(rows.shape[1])
-    for row in rows:
-        y = row - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -613,32 +495,3 @@ def change_of_measure_report(model, t, seed, count, workers=1):
     (report,), _ = run_checks(model.covariance, [change_of_measure_check(model, t)], seed, count,
                               workers)
     return report
-
-
-def propagated_sample_cov_defect(model, cov, t, seed, count, workers=1):
-    """Max-abs difference between the sample covariance of e^{tL} x and cov.
-
-    For cov close to the stationary covariance this quantifies empirical
-    invariance of the flow.
-    """
-    _check_count(count, 1)
-    cov = checked_square(cov, model.dim, "cov")
-    _check_time(t)
-    chol = _cov_factor(cov)
-    # rows z of the draws map to rows y = z C' e^{tL'} by one right-multiplication
-    factor = chol.T @ propagator(model.generator, t).T
-    dim = cov.shape[0]
-    nchunks = len(_chunks(count))
-    partials = np.zeros((nchunks, dim, dim))
-
-    def work(a, b, slot):
-        for r in range(a, b, BLOCK_ROWS):
-            y = _draw_rows(seed, r, min(r + BLOCK_ROWS, b), dim) @ factor
-            partials[slot] += y.T @ y
-            del y    # so that the next block is drawn with this one freed
-
-    _run_chunks(work, count, workers)
-    total = np.zeros((dim, dim))
-    for p in partials:
-        total += p
-    return float(np.abs(total / count - cov).max())

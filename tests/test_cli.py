@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import threading
@@ -188,21 +189,35 @@ def test_mc_reproducible(chain_file, tmp_path, capsys):
     assert first["mgf"] == second["mgf"]
 
 
-def test_env_var_sets_default_workers(monkeypatch):
-    from gaussfluct.cli import build_parser
+MC_MGF = ["--checks", "mgf", "--n", "100", "--t", "4"]
 
+
+def test_env_var_sets_default_workers(chain_file, monkeypatch, capsys):
     monkeypatch.setenv("GAUSS_FLUCT_THREADS", "5")
-    args = build_parser().parse_args(["validate", "--model", "x.json"])
-    assert args.workers == 5
+    assert main(["mc", "--model", chain_file, *MC_MGF]) == 0
+    assert json.loads(capsys.readouterr().out)["workers"] == 5
+    assert main(["mc", "--model", chain_file, *MC_MGF, "--workers", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["workers"] == 2
 
 
-def test_bad_env_var_is_a_named_error(monkeypatch, capsys):
+def test_bad_env_var_is_a_named_error(chain_file, monkeypatch, capsys):
     monkeypatch.setenv("GAUSS_FLUCT_THREADS", "two")
     before = threading.active_count()
-    assert main(["validate", "--model", "x.json"]) == 1
+    assert main(["mc", "--model", chain_file, *MC_MGF]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "GAUSS_FLUCT_THREADS" in err and "'two'" in err
     assert threading.active_count() == before
+    # a command that draws nothing does not read the variable
+    assert main(["validate", "--model", chain_file]) == 0
+
+
+def test_only_mc_takes_seed_and_workers():
+    from gaussfluct.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    takes = {name for name, p in sub.choices.items()
+             if {"--seed", "--workers"} & set(p._option_string_actions)}
+    assert takes == {"mc"}
 
 
 def test_oracle_compare_toy(tmp_path):

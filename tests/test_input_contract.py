@@ -80,8 +80,6 @@ MC_NESS_CALLS = {
     "slln_trajectory": lambda m, d: gf.slln_trajectory(m, "ness", 5.0, seed=1, d_plus=d),
     "clt_sample": lambda m, d: gf.clt_sample(m, "ness", 1.0, seed=1, count=10, variance=1.0,
                                              omega_bar=0.0, d_plus=d),
-    "propagated_sample_cov_defect": lambda m, d: montecarlo.propagated_sample_cov_defect(
-        m, d, 1.0, seed=1, count=10),
 }
 
 
@@ -96,10 +94,6 @@ def test_monte_carlo_refuses_a_malformed_d_plus(small_chain, call, case):
 MC_SCALAR_NAN = {
     "slln_trajectory horizon": (lambda m: gf.slln_trajectory(m, "reference", math.nan, seed=1),
                                 ValueError),
-    "propagated_sample_cov_defect t": (
-        lambda m: montecarlo.propagated_sample_cov_defect(m, np.eye(m.dim), math.nan, seed=1,
-                                                          count=10),
-        DomainError),
 }
 
 
@@ -121,7 +115,6 @@ BAD_FORM = {**BAD_MATRIX, "3x3 identity": lambda n: np.eye(3)}
 MC_COV_CALLS = {
     "trace_identity_report": lambda m, c: montecarlo.trace_identity_report(c, seed=1, count=10,
                                                                            n_mats=1),
-    "sample_gaussian": lambda m, c: gf.sample_gaussian(c, seed=1, count=10),
     "quad_form_samples": lambda m, c: montecarlo.quad_form_samples(c, [np.eye(len(c))], seed=1,
                                                                    count=10),
     "run_checks": lambda m, c: montecarlo.run_checks(c, [montecarlo.mgf_check(m, 1.0, 0.1)],

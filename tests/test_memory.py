@@ -50,7 +50,7 @@ def cov_200():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_quad_form_samples_holds_one_draw_block_per_worker(cov_200, workers):
-    n, k, count = 200, 3, 2 * mc.CHUNK + 17
+    n, k, count = 200, 3, 8 * mc.BLOCK_ROWS + 17
     rng = np.random.default_rng(8)
     mats = [rng.standard_normal((n, n)) for _ in range(k)]
     mc.quad_form_samples(cov_200, mats, seed=1, count=5, workers=workers)
@@ -61,7 +61,7 @@ def test_quad_form_samples_holds_one_draw_block_per_worker(cov_200, workers):
 
 def test_trace_identity_report_makes_each_matrix_at_its_fold(cov_200):
     # the same bound: one A and its symmetrize temporaries fit in the fold's slack
-    n, k, count = 200, 10, mc.CHUNK + 5
+    n, k, count = 200, 10, 4 * mc.BLOCK_ROWS + 5
     mc.trace_identity_report(cov_200, seed=3, count=5, n_mats=1)
     peak, _ = _traced(lambda: mc.trace_identity_report(cov_200, seed=3, count=count, n_mats=k))
     assert peak <= _quad_form_bound(n, k, 1, count)
@@ -87,30 +87,11 @@ def _streamed_pass_bound(n, k, workers):
 def test_trace_identity_report_streams_its_moments(cov_200, workers):
     # the trace check keeps per-block moments, not the count x k forms, and releases the
     # Cholesky factor before drawing
-    n, k, count = 200, 10, 4 * mc.CHUNK + 5
+    n, k, count = 200, 10, 16 * mc.BLOCK_ROWS + 5
     mc.trace_identity_report(cov_200, seed=3, count=5, n_mats=1, workers=workers)
     peak, _ = _traced(lambda: mc.trace_identity_report(cov_200, seed=3, count=count, n_mats=k,
                                                        workers=workers))
     assert peak <= _streamed_pass_bound(n, k, workers)
-
-
-def _defect_bound(n, workers, count):
-    """The Cholesky factor, the factor C'e^{tL'}, one n x n partial per chunk and their total,
-    per worker a BLOCK_ROWS x n block of draws, its image and their n x n product; slack: four
-    n x n temporaries (those of the propagator, or the two of the final difference), and the
-    bookkeeping."""
-    floats = (len(mc._chunks(count)) + 3) * n * n + workers * (2 * mc.BLOCK_ROWS * n + n * n)
-    return FLOAT * (floats + 4 * n * n) + BOOKKEEPING
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_propagated_defect_draws_one_block_at_a_time(chain_mid, chain_mid_limits, workers):
-    model, _ = chain_mid
-    d_plus, count = chain_mid_limits.d_plus, 2 * mc.CHUNK + 17
-    mc.propagated_sample_cov_defect(model, d_plus, 10.0, seed=7, count=5, workers=workers)
-    peak, _ = _traced(lambda: mc.propagated_sample_cov_defect(model, d_plus, 10.0, seed=7,
-                                                              count=count, workers=workers))
-    assert peak <= _defect_bound(model.dim, workers, count)
 
 
 def test_model_keeps_no_covariance_roots_or_identity_copy(monkeypatch):
@@ -145,23 +126,6 @@ def chain_514():
     model = gf.build_chain(gf.ChainSpec(n_left=128, n_right=128, temps=(2.0, 1.0, 1.0)))[0]
     _linalg._parts(model.generator, 0.0)
     return model
-
-
-def _sample_bound(n, workers, count):
-    """The Cholesky factor, two n-float partials per chunk, per worker one BLOCK_ROWS x n tile of
-    draws and its image; slack: one n x n temporary, and the bookkeeping.  No term grows with
-    the count beyond the partials."""
-    floats = n * n + 2 * len(mc._chunks(count)) * n + workers * 2 * mc.BLOCK_ROWS * n
-    return FLOAT * (floats + n * n) + BOOKKEEPING
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sample_gaussian_maps_one_tile_at_a_time(chain_514, workers):
-    cov, count = chain_514.covariance, 2 * mc.CHUNK
-    mc.sample_gaussian(cov, seed=9, count=5, workers=workers, keep_draws=False)
-    peak, _ = _traced(lambda: mc.sample_gaussian(cov, seed=9, count=count, workers=workers,
-                                                 keep_draws=False))
-    assert peak <= _sample_bound(chain_514.dim, workers, count)
 
 
 def _window_bound(n):

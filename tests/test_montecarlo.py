@@ -1,4 +1,3 @@
-import hashlib
 import math
 import sys
 
@@ -30,7 +29,7 @@ def _reference_rows(seed, start, stop, dim):
 
 class TestDrawStream:
     @pytest.mark.parametrize("seed", [0, 42, -3, 2**127 + 5])
-    @pytest.mark.parametrize("start", [0, 10, mc.CHUNK])
+    @pytest.mark.parametrize("start", [0, 10, 4 * mc.BLOCK_ROWS])
     @pytest.mark.parametrize("dim", [1, 514])
     def test_rows_match_per_row_construction(self, seed, start, dim):
         rows = mc._draw_rows(seed, start, start + 37, dim)
@@ -56,12 +55,12 @@ class TestDrawStream:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "SFC64", counting)
-        mc._draw_rows(42, 0, mc.CHUNK, 8)
-        assert len(made) == mc.CHUNK // mc.BLOCK_ROWS
-        mc._draw_rows(42, mc.CHUNK, mc.CHUNK + 5, 8)
-        assert len(made) == mc.CHUNK // mc.BLOCK_ROWS + 1
+        mc._draw_rows(42, 0, 4 * mc.BLOCK_ROWS, 8)
+        assert len(made) == 4
+        mc._draw_rows(42, 4 * mc.BLOCK_ROWS, 4 * mc.BLOCK_ROWS + 5, 8)
+        assert len(made) == 5
         mc._draw_rows(42, 1000, 1100, 8)    # straddles the boundary of tiles 0 and 1
-        assert len(made) == mc.CHUNK // mc.BLOCK_ROWS + 3
+        assert len(made) == 7
 
     def test_tiles_of_distinct_seeds_and_indices_differ(self):
         # a stream keyed by seed + j would give seed 42's tile 1 to seed 43's tile 0
@@ -76,20 +75,11 @@ class TestDrawStream:
 
 class TestSampling:
     def test_identity_covariance_statistics(self):
-        batch = gf.sample_gaussian(np.eye(32), seed=42, count=100_000, workers=2)
-        sample_cov = (batch.draws.T @ batch.draws) / batch.count
-        assert np.abs(sample_cov - np.eye(32)).max() < 4.0 / math.sqrt(batch.count)
-        assert np.abs(batch.mean).max() < 4.0 / math.sqrt(batch.count)
-
-    def test_determinism_across_runs_and_workers(self):
-        cov = np.diag([1.0, 2.0, 0.5, 3.0])
-        digests = set()
-        for workers in (1, 3, 7):
-            batch = gf.sample_gaussian(cov, seed=42, count=1000, workers=workers)
-            digests.add(hashlib.sha256(batch.draws.tobytes()).hexdigest())
-            assert batch.mean.tobytes() == gf.sample_gaussian(cov, seed=42, count=1000,
-                                                              workers=workers).mean.tobytes()
-        assert len(digests) == 1
+        # the standard normal rows themselves: draws from N(0, I) are z @ I = z
+        count = 100_000
+        z = mc._draw_rows(42, 0, count, 32)
+        assert np.abs(z.T @ z / count - np.eye(32)).max() < 4.0 / math.sqrt(count)
+        assert np.abs(z.mean(axis=0)).max() < 4.0 / math.sqrt(count)
 
     def test_quad_forms_deterministic(self, chain_model):
         sig = gf.sigma_matrix(chain_model).matrix
@@ -97,32 +87,27 @@ class TestSampling:
         b = mc.quad_form_samples(chain_model.covariance, [sig], seed=7, count=500, workers=4)
         assert a.tobytes() == b.tobytes()
 
-    def test_multi_chunk_deterministic_across_workers(self, chain_model, chain_mid, chain_mid_limits):
-        # three chunks, the last one short: every worker count runs them in its own order
-        count = 2 * mc.CHUNK + 17
+    def test_multi_chunk_deterministic_across_workers(self, chain_model):
+        # nine tiles, the last one short: every worker count runs them in its own order
+        count = 8 * mc.BLOCK_ROWS + 17
         sig = gf.sigma_matrix(chain_model).matrix
-        model, _ = chain_mid
-        results = []
-        for workers in (1, 2, 3, 4):
-            quad = mc.quad_form_samples(chain_model.covariance, [sig], seed=7, count=count,
-                                        workers=workers)
-            batch = gf.sample_gaussian(model.covariance, seed=7, count=count, workers=workers)
-            defect = mc.propagated_sample_cov_defect(model, chain_mid_limits.d_plus, 10.0, seed=7,
-                                                     count=count, workers=workers)
-            results.append((quad.tobytes(), batch.draws.tobytes(), batch.mean.tobytes(),
-                            batch.variance.tobytes(), defect))
-        assert results[0] == results[1] == results[2] == results[3]
+        results = {mc.quad_form_samples(chain_model.covariance, [sig], seed=7, count=count,
+                                        workers=workers).tobytes() for workers in (1, 2, 3, 4)}
+        assert len(results) == 1
 
     def test_trace_identity(self, chain_model):
         rows = mc.trace_identity_report(chain_model.covariance, seed=11, count=20_000, n_mats=10)
         assert all(abs(r["z_score"]) <= 4.0 for r in rows)
 
     def test_non_spd_rejected(self):
-        with pytest.raises(DomainError):
-            gf.sample_gaussian(np.diag([1.0, -1.0]), seed=0, count=10)
+        # the draw pass itself, before any form is folded
+        bad = np.diag([1.0, -1.0])
+        with pytest.raises(DomainError, match="not positive definite"):
+            mc.trace_identity_report(bad, seed=0, count=10, n_mats=1)
+        with pytest.raises(DomainError, match="not positive definite"):
+            mc.run_checks(bad, [mc.trace_check(np.eye(2), 0, n_mats=1)], seed=0, count=10)
 
-    @pytest.mark.parametrize("entry", ["quad_form_samples", "clt_sample", "slln_trajectory",
-                                       "propagated_sample_cov_defect"])
+    @pytest.mark.parametrize("entry", ["quad_form_samples", "clt_sample", "slln_trajectory"])
     def test_non_spd_rejected_by_every_sampler(self, entry):
         bad = np.diag([1.0, -1.0])
         model = _jordan_model()
@@ -132,23 +117,14 @@ class TestSampling:
                                                 omega_bar=0.0, d_plus=bad),
             "slln_trajectory": lambda: gf.slln_trajectory(model, "ness", horizon=2.0, seed=0,
                                                           d_plus=bad),
-            "propagated_sample_cov_defect": lambda: mc.propagated_sample_cov_defect(
-                model, bad, 1.0, seed=0, count=10),
         }
         with pytest.raises(DomainError, match="not positive definite"):
             calls[entry]()
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_empty_sample_rejected(self, count):
-        samplers = [
-            lambda: gf.sample_gaussian(np.eye(2), seed=0, count=count),
-            lambda: mc.quad_form_samples(np.eye(2), [np.eye(2)], seed=0, count=count),
-            lambda: mc.propagated_sample_cov_defect(_jordan_model(), np.eye(2), 1.0, seed=0,
-                                                    count=count),
-        ]
-        for sampler in samplers:
-            with pytest.raises(ValueError, match=f"count = {count} "):
-                sampler()
+        with pytest.raises(ValueError, match=f"count = {count} "):
+            mc.quad_form_samples(np.eye(2), [np.eye(2)], seed=0, count=count)
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_standard_error_needs_two_draws(self, chain_model, count):
@@ -170,9 +146,9 @@ def _dense_quad_forms(cov, mats, seed, count):
 
 
 class TestTriangularQuadForms:
-    @pytest.mark.parametrize("dim,count", [(1, 50), (66, 2 * mc.CHUNK + 17), (mc.PANEL - 1, 300),
+    @pytest.mark.parametrize("dim,count", [(1, 50), (66, 8 * mc.BLOCK_ROWS + 17), (mc.PANEL - 1, 300),
                                            (mc.PANEL, 300), (mc.PANEL + 1, 300),
-                                           (2 * mc.PANEL + 3, mc.CHUNK + 5)])
+                                           (2 * mc.PANEL + 3, 4 * mc.BLOCK_ROWS + 5)])
     def test_matches_dense_product(self, dim, count):
         # non-symmetric M: the fold W_ij + W_ji keeps its form exactly; k = dim // PANEL + 2
         # forms are more than one product group holds
@@ -216,27 +192,18 @@ class TestTriangularQuadForms:
         for before, after in zip(saved, [cov] + mats):
             assert after.tobytes() == before.tobytes()
 
-    def test_propagated_defect_matches_two_products(self, chain_mid):
-        # the once-formed factor C' e^{tL'} against (z C') e^{tL'}
-        model, _ = chain_mid
-        cov, count = model.covariance, mc.CHUNK + 5
-        x = mc._draw_rows(2, 0, count, model.dim) @ np.linalg.cholesky(cov).T
-        y = x @ propagator(model.generator, 3.0).T
-        ref = float(np.abs(y.T @ y / count - cov).max())
-        got = mc.propagated_sample_cov_defect(model, cov, 3.0, seed=2, count=count)
-        assert abs(got - ref) <= 1e-12 * np.abs(cov).max()
-
 
 def _whole_chunk_quad_forms(cov, mats, seed, count):
-    """quad_form_samples as it was with whole-chunk draws: all CHUNK rows drawn at once, then
-    the panel products per BLOCK_ROWS sub-block, chunk after chunk."""
+    """quad_form_samples with whole-chunk draws: 4 BLOCK_ROWS rows drawn at once, then the panel
+    products per BLOCK_ROWS sub-block, chunk after chunk."""
     chol = np.linalg.cholesky(cov)
     dim = cov.shape[0]
     edges, groups = mc._form_panels(chol, mats)
     out = np.zeros((count, len(mats)))
     buf = np.empty(mc.BLOCK_ROWS * dim)
-    for a in range(0, count, mc.CHUNK):
-        b = min(a + mc.CHUNK, count)
+    chunk = 4 * mc.BLOCK_ROWS
+    for a in range(0, count, chunk):
+        b = min(a + chunk, count)
         z = mc._draw_rows(seed, a, b, dim)
         for r in range(0, b - a, mc.BLOCK_ROWS):
             rows = z[r:r + mc.BLOCK_ROWS]
@@ -245,7 +212,7 @@ def _whole_chunk_quad_forms(cov, mats, seed, count):
 
 
 class TestDrawBlocks:
-    @pytest.mark.parametrize("count", [1, mc.CHUNK - 1, 3 * mc.CHUNK + 1000])
+    @pytest.mark.parametrize("count", [1, 4 * mc.BLOCK_ROWS - 1, 12 * mc.BLOCK_ROWS + 1000])
     def test_matches_whole_chunk_draws(self, chain_model, count):
         cov = chain_model.covariance
         mats = [gf.sigma_matrix(chain_model).matrix,
@@ -259,15 +226,15 @@ class TestDrawBlocks:
         cov = chain_model.covariance
         rng = np.random.default_rng(5)
         mats = [symmetrize(rng.standard_normal(cov.shape)) for _ in range(3)]
-        listed = mc.quad_form_samples(cov, mats, seed=2, count=mc.CHUNK + 3, workers=2)
-        streamed = mc.quad_form_samples(cov, (m for m in mats), seed=2, count=mc.CHUNK + 3,
+        listed = mc.quad_form_samples(cov, mats, seed=2, count=4 * mc.BLOCK_ROWS + 3, workers=2)
+        streamed = mc.quad_form_samples(cov, (m for m in mats), seed=2, count=4 * mc.BLOCK_ROWS + 3,
                                         workers=2)
         assert streamed.tobytes() == listed.tobytes()
 
     def test_trace_identity_rows_match_listed_mats(self, chain_model):
         # the report as it was: every A made first, the oracles read after the forms, the
         # statistics by numpy over the whole column; the streamed moments agree to roundoff
-        cov, seed, count = chain_model.covariance, 11, mc.CHUNK + 700
+        cov, seed, count = chain_model.covariance, 11, 4 * mc.BLOCK_ROWS + 700
         rng = np.random.default_rng(seed ^ 0x5EED)
         mats = [symmetrize(rng.standard_normal(cov.shape)) for _ in range(4)]
         vals = _whole_chunk_quad_forms(cov, mats, seed, count)
@@ -291,7 +258,7 @@ LOG_MEAN_TOL = 1e-12
 
 
 class TestReducers:
-    COUNT = 2 * mc.CHUNK + 917    # three chunks, the last block short
+    COUNT = 8 * mc.BLOCK_ROWS + 917    # nine tiles, the last one short
 
     @pytest.fixture(scope="class")
     def columns(self, chain_model):
@@ -344,7 +311,7 @@ class TestReducers:
         assert self._fed(mc._Collect(), vals).values.tobytes() == vals.tobytes()
 
     def test_empirical_mgf_matches_collected_column(self, chain_model):
-        t, alpha, count = 4.0, 0.25, mc.CHUNK + 333
+        t, alpha, count = 4.0, 0.25, 4 * mc.BLOCK_ROWS + 333
         b = gf.sigma_integral_matrix(chain_model, t)
         vals = mc.quad_form_samples(chain_model.covariance, [b.matrix], seed=5, count=count)[:, 0]
         e = -alpha * (vals - b.offset)
@@ -355,7 +322,7 @@ class TestReducers:
         assert abs(se - ref_se) <= STD_RTOL * ref_se
 
     def test_change_of_measure_matches_collected_column(self, chain_model):
-        count = mc.CHUNK + 333
+        count = 4 * mc.BLOCK_ROWS + 333
         fp = gf.flow_point(chain_model, 1.0)
         vals = mc.quad_form_samples(chain_model.covariance, [fp.relative_T], seed=6,
                                     count=count)[:, 0]
@@ -373,7 +340,7 @@ class TestOnePass:
                 mc.mgf_check(model, 4.0, 0.25)]
 
     def test_matches_separate_calls(self, chain_model, monkeypatch):
-        seed, count = 17, mc.CHUNK + 900
+        seed, count = 17, 4 * mc.BLOCK_ROWS + 900
         drawn = []
         real = mc._draw_rows
 
@@ -400,7 +367,7 @@ class TestOnePass:
         assert abs(mgf[0] - ref_mgf[0]) <= 1e-12 and abs(mgf[1] - ref_mgf[1]) <= 1e-10 * ref_mgf[1]
 
     def test_bytes_equal_for_any_worker_count(self, chain_model):
-        seed, count = 3, 2 * mc.CHUNK + 17
+        seed, count = 3, 8 * mc.BLOCK_ROWS + 17
         results = set()
         for workers in (1, 2, 3, 4):
             reports, _ = mc.run_checks(chain_model.covariance, self._checks(chain_model, seed),
@@ -413,9 +380,9 @@ class TestOnePass:
         assert len(results) == 2
 
     def test_many_threads_agree_with_one(self, chain_model):
-        # more workers than cores, switching threads often: each block's partial lands in its
+        # more workers than cores, switching threads often: each tile's partial lands in its
         # own slot, so no update is lost and the bytes equal those of one worker
-        seed, count = 8, 6 * mc.CHUNK + 5
+        seed, count = 8, 24 * mc.BLOCK_ROWS + 5
         one, _ = mc.run_checks(chain_model.covariance, self._checks(chain_model, seed), seed, count)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -655,13 +622,3 @@ class TestChangeOfMeasure:
     def test_normalization(self, chain_model):
         report = mc.change_of_measure_report(chain_model, 1.0, seed=6, count=50_000, workers=2)
         assert abs(report["z_score"]) <= 4.0
-
-    def test_ness_invariance_surrogate(self, chain_mid, chain_mid_limits):
-        model, _ = chain_mid
-        count = 20_000
-        defect = mc.propagated_sample_cov_defect(model, chain_mid_limits.d_plus, 10.0,
-                                                 seed=9, count=count, workers=2)
-        bound = chain_mid_limits.plateau_residual + 4.0 / math.sqrt(count) * float(
-            np.abs(chain_mid_limits.d_plus).max()
-        )
-        assert defect <= bound + 0.05
