@@ -269,7 +269,7 @@ def cmd_mc(args):
         doc["clt"] = {"ks_distance": report.ks_distance, "variance": a_var,
                       "skipped": report.skipped, "note": report.note}
         if not report.skipped:
-            passes.append({"checks": ["clt"], "measure": "ness", "rows": args.n, "forms": 1,
+            passes.append({"checks": ["clt"], "measure": "ness", **report.draw_pass,
                            "stream": montecarlo.STREAM})
         if args.out and not report.skipped:
             montecarlo.write_histogram_csv(_out_path(args, "clt_hist.csv"), report)

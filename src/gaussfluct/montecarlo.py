@@ -12,8 +12,14 @@ order.  Results are thus bit-identical for any worker count at a fixed BLAS
 thread count.  BLOCK_ROWS is part of the contract: a new value changes every
 seeded result.
 
-A pass with k forms keeps their panels, about k n^2/2 floats, and per worker
-one tile of draws, its k values and a product buffer of half a tile.
+Precision: the draws, the fold C'MC, the output columns and the reducers are
+float64; the panels, the products and one copy of each tile are float32, each
+form scaled by a power of two, and each pass checks its float32 values against
+float64 on CERT_ROWS probe rows (_certificate).
+
+A pass with k forms keeps their panels, k n^2/2 (1 + PANEL/n) float32 values,
+and per worker one float32 tile of draws, its k values and a product buffer of
+half a tile.
 """
 
 import math
@@ -30,6 +36,7 @@ from .renyi import domain_interval
 BLOCK_ROWS = 1024               # draws per stream tile and unit of work; part of the contract
 STREAM = f"sfc64-spawn-tile{BLOCK_ROWS}"    # names the draw stream in a pass's record
 PANEL = 64                      # rows of the upper triangle per product of the quadratic forms
+CERT_ROWS = 128                 # probe rows on which a pass's forms are checked against float64
 
 MGF_DOMAIN_MARGIN = 0.05        # required relative distance of alpha from the J_t boundary
 
@@ -95,35 +102,42 @@ def _cov_factor(cov):
         raise DomainError("covariance is not positive definite") from None
 
 
-def _triangular_fold(w):
-    """S = W + W' with diag(S) = diag(W): either triangle T of S has z'Tz = z'Wz for any W."""
-    s = w + w.T
-    np.fill_diagonal(s, np.diagonal(w))
-    return s
+def _form_panels(chol, mats, seen=None):
+    """Panel edges and, per group of forms (j0, j1), their powers of two and stacked float32 panels.
 
-
-def _form_panels(chol, mats):
-    """Panel edges and, per group of forms (j0, j1), the stacked panels G_p of the group.
-
-    Each form W = C'MC is folded into S (_triangular_fold); its upper triangle
-    T is cut into row panels [p0, p1) of PANEL rows, and panel p keeps
-    T[p0:p1, p0:]' = tril(S[p0:, p0:p1]) (S is symmetric).  G_p holds these
-    blocks of forms j0, ..., j1 - 1 side by side, in that order.  A group
-    takes at most dim // PANEL forms, so that one product writes at most
-    rows x dim floats, and the forms are split into as few groups as that
-    allows, of equal width (10 forms at dim 514: 5 + 5, not 8 + 2).  Each M and each fold is released once cut; an M that
-    is not a finite dim x dim matrix raises StructuralError.
+    Each form W = C'MC is made in float64 and handed to seen(W) if given.  Its
+    fold S = W + W' with diag(S) = diag(W) has z'Tz = z'Wz for either triangle
+    T of S; the upper one is cut into row panels [p0, p1) of PANEL rows, and
+    panel p keeps T[p0:p1, p0:]' = tril(W[p0:, p0:p1] + W[p0:p1, p0:]'), cut
+    straight from W.  Before the cut W is scaled by the power of two 2^-e that
+    brings its largest entry into [0.5, 1), so that the float32 cast neither
+    overflows nor sinks the form into subnormals, whatever its scale; each
+    piece is cast to float32 as it is cut, and 2^e is kept for the form's
+    output column.  G_p holds the pieces of forms j0, ..., j1 - 1 side by
+    side, in that order.  A group takes at most dim // PANEL forms, so that
+    one product writes at most rows x dim values, and the forms are split
+    into as few groups as that allows, of equal width (10 forms at dim 514:
+    5 + 5, not 8 + 2).  Each M and each W is released once cut; an M that is
+    not a finite dim x dim matrix raises StructuralError.
     """
     dim = chol.shape[0]
     edges = [(p0, min(p0 + PANEL, dim)) for p0 in range(0, dim, PANEL)]
     pieces = [[] for _ in edges]    # pieces[p][j]: panel p of form j
+    powers = []
     for m in mats:
-        s = _triangular_fold(chol.T @ checked_square(m, dim, "form") @ chol)
+        w = chol.T @ checked_square(m, dim, "form") @ chol
         del m    # so that the next M is made with this one freed
+        if seen is not None:
+            seen(w)
+        e = int(np.frexp(max(w.max(), -w.min()))[1])
+        w *= math.ldexp(1.0, -e)    # exact
+        powers.append(math.ldexp(1.0, e))
         for col, (p0, p1) in zip(pieces, edges):
-            col.append(np.tril(s[p0:, p0:p1]))
-        del s
-    k, most = len(pieces[0]), max(1, dim // PANEL)
+            piece = w[p0:, p0:p1] + w[p0:p1, p0:].T
+            np.fill_diagonal(piece, np.diagonal(w)[p0:p1])
+            col.append(np.tril(piece).astype(np.float32))
+        del w
+    k, most = len(powers), max(1, dim // PANEL)
     size = -(-k // -(-k // most)) if k else most    # the fewest groups, of widths within one
     groups = []
     for j0 in range(0, k, size):
@@ -132,26 +146,65 @@ def _form_panels(chol, mats):
         for col in pieces:
             stacked.append(np.hstack(col[j0:j1]))
             col[j0:j1] = [None] * (j1 - j0)    # each piece is freed once stacked
-        groups.append((j0, j1, stacked))
+        groups.append((j0, j1, (np.array(powers[j0:j1]), stacked)))
     return edges, groups
 
 
 def _panel_forms(z, edges, groups, out, buf):
-    """out[:, j] += z'T_j z for the rows z of one block, by one product per panel, group and half block.
+    """out[:, j] = z'T_j z for the rows z of one tile, by one float32 product per panel, group
+    and half tile.
 
     That is n^2/2 (1 + PANEL/n) multiply-adds per row and form, all in BLAS.
-    buf is a flat work array of at least ceil(len(z) / 2) * dim floats: each
-    product is made for one half of the rows at a time.
+    z is cast to float32 once (float32 rows are used as they are); each
+    panel's float32 row dots are added into the float64 out, and a group's
+    columns are multiplied by their powers of two 2^e at the end, which is
+    exact.  buf is a flat float32 work array of at least
+    ceil(len(z) / 2) * dim values: each product is made for one half of the
+    rows at a time.
     """
+    z = z.astype(np.float32, copy=False)
     rows = len(z)
     half = -(-rows // 2)
-    for j0, j1, stacked in groups:
+    for j0, j1, (powers, stacked) in groups:
+        cols = out[:, j0:j1]
+        cols[...] = 0.0
         for (p0, p1), g in zip(edges, stacked):
             for h0 in range(0, rows, half):
                 h1 = min(h0 + half, rows)
                 y = np.matmul(z[h0:h1, p0:], g, out=buf[:(h1 - h0) * g.shape[1]].reshape(h1 - h0, -1))
-                out[h0:h1, j0:j1] += np.einsum("rkw,rw->rk", y.reshape(h1 - h0, j1 - j0, p1 - p0),
-                                               z[h0:h1, p0:p1])
+                cols[h0:h1] += np.einsum("rkw,rw->rk", y.reshape(h1 - h0, j1 - j0, p1 - p0),
+                                         z[h0:h1, p0:p1])
+        cols *= powers
+
+
+def _probe(dim):
+    """The certificate's CERT_ROWS x dim standard normal rows: the C-order fill of
+    Generator(SFC64(0)), a fixed stream apart from the draws, distributed as each row z of a pass.
+
+    Being no draw of the pass, it is made before the forms are folded, so a
+    malformed form is still refused before any draw.
+    """
+    return np.random.Generator(np.random.SFC64(0)).standard_normal((CERT_ROWS, dim))
+
+
+def _certificate(probe, refs, edges, groups, count):
+    """The float64 check of a pass's float32 forms on the probe rows.
+
+    refs[j] holds z'W_j z for the probe rows z, made densely in float64 while
+    the pass held the form W_j = C'MC, with no panel algebra.  Per form: the
+    largest deviation of the kernel's value (_panel_forms) from it, that
+    deviation over the column's standard deviation on the probe, and that
+    ratio times sqrt(count), the shift of a mean over `count` draws, in
+    standard errors, were every draw off by that much.
+    """
+    ref = np.stack(refs, axis=1)
+    vals = np.empty_like(ref)
+    _panel_forms(probe, edges, groups, vals, np.empty(-(-len(probe) // 2) * probe.shape[1],
+                                                      dtype=np.float32))
+    deviation = np.abs(vals - ref).max(axis=0).tolist()
+    ratio = [z_score(d, s) for d, s in zip(deviation, ref.std(axis=0).tolist())]
+    return {"rows": len(ref), "max_deviation": deviation, "deviation_over_std": ratio,
+            "mean_shift_se": [r * math.sqrt(count) for r in ratio]}
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +310,8 @@ def run_checks(cov, checks, seed, count, workers=1):
     once, on `workers` threads if more than one, takes every form, and hands
     each check's reducer the columns of that check's forms.  Returns the
     checks' reports, in order, and the record of the pass: the rows drawn
-    (none when there is no form) and the forms.
+    (none when there is no form), the forms and, when there is a form, the
+    certificate of their float32 rounding (_certificate).
     """
     _check_count(count, 1)
     chol = _cov_factor(cov)
@@ -274,15 +328,22 @@ def run_checks(cov, checks, seed, count, workers=1):
                 del m    # so that the next M is made with this one freed
             spans.append((j0, k))
 
-    edges, groups = _form_panels(chol, chained())
+    probe, refs = _probe(dim), []
+    edges, groups = _form_panels(chol, chained(),
+                                 lambda w: refs.append(np.einsum("ij,ij->i", probe @ w, probe)))
     del chol    # the draws need only the panels
     for check, (j0, j1) in zip(checks, spans):
         check.reducer.begin(count, j1 - j0)
+    record = {"rows": count if k else 0, "forms": k}
+    if k:
+        record["certificate"] = _certificate(probe, refs, edges, groups, count)
+    del probe
 
     def work(r):
-        z = _draw_rows(seed, r, min(r + BLOCK_ROWS, count), dim)
-        vals = np.zeros((len(z), k))
-        _panel_forms(z, edges, groups, vals, np.empty(-(-len(z) // 2) * dim))
+        # the tile's one float32 copy; the float64 draws are freed once it is made
+        z = _draw_rows(seed, r, min(r + BLOCK_ROWS, count), dim).astype(np.float32)
+        vals = np.empty((len(z), k))
+        _panel_forms(z, edges, groups, vals, np.empty(-(-len(z) // 2) * dim, dtype=np.float32))
         for check, (j0, j1) in zip(checks, spans):
             check.reducer.add(r, vals[:, j0:j1])
 
@@ -294,7 +355,7 @@ def run_checks(cov, checks, seed, count, workers=1):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, tiles))    # reads every result, so a worker's error is raised
     reports = [check.report(count) for check in checks]
-    return reports, {"rows": count if k else 0, "forms": k}
+    return reports, record
 
 
 def z_score(diff, std_error):
@@ -390,13 +451,15 @@ def slln_trajectory(model, measure, horizon, seed, d_plus=None, n_points=24):
 
 @dataclass(frozen=True)
 class CltReport:
-    """KS distance against the predicted normal, with the sample histogram."""
+    """KS distance against the predicted normal, with the sample histogram and the record of
+    its draw pass (run_checks), None when skipped."""
 
     ks_distance: float
     bin_edges: np.ndarray
     counts: np.ndarray
     skipped: bool = False
     note: str = ""
+    draw_pass: dict = None
 
 
 def clt_sample(model, measure, t, seed, count, variance, omega_bar, d_plus=None,
@@ -422,13 +485,15 @@ def clt_sample(model, measure, t, seed, count, variance, omega_bar, d_plus=None,
             note="predicted variance is zero; degenerate limit law, check skipped",
         )
     b = sigma_integral_matrix(model, t)
-    vals = quad_form_samples(cov, [b.matrix], seed, count, workers)[:, 0]
+    collect = _Collect()
+    (vals,), record = run_checks(cov, [Check([b.matrix], collect, lambda _: collect.values[:, 0])],
+                                 seed, count, workers)
     u = (vals - b.offset - t * omega_bar) / math.sqrt(t)
     from scipy.stats import kstest, norm
 
     ks = float(kstest(u, norm(loc=0.0, scale=math.sqrt(variance)).cdf).statistic)
     counts, edges = np.histogram(u, bins=bins)
-    return CltReport(ks_distance=ks, bin_edges=edges, counts=counts)
+    return CltReport(ks_distance=ks, bin_edges=edges, counts=counts, draw_pass=record)
 
 
 def write_histogram_csv(path, report):

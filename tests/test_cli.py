@@ -135,9 +135,10 @@ def test_mc_subchecks(chain_file, tmp_path):
     assert abs(doc["change_of_measure"]["estimate"] - 1.0) < 0.1
     assert len(doc["trace_identity"]) == 10
     # the three checks sample N(0, D) with one seed and count: one draw pass
-    assert doc["diagnostics"]["draw_passes"] == [
-        {"checks": ["trace", "com", "mgf"], "measure": "reference", "rows": 4000, "forms": 12,
-         "stream": "sfc64-spawn-tile1024"}]
+    (record,) = doc["diagnostics"]["draw_passes"]
+    assert {key: value for key, value in record.items() if key != "certificate"} == {
+        "checks": ["trace", "com", "mgf"], "measure": "reference", "rows": 4000, "forms": 12,
+        "stream": "sfc64-spawn-tile1024"}
 
 
 def test_mc_one_pass_matches_separate_checks(chain_file, capsys):
@@ -155,6 +156,19 @@ def test_mc_one_pass_matches_separate_checks(chain_file, capsys):
         for a, b in zip(rows, joint_rows):
             assert abs(a["estimate"] - b["estimate"]) <= 1e-12 * (1.0 + abs(a["estimate"]))
             assert abs(a["std_error"] - b["std_error"]) <= 1e-10 * a["std_error"]
+
+
+def test_mc_certifies_every_draw_pass(chain_file, capsys):
+    # the shared pass and the clt pass under D+ each carry the certificate of their own record
+    assert main(["mc", "--model", chain_file, "--checks", "trace,clt", "--n", "300",
+                 "--horizon", "12", "--clt-t", "6", "--seed", "2"]) == 0
+    passes = json.loads(capsys.readouterr().out)["diagnostics"]["draw_passes"]
+    assert [p["checks"] for p in passes] == [["trace"], ["clt"]]
+    for p in passes:
+        cert = p["certificate"]
+        assert cert["rows"] == 128
+        assert len(cert["max_deviation"]) == len(cert["mean_shift_se"]) == p["forms"]
+        assert max(cert["mean_shift_se"]) < 0.01
 
 
 def test_mc_single_draw_exits_one(chain_file, capsys):

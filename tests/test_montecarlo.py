@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -139,10 +140,22 @@ class TestSampling:
 
 
 def _dense_quad_forms(cov, mats, seed, count):
-    """(x, M x) by the general product: einsum(z @ W, z) with W = C'MC, all rows at once."""
+    """(x, M x) by the general product, einsum(z @ W, z) with W = C'MC, all rows at once; and per
+    draw |z|'|W||z|, the size that the rounding of a product of z, W and z scales with."""
     chol = np.linalg.cholesky(cov)
     z = mc._draw_rows(seed, 0, count, cov.shape[0])
-    return np.stack([np.einsum("ij,ij->i", z @ (chol.T @ m @ chol), z) for m in mats], axis=1)
+    ws = [chol.T @ m @ chol for m in mats]
+    ref = np.stack([np.einsum("ij,ij->i", z @ w, z) for w in ws], axis=1)
+    size = np.stack([np.einsum("ij,ij->i", np.abs(z) @ np.abs(w), np.abs(z)) for w in ws], axis=1)
+    return ref, size
+
+
+def _rounding_bound(ref, size, dim):
+    """The kernel's a-priori bound per draw, fixed before measuring: a value is a sum of at most
+    dim + PANEL float32 products of float32 casts of z and of the scaled form (u = 2^-24 each, the
+    scaling by a power of two is exact), so it is within (dim + PANEL + 3) u |z|'|W||z| of z'Wz;
+    1e-13 of the column's largest value covers the float64 reference."""
+    return (dim + mc.PANEL + 3) * 2.0**-24 * size + 1e-13 * np.abs(ref).max(axis=0)
 
 
 class TestTriangularQuadForms:
@@ -158,14 +171,45 @@ class TestTriangularQuadForms:
         k = dim // mc.PANEL + 2
         mats = [rng.standard_normal((dim, dim)) for _ in range(k - 1)]
         mats.append(symmetrize(rng.standard_normal((dim, dim))))
-        ref = _dense_quad_forms(cov, mats, 9, count)
+        ref, size = _dense_quad_forms(cov, mats, 9, count)
+        bound = _rounding_bound(ref, size, dim)
         got = mc.quad_form_samples(cov, mats, seed=9, count=count, workers=1)
         assert got.shape == (count, k)
-        for j in range(k):
-            assert np.abs(got[:, j] - ref[:, j]).max() <= 1e-13 * np.abs(ref[:, j]).max()
+        assert np.all(np.abs(got - ref) <= bound)
         for workers in (2, 3, 4):
             assert mc.quad_form_samples(cov, mats, seed=9, count=count,
                                         workers=workers).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-45, 1.0, 1e40])
+    def test_any_scale_meets_the_same_bound(self, scale):
+        # each form is scaled by a power of two before its float32 cast: a tiny form does not go
+        # subnormal and a huge one does not overflow, and no warning is raised
+        dim, count = 2 * mc.PANEL + 3, mc.BLOCK_ROWS + 5
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((dim, dim))
+        cov = a @ a.T + dim * np.eye(dim)
+        mats = [scale * rng.standard_normal((dim, dim))]
+        ref, size = _dense_quad_forms(cov, mats, 3, count)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mc.quad_form_samples(cov, mats, seed=3, count=count)
+        assert np.all(np.abs(got - ref) <= _rounding_bound(ref, size, dim))
+
+    def test_integer_forms_are_exact(self):
+        # integer draws and forms times powers of two: every float32 product and sum is exact, so
+        # the fold, the triangles, the groups, the half tiles and the scaling give the dense
+        # product exactly
+        dim, rows = 2 * mc.PANEL + 3, 77
+        rng = np.random.default_rng(2)
+        chol = np.diag(rng.choice([1.0, 2.0], dim))
+        mats = [rng.integers(-3, 4, (dim, dim)) * 2.0 ** p for p in (0, 0, -30, 40, 0)]
+        z = rng.integers(-2, 3, (rows, dim)).astype(float)
+        edges, groups = mc._form_panels(chol, mats)
+        assert len(groups) == 3
+        got = np.zeros((rows, len(mats)))
+        mc._panel_forms(z, edges, groups, got, np.empty(-(-rows // 2) * dim, dtype=np.float32))
+        ref = np.stack([np.einsum("ij,ij->i", z @ (chol.T @ m @ chol), z) for m in mats], axis=1)
+        assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("k,widths", [(1, [1]), (4, [4]), (5, [3, 2]), (9, [3, 3, 3])])
     def test_groups_are_few_and_even(self, k, widths):
@@ -200,7 +244,7 @@ def _whole_chunk_quad_forms(cov, mats, seed, count):
     dim = cov.shape[0]
     edges, groups = mc._form_panels(chol, mats)
     out = np.zeros((count, len(mats)))
-    buf = np.empty(mc.BLOCK_ROWS * dim)
+    buf = np.empty(mc.BLOCK_ROWS * dim, dtype=np.float32)
     chunk = 4 * mc.BLOCK_ROWS
     for a in range(0, count, chunk):
         b = min(a + chunk, count)
@@ -351,7 +395,8 @@ class TestOnePass:
         monkeypatch.setattr(mc, "_draw_rows", counted)
         (rows, com, mgf), record = mc.run_checks(chain_model.covariance,
                                                  self._checks(chain_model, seed), seed, count)
-        assert record == {"rows": count, "forms": 5}
+        assert (record["rows"], record["forms"]) == (count, 5)
+        assert len(record["certificate"]["max_deviation"]) == 5
         # one draw pass: each row drawn once
         assert sorted(drawn) == [(r, min(r + mc.BLOCK_ROWS, count))
                                  for r in range(0, count, mc.BLOCK_ROWS)]
@@ -397,6 +442,64 @@ class TestOnePass:
         monkeypatch.setattr(mc, "_draw_rows", lambda *args: pytest.fail("rows drawn for no form"))
         reports, record = mc.run_checks(np.eye(3), [mc.trace_check(np.eye(3), 0, n_mats=0)], 0, 10)
         assert reports == [[]] and record == {"rows": 0, "forms": 0}
+
+
+def test_certificate_matches_float64_recomputation(chain_model):
+    # the probe by its definition, the dense float64 forms of its rows and the kernel's values on
+    # them, made apart from the pass; the certificate does not depend on the seed or the draws
+    cov, count = chain_model.covariance, 3 * mc.BLOCK_ROWS + 5
+    mats = [gf.sigma_matrix(chain_model).matrix,
+            np.random.default_rng(6).standard_normal(cov.shape)]
+    chol = np.linalg.cholesky(cov)
+    probe = np.random.Generator(np.random.SFC64(0)).standard_normal((mc.CERT_ROWS, len(cov)))
+    ref = np.stack([np.einsum("ij,ij->i", probe @ (chol.T @ m @ chol), probe) for m in mats],
+                   axis=1)
+    got = np.zeros_like(ref)
+    mc._panel_forms(probe, *mc._form_panels(chol, mats), got,
+                    np.empty(mc.CERT_ROWS * len(cov), dtype=np.float32))
+    deviation = np.abs(got - ref).max(axis=0)
+    ratio = deviation / ref.std(axis=0)
+    for seed in (4, 5):
+        _, record = mc.run_checks(cov, [mc.Check(mats, mc._Collect(), lambda _: None)], seed,
+                                  count)
+        assert record["certificate"] == {
+            "rows": mc.CERT_ROWS, "max_deviation": deviation.tolist(),
+            "deviation_over_std": ratio.tolist(),
+            "mean_shift_se": (ratio * math.sqrt(count)).tolist()}
+
+
+@pytest.fixture(scope="module")
+def chain_514():
+    """The 128+1+128 chain (dim 514) of criteria 5a and 5b."""
+    return gf.build_chain(gf.ChainSpec(n_left=128, n_right=128, temps=(2.0, 1.0, 1.0)))[0]
+
+
+def test_float32_shift_within_a_hundredth_of_the_standard_error(chain_514):
+    # the 5a and 5b checks on 16 tiles against the same reducers fed the dense float64 forms of
+    # the same draws; the bound, 0.01 standard error, was fixed before measuring
+    model, seed, count = chain_514, 42, 16 * mc.BLOCK_ROWS
+    cov, dim = model.covariance, model.dim
+
+    def checks():
+        return [mc.trace_check(cov, seed), mc.change_of_measure_check(model, 1.0),
+                mc.mgf_check(model, 10.0, 0.25)]
+
+    (trace, com, mgf), record = mc.run_checks(cov, checks(), seed, count)
+    ref_checks = checks()
+    chol = np.linalg.cholesky(cov)
+    folded = [(check, [chol.T @ m @ chol for m in check.forms]) for check in ref_checks]
+    for check, ws in folded:
+        check.reducer.begin(count, len(ws))
+    for r in range(0, count, mc.BLOCK_ROWS):
+        z = mc._draw_rows(seed, r, r + mc.BLOCK_ROWS, dim)
+        for check, ws in folded:
+            check.reducer.add(r, np.stack([np.einsum("ij,ij->i", z @ w, z) for w in ws], axis=1))
+    ref_trace, ref_com, ref_mgf = (check.report(count) for check in ref_checks)
+    assert len(trace) == 10
+    for got, ref in zip(trace + [com], ref_trace + [ref_com]):
+        assert abs(got["estimate"] - ref["estimate"]) <= 0.01 * ref["std_error"]
+    assert abs(mgf[0] - ref_mgf[0]) <= 0.01 * ref_mgf[1]
+    assert max(record["certificate"]["mean_shift_se"]) < 0.01
 
 
 def _jordan_model():
