@@ -366,7 +366,8 @@ def build_parser():
                    help="run a single check (default: all, or use --checks)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--workers", type=int, default=None,
-                   help="draw threads (default: GAUSS_FLUCT_THREADS, else 1)")
+                   help="least number of tile threads of a draw pass, which also takes as many "
+                        "as OpenBLAS has (default: GAUSS_FLUCT_THREADS, else 1)")
     p.add_argument("--t", type=float, default=10.0, help="time for the MGF check")
     p.add_argument("--alpha", type=float, default=0.25)
     p.add_argument("--n", type=int, default=100000)

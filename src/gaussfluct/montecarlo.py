@@ -6,24 +6,37 @@ checks on one draw pass.  Time-integrated entropy production over [0, t] is
 the form B_t (flow.sigma_integral_matrix), so a draw costs O(n^2).
 
 Reproducibility contract: the draws are cut into tiles of BLOCK_ROWS rows,
-row i depends only on (seed, i, dim) (_draw_rows), each tile is one unit of
+row i depends only on (seed, i, dim) (_tile_rng), each tile is one unit of
 work, and the reducers keep one partial per tile and combine them in tile
 order.  Results are thus bit-identical for any worker count at a fixed BLAS
 thread count.  BLOCK_ROWS is part of the contract: a new value changes every
 seeded result.
 
+Threads: while a pass runs its tiles and its certificate, OpenBLAS runs one
+thread (_one_blas_thread) and the tiles run on max(workers, b) threads, b
+the BLAS thread count found, so the cores go to parallel draws and row dots
+rather than to threads inside each product.  Without OpenBLAS (MKL,
+Accelerate) BLAS is left as it is and the tiles run on `workers` threads.
+
 Precision: the draws, the fold C'MC, the output columns and the reducers are
-float64; the panels, the products and one copy of each tile are float32, each
-form scaled by a power of two, and each pass checks its float32 values against
-float64 on CERT_ROWS probe rows (_certificate).
+float64; the panels, the products and the rows of each tile, filled through a
+float64 staging buffer (_fill), are float32, each form scaled by a power of
+two, and each pass checks its float32 values against float64 on CERT_ROWS
+probe rows (_certificate).
 
 A pass with k forms keeps their panels, k n^2/2 (1 + PANEL/n) float32 values,
-and per worker one float32 tile of draws, its k values and a product buffer of
-half a tile.
+and per tile thread one workspace (_workspace): float32 rows and a float32
+product buffer of half a tile each, STAGE_ROWS float64 staging rows and the
+tile's k values.
 """
 
+import collections
+import ctypes
+import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,29 +50,49 @@ BLOCK_ROWS = 1024               # draws per stream tile and unit of work; part o
 STREAM = f"sfc64-spawn-tile{BLOCK_ROWS}"    # names the draw stream in a pass's record
 PANEL = 64                      # rows of the upper triangle per product of the quadratic forms
 CERT_ROWS = 128                 # probe rows on which a pass's forms are checked against float64
+STAGE_ROWS = 64                 # float64 rows per step of a tile's fill into float32
 
 MGF_DOMAIN_MARGIN = 0.05        # required relative distance of alpha from the J_t boundary
 
 
-def _draw_rows(seed, start, stop, dim):
-    """Standard normal rows for draws [start, stop), one bulk fill per tile of BLOCK_ROWS rows.
+def _tile_rng(seed, j):
+    """The generator of tile j, rows [j BLOCK_ROWS, (j + 1) BLOCK_ROWS): its C-order
+    standard_normal fill is the tile.
 
-    Rows [j BLOCK_ROWS, (j + 1) BLOCK_ROWS) are tile j: the C-order
-    standard_normal fill of Generator(SFC64(SeedSequence(key, spawn_key=(j,)))),
-    key = seed mod 2**128: the j-th child of SeedSequence(key).spawn, numpy's
-    way to make independent streams.  Row i thus depends only on (seed, i, dim).
-    The fill releases the interpreter lock, so workers draw in parallel.
+    Generator(SFC64(SeedSequence(key, spawn_key=(j,)))), key = seed mod 2**128:
+    the j-th child of SeedSequence(key).spawn, numpy's way to make independent
+    streams.  Row i thus depends only on (seed, i, dim).
     """
     key = int(seed) & ((1 << 128) - 1)
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key, spawn_key=(j,))))
+
+
+def _draw_rows(seed, start, stop, dim):
+    """Standard normal rows for draws [start, stop), one bulk fill per tile of BLOCK_ROWS rows
+    (_tile_rng)."""
     out = np.empty((stop - start, dim))
     for j in range(start // BLOCK_ROWS, -(-stop // BLOCK_ROWS)):
         t0 = j * BLOCK_ROWS
         a, b = max(start, t0), min(stop, t0 + BLOCK_ROWS)
-        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(key, spawn_key=(j,))))
+        gen = _tile_rng(seed, j)
         if a > t0:
             gen.standard_normal((a - t0) * dim)     # the tile's rows before the range
         gen.standard_normal(out=out[a - start:b - start])
     return out
+
+
+def _fill(gen, rows, stage):
+    """rows[...] = the next len(rows) x dim values of gen's standard_normal stream, cast to float32.
+
+    They are made len(stage) rows at a time in the float64 stage and cast from
+    it; the stream keeps no state between fills, so the values are those of
+    one whole fill cast after it, with no float64 copy of rows.  The fill
+    releases the interpreter lock, so tile threads draw in parallel.
+    """
+    for a in range(0, len(rows), len(stage)):
+        part = stage[:len(rows) - a]
+        gen.standard_normal(out=part)
+        rows[a:a + len(part)] = part
 
 
 def _check_count(count, least):
@@ -151,26 +184,25 @@ def _form_panels(chol, mats, seen=None):
 
 
 def _panel_forms(z, edges, groups, out, buf):
-    """out[:, j] = z'T_j z for the rows z of one tile, by one float32 product per panel, group
-    and half tile.
+    """out[:, j] = z'T_j z for the rows z, by one float32 product per panel, group and run of
+    rows that buf holds.
 
     That is n^2/2 (1 + PANEL/n) multiply-adds per row and form, all in BLAS.
     z is cast to float32 once (float32 rows are used as they are); each
     panel's float32 row dots are added into the float64 out, and a group's
     columns are multiplied by their powers of two 2^e at the end, which is
-    exact.  buf is a flat float32 work array of at least
-    ceil(len(z) / 2) * dim values: each product is made for one half of the
-    rows at a time.
+    exact.  buf is a flat float32 work array of at least dim values: each
+    product is made for len(buf) // dim rows at a time.
     """
     z = z.astype(np.float32, copy=False)
-    rows = len(z)
-    half = -(-rows // 2)
+    rows, dim = z.shape
+    step = len(buf) // dim
     for j0, j1, (powers, stacked) in groups:
         cols = out[:, j0:j1]
         cols[...] = 0.0
         for (p0, p1), g in zip(edges, stacked):
-            for h0 in range(0, rows, half):
-                h1 = min(h0 + half, rows)
+            for h0 in range(0, rows, step):
+                h1 = min(h0 + step, rows)
                 y = np.matmul(z[h0:h1, p0:], g, out=buf[:(h1 - h0) * g.shape[1]].reshape(h1 - h0, -1))
                 cols[h0:h1] += np.einsum("rkw,rw->rk", y.reshape(h1 - h0, j1 - j0, p1 - p0),
                                          z[h0:h1, p0:p1])
@@ -195,12 +227,12 @@ def _certificate(probe, refs, edges, groups, count):
     largest deviation of the kernel's value (_panel_forms) from it, that
     deviation over the column's standard deviation on the probe, and that
     ratio times sqrt(count), the shift of a mean over `count` draws, in
-    standard errors, were every draw off by that much.
+    standard errors, were every draw off by that much.  A pass calls it with
+    BLAS set as for its tiles, so it certifies the kernel the tiles run.
     """
     ref = np.stack(refs, axis=1)
     vals = np.empty_like(ref)
-    _panel_forms(probe, edges, groups, vals, np.empty(-(-len(probe) // 2) * probe.shape[1],
-                                                      dtype=np.float32))
+    _panel_forms(probe, edges, groups, vals, np.empty(probe.size, dtype=np.float32))
     deviation = np.abs(vals - ref).max(axis=0).tolist()
     ratio = [z_score(d, s) for d, s in zip(deviation, ref.std(axis=0).tolist())]
     return {"rows": len(ref), "max_deviation": deviation, "deviation_over_std": ratio,
@@ -302,16 +334,99 @@ def _combined(parts):
     return mean, m2
 
 
+@functools.cache
+def _blas():
+    """OpenBLAS's (get, set) thread-count functions, looked up through numpy's own extension
+    module at the first call; None when numpy's BLAS is not OpenBLAS (MKL, Accelerate)."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                 "openblas_{}_num_threads"):
+        try:
+            get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+_BLAS_LOCK = threading.Lock()
+_blas_held = {"depth": 0, "saved": None}    # passes inside _one_blas_thread, the count they saved
+
+
+@contextmanager
+def _one_blas_thread():
+    """Holds OpenBLAS at one thread inside the block; yields the thread count it had before any
+    pass took it, or None, leaving BLAS untouched, when there is no OpenBLAS.
+
+    The count is process-wide, and passes may nest or run at once from several
+    Python threads: the first to enter saves the count and sets one thread,
+    the last to leave restores the saved count, so it is restored exactly
+    once, to the caller's value, however each pass ends.
+    """
+    fns = _blas()
+    if fns is None:
+        yield None
+        return
+    get, put = fns
+    with _BLAS_LOCK:
+        if _blas_held["depth"] == 0:
+            _blas_held["saved"] = get()
+            put(1)
+        _blas_held["depth"] += 1
+        saved = _blas_held["saved"]
+    try:
+        yield saved
+    finally:
+        with _BLAS_LOCK:
+            _blas_held["depth"] -= 1
+            if _blas_held["depth"] == 0:
+                put(saved)
+
+
+def _workspace(dim, k):
+    """One tile thread's buffers, views of one float64 block: float32 rows for half a tile,
+    STAGE_ROWS float64 staging rows, the float32 product buffer of half a tile and the tile's
+    BLOCK_ROWS x k values."""
+    half = BLOCK_ROWS // 2 * dim    # floats of half a tile
+    block = np.empty(half + STAGE_ROWS * dim + BLOCK_ROWS * k)
+    return (block[:half // 2].view(np.float32).reshape(-1, dim),
+            block[half:half + STAGE_ROWS * dim].reshape(STAGE_ROWS, dim),
+            block[half // 2:half].view(np.float32),
+            block[half + STAGE_ROWS * dim:].reshape(BLOCK_ROWS, k))
+
+
+def _tile_forms(seed, start, stop, edges, groups, work):
+    """The values of every form on the draws [start, stop) of the tile that starts at `start`,
+    made in the workspace `work`: half a tile at a time, the rows are filled (_fill) and take
+    every form (_panel_forms)."""
+    rows, stage, buf, vals = work
+    gen = _tile_rng(seed, start // BLOCK_ROWS)
+    for h0 in range(0, stop - start, len(rows)):
+        z = rows[:stop - start - h0]
+        _fill(gen, z, stage)
+        _panel_forms(z, edges, groups, vals[h0:h0 + len(z)], buf)
+    return vals[:stop - start]
+
+
 def run_checks(cov, checks, seed, count, workers=1):
     """Evaluate every check's forms on one pass of `count` seeded draws from N(0, cov).
 
     The forms of all checks are folded into panels in order (_form_panels)
-    and the Cholesky factor is released; each tile of BLOCK_ROWS draws is made
-    once, on `workers` threads if more than one, takes every form, and hands
-    each check's reducer the columns of that check's forms.  Returns the
-    checks' reports, in order, and the record of the pass: the rows drawn
-    (none when there is no form), the forms and, when there is a form, the
-    certificate of their float32 rounding (_certificate).
+    and the Cholesky factor is released.  Then, with OpenBLAS at one thread
+    (_one_blas_thread, which finds its count b), the certificate of the
+    forms' float32 rounding is made (_certificate) and the tiles of
+    BLOCK_ROWS draws run on T = max(workers, b) threads, the calling thread
+    one of them, each with its own workspace; without OpenBLAS, T = workers.
+    Each tile is drawn once, takes every form, and hands each check's reducer
+    the columns of that check's forms.  Returns the checks' reports, in
+    order, and the record of the pass: the rows drawn (none when there is no
+    form), the forms and, when there is a form, `threads` (T, at most one
+    per tile), `blas_threads` (b, None without OpenBLAS) and the certificate.
     """
     _check_count(count, 1)
     chol = _cov_factor(cov)
@@ -336,24 +451,32 @@ def run_checks(cov, checks, seed, count, workers=1):
         check.reducer.begin(count, j1 - j0)
     record = {"rows": count if k else 0, "forms": k}
     if k:
-        record["certificate"] = _certificate(probe, refs, edges, groups, count)
-    del probe
+        with _one_blas_thread() as blas:
+            starts = range(0, count, BLOCK_ROWS)
+            threads = min(max(workers, blas or 1), len(starts))
+            record.update(threads=threads, blas_threads=blas,
+                          certificate=_certificate(probe, refs, edges, groups, count))
+            del probe
+            # made by the calling thread: buffers made in a tile thread would come from that
+            # thread's own malloc arena and raise the resident peak
+            works = [_workspace(dim, k) for _ in range(threads)]
+            todo = iter(starts)    # shared: each next() is one call under the interpreter lock
 
-    def work(r):
-        # the tile's one float32 copy; the float64 draws are freed once it is made
-        z = _draw_rows(seed, r, min(r + BLOCK_ROWS, count), dim).astype(np.float32)
-        vals = np.empty((len(z), k))
-        _panel_forms(z, edges, groups, vals, np.empty(-(-len(z) // 2) * dim, dtype=np.float32))
-        for check, (j0, j1) in zip(checks, spans):
-            check.reducer.add(r, vals[:, j0:j1])
+            def drain(work):
+                try:
+                    for r in todo:
+                        vals = _tile_forms(seed, r, min(r + BLOCK_ROWS, count), edges, groups, work)
+                        for check, (j0, j1) in zip(checks, spans):
+                            check.reducer.add(r, vals[:, j0:j1])
+                except BaseException:
+                    collections.deque(todo, maxlen=0)    # the other threads take no further tile
+                    raise
 
-    tiles = range(0, count if k else 0, BLOCK_ROWS)
-    if workers <= 1 or len(tiles) <= 1:
-        for r in tiles:
-            work(r)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, tiles))    # reads every result, so a worker's error is raised
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [pool.submit(drain, work) for work in works[1:]]
+                drain(works[0])    # the calling thread is one of the tile threads
+            for future in futures:
+                future.result()    # reads every result, so a tile thread's error is raised
     reports = [check.report(count) for check in checks]
     return reports, record
 

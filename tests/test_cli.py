@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gaussfluct as gf
+from gaussfluct import montecarlo
 from gaussfluct.cli import main
 from gaussfluct.modelio import save_model
 
@@ -134,10 +135,14 @@ def test_mc_subchecks(chain_file, tmp_path):
     assert abs(doc["mgf"]["z_score"]) < 6
     assert abs(doc["change_of_measure"]["estimate"] - 1.0) < 0.1
     assert len(doc["trace_identity"]) == 10
-    # the three checks sample N(0, D) with one seed and count: one draw pass
+    # the three checks sample N(0, D) with one seed and count: one draw pass, its 4 tiles on at
+    # least --workers threads and at least as many as BLAS had, which it finds and restores
+    found = montecarlo._blas()
+    blas = found[0]() if found else None
     (record,) = doc["diagnostics"]["draw_passes"]
     assert {key: value for key, value in record.items() if key != "certificate"} == {
         "checks": ["trace", "com", "mgf"], "measure": "reference", "rows": 4000, "forms": 12,
+        "threads": min(max(2, blas or 1), 4), "blas_threads": blas,
         "stream": "sfc64-spawn-tile1024"}
 
 

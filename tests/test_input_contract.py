@@ -132,7 +132,7 @@ def test_monte_carlo_refuses_a_malformed_covariance(small_chain, call, case):
 @pytest.mark.parametrize("case", BAD_FORM)
 def test_quad_form_samples_refuses_a_malformed_form(small_chain, monkeypatch, case):
     # refused when folded, before any draw
-    monkeypatch.setattr(montecarlo, "_draw_rows", lambda *args: pytest.fail("rows drawn"))
+    monkeypatch.setattr(montecarlo, "_tile_rng", lambda *args: pytest.fail("rows drawn"))
     forms = [np.eye(small_chain.dim), BAD_FORM[case](small_chain.dim)]
     with pytest.raises(StructuralError):
         montecarlo.quad_form_samples(small_chain.covariance, forms, seed=1, count=10)

@@ -94,6 +94,30 @@ def test_trace_identity_report_streams_its_moments(cov_200, workers):
     assert peak <= _streamed_pass_bound(n, k, workers)
 
 
+def _tile_thread_bound(n, k, threads):
+    """The panels of the k forms, and the larger of the two phases of the pass: while folding, as
+    in _streamed_pass_bound; while drawing, per tile thread its workspace (mc._workspace: float32
+    rows and a float32 product buffer of half a tile, BLOCK_ROWS n / 4 floats each, STAGE_ROWS x n
+    staging rows and the tile's BLOCK_ROWS x k values) and two temporaries of the values' size (the
+    reducer's deviations, one half's row dots); slack: the bookkeeping."""
+    draw = threads * (mc.BLOCK_ROWS * n // 2 + mc.STAGE_ROWS * n + 3 * mc.BLOCK_ROWS * k)
+    return FLOAT * (k * _panel_floats(n) + max(4 * n * n, draw)) + BOOKKEEPING
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_checks_holds_one_workspace_per_tile_thread(cov_200, workers):
+    # the tile threads, at least `workers` of them and as many as BLAS had, are read from the
+    # pass's record
+    n, k, count = 200, 10, 16 * mc.BLOCK_ROWS + 5
+    records = []
+    mc.run_checks(cov_200, [mc.trace_check(cov_200, 3, n_mats=1)], 3, 5, workers)
+    peak, _ = _traced(lambda: records.append(
+        mc.run_checks(cov_200, [mc.trace_check(cov_200, 3, n_mats=k)], 3, count, workers)[1]))
+    (record,) = records
+    assert record["threads"] >= workers
+    assert peak <= _tile_thread_bound(n, k, record["threads"])
+
+
 def test_model_keeps_no_covariance_roots_or_identity_copy(monkeypatch):
     monkeypatch.setattr(renyi, "_stores", OrderedDict())
     model, oracle = gf.build_toy(gf.ToySpec(n=256, lam=1.0))

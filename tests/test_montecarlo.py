@@ -1,6 +1,8 @@
 import math
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -72,6 +74,23 @@ class TestDrawStream:
     def test_seeds_equal_mod_2_128_draw_equal_rows(self):
         a = mc._draw_rows(-3, 900, 1100, 3)
         assert a.tobytes() == mc._draw_rows(2**128 - 3, 900, 1100, 3).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 514])
+    def test_staged_float32_tiles_equal_the_cast_rows(self, dim):
+        # each tile as a pass makes it, half a tile at a time through STAGE_ROWS float64 rows,
+        # against the float64 rows cast after; nine tiles, the last one short
+        seed, count = 42, 8 * mc.BLOCK_ROWS + 17
+        rows, stage, _, _ = mc._workspace(dim, 1)
+        for r in range(0, count, mc.BLOCK_ROWS):
+            stop = min(r + mc.BLOCK_ROWS, count)
+            gen = mc._tile_rng(seed, r // mc.BLOCK_ROWS)
+            halves = []
+            for h0 in range(0, stop - r, len(rows)):
+                z = rows[:stop - r - h0]
+                mc._fill(gen, z, stage)
+                halves.append(z.copy())
+            ref = mc._draw_rows(seed, r, stop, dim).astype(np.float32)
+            assert np.concatenate(halves).tobytes() == ref.tobytes()
 
 
 class TestSampling:
@@ -223,7 +242,7 @@ class TestTriangularQuadForms:
         def no_draws(*args):
             raise AssertionError("rows drawn for no form")
 
-        monkeypatch.setattr(mc, "_draw_rows", no_draws)
+        monkeypatch.setattr(mc, "_tile_rng", no_draws)
         cov = np.eye(3)
         assert mc.quad_form_samples(cov, [], seed=0, count=10).shape == (10, 0)
         assert mc.trace_identity_report(cov, seed=0, count=10, n_mats=0) == []
@@ -239,19 +258,20 @@ class TestTriangularQuadForms:
 
 def _whole_chunk_quad_forms(cov, mats, seed, count):
     """quad_form_samples with whole-chunk draws: 4 BLOCK_ROWS rows drawn at once, then the panel
-    products per BLOCK_ROWS sub-block, chunk after chunk."""
+    products per BLOCK_ROWS sub-block, chunk after chunk, with BLAS set as for a pass's tiles."""
     chol = np.linalg.cholesky(cov)
     dim = cov.shape[0]
     edges, groups = mc._form_panels(chol, mats)
     out = np.zeros((count, len(mats)))
     buf = np.empty(mc.BLOCK_ROWS * dim, dtype=np.float32)
     chunk = 4 * mc.BLOCK_ROWS
-    for a in range(0, count, chunk):
-        b = min(a + chunk, count)
-        z = mc._draw_rows(seed, a, b, dim)
-        for r in range(0, b - a, mc.BLOCK_ROWS):
-            rows = z[r:r + mc.BLOCK_ROWS]
-            mc._panel_forms(rows, edges, groups, out[a + r:a + r + len(rows)], buf)
+    with mc._one_blas_thread():
+        for a in range(0, count, chunk):
+            b = min(a + chunk, count)
+            z = mc._draw_rows(seed, a, b, dim)
+            for r in range(0, b - a, mc.BLOCK_ROWS):
+                rows = z[r:r + mc.BLOCK_ROWS]
+                mc._panel_forms(rows, edges, groups, out[a + r:a + r + len(rows)], buf)
     return out
 
 
@@ -386,13 +406,13 @@ class TestOnePass:
     def test_matches_separate_calls(self, chain_model, monkeypatch):
         seed, count = 17, 4 * mc.BLOCK_ROWS + 900
         drawn = []
-        real = mc._draw_rows
+        real = mc._tile_forms
 
-        def counted(seed, start, stop, dim):
+        def counted(seed, start, stop, *args):
             drawn.append((start, stop))
-            return real(seed, start, stop, dim)
+            return real(seed, start, stop, *args)
 
-        monkeypatch.setattr(mc, "_draw_rows", counted)
+        monkeypatch.setattr(mc, "_tile_forms", counted)
         (rows, com, mgf), record = mc.run_checks(chain_model.covariance,
                                                  self._checks(chain_model, seed), seed, count)
         assert (record["rows"], record["forms"]) == (count, 5)
@@ -400,7 +420,7 @@ class TestOnePass:
         # one draw pass: each row drawn once
         assert sorted(drawn) == [(r, min(r + mc.BLOCK_ROWS, count))
                                  for r in range(0, count, mc.BLOCK_ROWS)]
-        monkeypatch.setattr(mc, "_draw_rows", real)
+        monkeypatch.setattr(mc, "_tile_forms", real)
         ref_rows = mc.trace_identity_report(chain_model.covariance, seed, count, n_mats=3)
         ref_com = mc.change_of_measure_report(chain_model, 1.0, seed, count)
         ref_mgf = gf.empirical_mgf(chain_model, 4.0, 0.25, seed, count)
@@ -439,9 +459,127 @@ class TestOnePass:
         assert repr(many) == repr(one)
 
     def test_no_forms_draws_nothing(self, monkeypatch):
-        monkeypatch.setattr(mc, "_draw_rows", lambda *args: pytest.fail("rows drawn for no form"))
+        monkeypatch.setattr(mc, "_tile_rng", lambda *args: pytest.fail("rows drawn for no form"))
         reports, record = mc.run_checks(np.eye(3), [mc.trace_check(np.eye(3), 0, n_mats=0)], 0, 10)
         assert reports == [[]] and record == {"rows": 0, "forms": 0}
+
+
+@pytest.fixture
+def blas_at_three():
+    """OpenBLAS's count getter, with BLAS set to three threads for the test and then set back;
+    skipped when numpy's BLAS is not OpenBLAS."""
+    if mc._blas() is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, put = mc._blas()
+    before = get()
+    put(3)
+    try:
+        assert get() == 3
+        yield get
+    finally:
+        put(before)
+
+
+class _Watching(mc._Moments):
+    """_Moments that records, at each tile, the BLAS thread count (get()) and the thread; it can
+    wait at tile 0 on a barrier and raise at a given tile."""
+
+    def __init__(self, get, barrier=None, fail_at=None):
+        super().__init__()
+        self.get, self.barrier, self.fail_at = get, barrier, fail_at
+        self.seen = []
+
+    def add(self, start, cols):
+        self.seen.append((self.get(), threading.get_ident()))
+        if start == 0 and self.barrier is not None:
+            self.barrier.wait(timeout=60)
+        if start == self.fail_at:
+            raise RuntimeError("reducer failed")
+        super().add(start, cols)
+
+
+class TestBlasThreads:
+    COUNT = 8 * mc.BLOCK_ROWS + 17    # nine tiles, the last one short
+
+    def _pass(self, model, reducer, workers=1):
+        mats = [gf.sigma_matrix(model).matrix,
+                symmetrize(np.random.default_rng(1).standard_normal((model.dim, model.dim)))]
+        return mc.run_checks(model.covariance, [mc.Check(mats, reducer, lambda _: None)], 5,
+                             self.COUNT, workers)
+
+    def test_tiles_take_the_blas_threads(self, chain_model, blas_at_three):
+        get = blas_at_three
+        watch = _Watching(get)
+        _, record = self._pass(chain_model, watch)
+        assert (record["threads"], record["blas_threads"]) == (3, 3)
+        assert len(watch.seen) == 9 and {count for count, _ in watch.seen} == {1}
+        assert len({thread for _, thread in watch.seen}) <= 3
+        assert get() == 3
+
+    def test_count_restored_after_a_failed_pass(self, chain_model, blas_at_three):
+        get = blas_at_three
+        with pytest.raises(RuntimeError, match="reducer failed"):
+            self._pass(chain_model, _Watching(get, fail_at=4 * mc.BLOCK_ROWS), workers=2)
+        assert get() == 3
+        _, record = self._pass(chain_model, _Watching(get))
+        assert record["blas_threads"] == 3 and get() == 3
+
+    def test_concurrent_passes_restore_the_count_once(self, chain_model, blas_at_three):
+        # both passes meet at their tile 0, so each is inside the other's one-thread region: each
+        # sees the caller's count, not the other's 1, and the last to leave restores it
+        get = blas_at_three
+        barrier = threading.Barrier(2)
+        watches = [_Watching(get, barrier=barrier) for _ in range(2)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(self._pass, chain_model, watch) for watch in watches]
+            records = [future.result(timeout=120)[1] for future in futures]
+        assert [record["blas_threads"] for record in records] == [3, 3]
+        assert {count for watch in watches for count, _ in watch.seen} == {1}
+        assert get() == 3
+
+    def test_without_openblas_blas_is_untouched(self, chain_model, monkeypatch):
+        found = mc._blas()
+        get = found[0] if found else (lambda: None)
+        before = get()
+        monkeypatch.setattr(mc, "_blas", lambda: None)
+        watch = _Watching(get)
+        _, record = self._pass(chain_model, watch, workers=3)
+        assert (record["threads"], record["blas_threads"]) == (3, None)
+        assert {count for count, _ in watch.seen} == {before}
+        assert len({thread for _, thread in watch.seen}) <= 3
+        assert get() == before
+
+    def test_bytes_equal_for_any_worker_count(self, chain_514):
+        # the benchmark's chain, where a 2-thread product would round otherwise than a 1-thread one
+        results = set()
+        for workers in (1, 2, 3, 4):
+            collect = mc._Collect()
+            self._pass(chain_514, collect, workers)
+            results.add(collect.values.tobytes())
+        assert len(results) == 1
+
+
+def test_certificate_runs_the_tile_kernel(chain_514, monkeypatch):
+    # on a 3-tile pass the certificate's float32 values equal those of the tile kernel, with a
+    # workspace and BLAS set as for the tiles, for the same rows
+    cov = chain_514.covariance
+    mats = [gf.sigma_matrix(chain_514).matrix,
+            symmetrize(np.random.default_rng(2).standard_normal(cov.shape))]
+    real, certified = mc._panel_forms, []
+
+    def spy(z, edges, groups, out, buf):
+        real(z, edges, groups, out, buf)
+        if z.dtype == np.float64:    # the probe: tiles hand over float32 rows
+            certified.append((z.copy(), edges, groups, out.copy()))
+
+    monkeypatch.setattr(mc, "_panel_forms", spy)
+    mc.run_checks(cov, [mc.Check(mats, mc._Collect(), lambda _: None)], 4, 3 * mc.BLOCK_ROWS)
+    ((probe, edges, groups, cert),) = certified
+    rows, _, buf, vals = mc._workspace(len(cov), len(mats))
+    rows[...] = np.tile(probe, (len(rows) // len(probe), 1))    # a half tile of probe rows
+    with mc._one_blas_thread():
+        real(rows, edges, groups, vals[:len(rows)], buf)
+    assert vals[:len(probe)].tobytes() == cert.tobytes()
 
 
 def test_certificate_matches_float64_recomputation(chain_model):
@@ -455,8 +593,9 @@ def test_certificate_matches_float64_recomputation(chain_model):
     ref = np.stack([np.einsum("ij,ij->i", probe @ (chol.T @ m @ chol), probe) for m in mats],
                    axis=1)
     got = np.zeros_like(ref)
-    mc._panel_forms(probe, *mc._form_panels(chol, mats), got,
-                    np.empty(mc.CERT_ROWS * len(cov), dtype=np.float32))
+    with mc._one_blas_thread():    # as a pass makes its certificate
+        mc._panel_forms(probe, *mc._form_panels(chol, mats), got,
+                        np.empty(mc.CERT_ROWS * len(cov), dtype=np.float32))
     deviation = np.abs(got - ref).max(axis=0)
     ratio = deviation / ref.std(axis=0)
     for seed in (4, 5):
